@@ -1,7 +1,7 @@
 # Tier-1 verification gate (referenced from ROADMAP.md): gofmt
 # cleanliness, vet, build, and the full test suite under the race
 # detector. CI and pre-merge checks run `make verify`.
-.PHONY: verify fmtcheck build test race bench cover fuzz-smoke serve snapshot snapshot-smoke shard-smoke journal-smoke rebalance-smoke load-smoke write-smoke replica-smoke trace-smoke slo-check compact rebalance
+.PHONY: verify fmtcheck build test race bench bench-check cover fuzz-smoke serve snapshot snapshot-smoke shard-smoke journal-smoke rebalance-smoke load-smoke write-smoke replica-smoke trace-smoke slo-check compact rebalance
 
 verify: fmtcheck
 	go vet ./...
@@ -46,6 +46,18 @@ race:
 # concurrency, build, and snapshot persistence benchmarks.
 bench:
 	go test -bench . -benchmem -run xxx .
+
+# The repository benchmark (bench/, BENCHMARK.json) is its own Go module,
+# so `go build ./...` and `go test ./...` above never compile it even
+# though it imports internal/{core,server,router,journal,snapshot,obs}.
+# This target does: vet and test the module, then one short end-to-end
+# run gated only on its exit code (non-zero unless it printed
+# "correct":true — every answer matched the monolith, nothing failed).
+# Timings are not gated here; comparing two commits is `bench -compare`.
+bench-check:
+	go vet -C bench ./...
+	go test -C bench ./...
+	bash bench/run.sh --workload read_cold --seconds 3 --trace 0
 
 # Run the HTTP serving daemon on a small corpus (in-process build).
 serve:

@@ -157,11 +157,9 @@ func printSchema(db *core.DB) {
 
 func printInterpretation(db *core.DB, pred string) {
 	pred = strings.Trim(pred, `"' `)
-	in := db.Interpret(pred)
+	in, w, c := db.InterpretStages(pred)
 	fmt.Printf("predicate: %q\n  chosen stage: %s\n  interpretation: %s\n", pred, in.Method, in.String())
-	w := db.InterpretW2VOnly(pred)
 	fmt.Printf("  [w2v stage]      sim=%.3f best variation=%q → %s\n", w.Similarity, w.MatchedPhrase, w.String())
-	c := db.InterpretCooccurOnly(pred)
 	fmt.Printf("  [co-occur stage] conf=%.3f → %s\n", c.Similarity, c.String())
 }
 

@@ -153,17 +153,18 @@ func (db *DB) ApplyReview(rv ReviewData) error {
 
 // nearestDomainVariation finds the (attribute, marker) of the linguistic
 // variation closest to the phrase across the whole schema.
-func (db *DB) nearestDomainVariation(phrase string) (*SubjectiveAttribute, int, float64) {
+func (db *DB) nearestDomainVariation(text string) (*SubjectiveAttribute, int, float64) {
 	var bestAttr *SubjectiveAttribute
 	bestMarker, bestSim := -1, -1.0
 	// Exact domain membership short-circuits.
 	for _, attr := range db.Attrs {
-		if m, ok := attr.MarkerOf(phrase); ok {
+		if m, ok := attr.MarkerOf(text); ok {
 			return attr, m, 1
 		}
 	}
+	query := &phrase{text: text}
 	for _, attr := range db.Attrs {
-		_, m, sim := db.bestDomainMatch(attr, phrase)
+		_, m, sim := db.bestDomainMatch(attr, query)
 		if sim > bestSim && m >= 0 {
 			bestAttr, bestMarker, bestSim = attr, m, sim
 		}

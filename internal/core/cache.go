@@ -18,6 +18,15 @@ import "sync"
 // per-shard mutex hot-set small at typical GOMAXPROCS.
 const cacheShardCount = 32
 
+// cacheStripeCap bounds one stripe, so a table holds at most
+// cacheShardCount × cacheStripeCap = 65,536 entries. Two of the tables are
+// keyed by arbitrary client text (interpretations, domain matches) and
+// would otherwise grow with every distinct predicate ever asked. A full
+// stripe is dropped whole: every cached value is a pure function of the
+// built database, so eviction costs a recomputation and cannot change an
+// answer, and the tables keyed by schema-sized sets never reach the cap.
+const cacheStripeCap = 2048
+
 // cacheShard is one lock-striped segment of a sharded cache.
 type cacheShard[V any] struct {
 	mu sync.RWMutex
@@ -56,11 +65,6 @@ func (c *shardedCache[V]) getOrCompute(key string, compute func() V) V {
 	if v, ok := c.get(key); ok {
 		return v
 	}
-	v := c.compute(key, compute)
-	return v
-}
-
-func (c *shardedCache[V]) compute(key string, compute func() V) V {
 	v := compute()
 	s := &c.shards[shardIndex(key)]
 	s.mu.Lock()
@@ -68,7 +72,7 @@ func (c *shardedCache[V]) compute(key string, compute func() V) V {
 	if prev, ok := s.m[key]; ok {
 		return prev // another goroutine won the race; keep its value
 	}
-	if s.m == nil {
+	if s.m == nil || len(s.m) >= cacheStripeCap {
 		s.m = make(map[string]V)
 	}
 	s.m[key] = v

@@ -56,18 +56,105 @@ func (in Interpretation) String() string {
 	return strings.Join(parts, sep)
 }
 
+// CheckInterpretation reports whether in is well-formed against this
+// database's schema: a method Interpret can return, terms exactly where
+// that method has them, and every term naming an existing attribute and one
+// of its markers. It is the shape check for an interpretation that arrives
+// from outside the process (a shipped plan) before ExecuteResolved or
+// TopKThresholdResolved index the schema with it; it cannot tell whether in
+// is the interpretation Interpret would choose.
+func (db *DB) CheckInterpretation(in Interpretation) error {
+	switch in.Method {
+	case MethodFallback:
+		if len(in.Terms) != 0 {
+			return fmt.Errorf("core: fallback interpretation of %q carries %d terms", in.Predicate, len(in.Terms))
+		}
+	case MethodW2V:
+		if len(in.Terms) != 1 {
+			return fmt.Errorf("core: w2v interpretation of %q carries %d terms, want 1", in.Predicate, len(in.Terms))
+		}
+	case MethodCooccur:
+		if len(in.Terms) == 0 {
+			return fmt.Errorf("core: cooccur interpretation of %q carries no terms", in.Predicate)
+		}
+	default:
+		return fmt.Errorf("core: unknown interpretation method %q for %q", in.Method, in.Predicate)
+	}
+	for _, t := range in.Terms {
+		attr := db.Attr(t.Attr)
+		if attr == nil {
+			return fmt.Errorf("core: interpretation of %q names unknown attribute %q", in.Predicate, t.Attr)
+		}
+		if t.Marker < 0 || t.Marker >= len(attr.Markers) {
+			return fmt.Errorf("core: interpretation of %q names marker %d of %s, which has %d", in.Predicate, t.Marker, t.Attr, len(attr.Markers))
+		}
+	}
+	return nil
+}
+
+// phrase is one query phrase with the derived forms the interpreter stages
+// and the executor all need — tokens, Eq. 1 representation, phrase
+// sentiment — each computed on first use and shared from then on, so a
+// predicate is tokenized and embedded once however many attributes stage 1
+// scans. One phrase lives for one call chain; it is not safe for
+// concurrent use.
+type phrase struct {
+	text      string
+	toks      []string
+	rep       embedding.Vector
+	senti     float64
+	haveSenti bool
+}
+
+func (p *phrase) tokens() []string {
+	if p.toks == nil {
+		p.toks = textproc.Tokenize(p.text)
+	}
+	return p.toks
+}
+
+// repIn is m.Rep(p.text): Rep is RepTokens over the same tokenization.
+func (p *phrase) repIn(m *embedding.Model) embedding.Vector {
+	if p.rep == nil {
+		p.rep = m.RepTokens(p.tokens())
+	}
+	return p.rep
+}
+
+// sentiment is sentiment.ScorePhrase(p.text).
+func (p *phrase) sentiment() float64 {
+	if !p.haveSenti {
+		p.senti, p.haveSenti = sentiment.ScorePhraseTokens(p.tokens()), true
+	}
+	return p.senti
+}
+
 // Interpret runs the three-stage predicate interpretation algorithm of
 // §3.2 (Figure 5): word2vec matching against the linguistic domains, then
 // co-occurrence mining over positive reviews, then text-retrieval
 // fallback.
 func (db *DB) Interpret(predicate string) Interpretation {
-	return db.interpCache.getOrCompute(predicate, func() Interpretation {
-		in, ok := db.interpretW2V(predicate, db.cfg.W2VThreshold)
+	return db.interpretPhrase(&phrase{text: predicate})
+}
+
+// interpretPhrase is Interpret over a phrase the caller goes on using.
+func (db *DB) interpretPhrase(p *phrase) Interpretation {
+	if in, ok := db.interpCache.get(p.text); ok {
+		return in
+	}
+	return db.interpret(p, &cooccurStage{db: db, p: p})
+}
+
+// interpret is the Figure 5 chain over a phrase and a co-occurrence stage
+// the caller may go on to ask for its ungated answer.
+func (db *DB) interpret(p *phrase, co *cooccurStage) Interpretation {
+	return db.interpCache.getOrCompute(p.text, func() Interpretation {
+		in, ok := db.interpretW2V(p, db.cfg.W2VThreshold)
 		if !ok {
-			in, ok = db.interpretCooccur(predicate, db.cfg.CooccurThreshold)
+			in, ok = co.interpret(db.cfg.CooccurThreshold)
 		}
 		if !ok {
-			in = Interpretation{Predicate: predicate, Method: MethodFallback}
+			in = Interpretation{Predicate: p.text, Method: MethodFallback}
 		}
 		return in
 	})
@@ -79,9 +166,13 @@ func (db *DB) Interpret(predicate string) Interpretation {
 // Read-only: the override threshold is passed through rather than swapped
 // into the shared config, so this is safe under concurrent readers.
 func (db *DB) InterpretW2VOnly(predicate string) Interpretation {
-	in, ok := db.interpretW2V(predicate, -1)
+	return db.w2vOnly(&phrase{text: predicate})
+}
+
+func (db *DB) w2vOnly(p *phrase) Interpretation {
+	in, ok := db.interpretW2V(p, -1)
 	if !ok {
-		return Interpretation{Predicate: predicate, Method: MethodW2V}
+		return Interpretation{Predicate: p.text, Method: MethodW2V}
 	}
 	return in
 }
@@ -90,11 +181,18 @@ func (db *DB) InterpretW2VOnly(predicate string) Interpretation {
 // confidence threshold disabled. Used by the Table 8 component study.
 // Read-only, like InterpretW2VOnly.
 func (db *DB) InterpretCooccurOnly(predicate string) Interpretation {
-	in, ok := db.interpretCooccur(predicate, -1)
-	if !ok {
-		return Interpretation{Predicate: predicate, Method: MethodCooccur}
-	}
-	return in
+	return (&cooccurStage{db: db, p: &phrase{text: predicate}}).only()
+}
+
+// InterpretStages returns what Interpret, InterpretW2VOnly and
+// InterpretCooccurOnly return for the predicate, computed together: the
+// predicate is tokenized and embedded once, and when stage 1 fails the
+// chosen answer and the co-occurrence diagnostic share one mining pass
+// (they differ only in the θ2 and informativeness gates).
+func (db *DB) InterpretStages(predicate string) (chosen, w2vOnly, cooccurOnly Interpretation) {
+	p := &phrase{text: predicate}
+	co := &cooccurStage{db: db, p: p}
+	return db.interpret(p, co), db.w2vOnly(p), co.only()
 }
 
 // interpretW2V finds the linguistic variation across all subjective
@@ -102,18 +200,19 @@ func (db *DB) InterpretCooccurOnly(predicate string) Interpretation {
 // interpretation is that variation's attribute and marker. Fails when the
 // best similarity is under threshold (θ1; a negative threshold disables
 // the gate for the component-study "only" mode).
-func (db *DB) interpretW2V(predicate string, threshold float64) (Interpretation, bool) {
+func (db *DB) interpretW2V(p *phrase, threshold float64) (Interpretation, bool) {
+	predicate := p.text
 	// Vocabulary gate (skipped in the threshold-disabled "only" mode):
 	// Eq. 1's IDF-weighted sum is meaningless when most content words are
 	// out of vocabulary — "good for motorcyclists" must not collapse to
 	// rep("good") and match the service domain.
-	if threshold >= 0 && db.queryKnownFraction(predicate) <= 0.5 {
+	if threshold >= 0 && db.queryKnownFraction(p.tokens()) <= 0.5 {
 		return Interpretation{}, false
 	}
 	// Appendix B fast path when the substitution index is enabled.
 	if db.SubIndex != nil {
 		if match, fast := db.SubIndex.Lookup(predicate); fast && match != "" {
-			if am, sim, ok := db.phraseToAttrMarker(match, predicate); ok && sim >= threshold {
+			if am, sim, ok := db.phraseToAttrMarker(match, p); ok && sim >= threshold {
 				return Interpretation{
 					Predicate:     predicate,
 					Method:        MethodW2V,
@@ -132,7 +231,7 @@ func (db *DB) interpretW2V(predicate string, threshold float64) (Interpretation,
 	}
 	best.sim = -1
 	for _, attr := range db.Attrs {
-		phrase, marker, sim := db.bestDomainMatch(attr, predicate)
+		phrase, marker, sim := db.bestDomainMatch(attr, p)
 		if sim > best.sim {
 			best.attr, best.phrase, best.marker, best.sim = attr, phrase, marker, sim
 		}
@@ -158,7 +257,7 @@ func (db *DB) interpretW2V(predicate string, threshold float64) (Interpretation,
 // same context for both (they share "clean" and "room"), so polarity must
 // be enforced explicitly or positive queries would resolve to negated
 // variations and rank dirty hotels first.
-func (db *DB) bestDomainMatch(attr *SubjectiveAttribute, query string) (phrase string, marker int, sim float64) {
+func (db *DB) bestDomainMatch(attr *SubjectiveAttribute, query *phrase) (phrase string, marker int, sim float64) {
 	// The scan below is O(variations × embedding dim) and sits on both the
 	// query interpreter and the ingestion prepare path, where the same
 	// phrase texts recur constantly. Its inputs — the embedding model, the
@@ -166,7 +265,7 @@ func (db *DB) bestDomainMatch(attr *SubjectiveAttribute, query string) (phrase s
 	// frozen at build time (ingestion folds summaries, it never retrains),
 	// so the winning (phrase, marker, sim) is memoized per (attr, query)
 	// and never invalidated.
-	m := db.domainMatches.getOrCompute(attr.Name+"\x00"+query, func() domainMatch {
+	m := db.domainMatches.getOrCompute(attr.Name+"\x00"+query.text, func() domainMatch {
 		p, mk, s := db.scanDomainMatch(attr, query)
 		return domainMatch{phrase: p, marker: mk, sim: s}
 	})
@@ -181,12 +280,12 @@ type domainMatch struct {
 }
 
 // scanDomainMatch is the uncached scan behind bestDomainMatch.
-func (db *DB) scanDomainMatch(attr *SubjectiveAttribute, query string) (phrase string, marker int, sim float64) {
-	qRep := db.Embed.Rep(query)
+func (db *DB) scanDomainMatch(attr *SubjectiveAttribute, query *phrase) (phrase string, marker int, sim float64) {
+	qRep := query.repIn(db.Embed)
 	if qRep.Norm() == 0 {
 		return "", -1, 0
 	}
-	qSent := sentiment.ScorePhrase(query)
+	qSent := query.sentiment()
 	// Track the best similarity per marker; on a small corpus many
 	// variations of one attribute tie near the top ("room clean",
 	// "room very clean", "room clean and tidy" all share the query's
@@ -248,30 +347,90 @@ func (db *DB) phraseSentiment(phrase string) float64 {
 
 // phraseToAttrMarker resolves a known domain phrase to its attribute and
 // marker, returning the similarity to the original predicate.
-func (db *DB) phraseToAttrMarker(phrase, predicate string) (AttrMarker, float64, bool) {
+func (db *DB) phraseToAttrMarker(phrase string, predicate *phrase) (AttrMarker, float64, bool) {
 	for _, attr := range db.Attrs {
 		if m, ok := attr.MarkerOf(phrase); ok {
-			sim := embedding.Cosine(db.Embed.Rep(predicate), db.phraseRep(phrase))
+			sim := embedding.Cosine(predicate.repIn(db.Embed), db.phraseRep(phrase))
 			return AttrMarker{Attr: attr.Name, Marker: m}, sim, true
 		}
 	}
 	return AttrMarker{}, 0, false
 }
 
-// interpretCooccur implements the co-occurrence method: search the top-k
-// positive reviews matching the predicate (rank_score = BM25 · senti,
+// cooccurStage is the co-occurrence method over one predicate: search the
+// top-k positive reviews matching the predicate (rank_score = BM25 · senti,
 // Eq. 3), tally which attributes' extractions occur in them, score by
-// freq_k(A)·idf(A), and emit the top-n attributes with their most
-// frequent markers. threshold is θ2; negative disables the confidence and
-// informativeness gates (the component-study "only" mode).
-func (db *DB) interpretCooccur(predicate string, threshold float64) (Interpretation, bool) {
-	toks := textproc.Tokenize(predicate)
-	// "Reviews where q occurs" means reviews containing q's distinctive
-	// terms: common words like "good" match everything and would swamp
-	// the tally, so the search query keeps only informative terms when
-	// any exist.
+// freq_k(A)·idf(A), and emit the top-n attributes with their most frequent
+// markers. Mining does not depend on the threshold, so it runs at most
+// once per stage and the θ2-gated answer and the ungated component-study
+// answer are two gates over the same mined result.
+type cooccurStage struct {
+	db *DB
+	p  *phrase
+	// toks are the search terms and informative whether any of the
+	// predicate's own terms is distinctive; set by prepare.
+	prepared    bool
+	toks        []string
+	informative bool
+	// mined is the threshold-independent outcome, nil until mine runs.
+	mined *cooccurMined
+}
+
+// cooccurMined is what one mining pass found. ok is false when no positive
+// review matched or none of the matched reviews carried an extraction.
+type cooccurMined struct {
+	ok          bool
+	terms       []AttrMarker
+	disjunction bool
+	conf        float64
+}
+
+// interpret applies the gates for threshold θ2; negative disables the
+// confidence and informativeness gates (the component-study "only" mode).
+func (c *cooccurStage) interpret(threshold float64) (Interpretation, bool) {
+	c.prepare()
+	if !c.informative && threshold >= 0 {
+		// Informativeness gate: with no distinctive indexed term the mined
+		// set is noise.
+		return Interpretation{}, false
+	}
+	if c.mined == nil {
+		c.mined = c.db.mineCooccur(c.toks)
+	}
+	if !c.mined.ok || c.mined.conf < threshold {
+		return Interpretation{}, false
+	}
+	return Interpretation{
+		Predicate:   c.p.text,
+		Method:      MethodCooccur,
+		Terms:       c.mined.terms,
+		Disjunction: c.mined.disjunction,
+		Similarity:  c.mined.conf,
+	}, true
+}
+
+// only is the stage's ungated answer (InterpretCooccurOnly).
+func (c *cooccurStage) only() Interpretation {
+	in, ok := c.interpret(-1)
+	if !ok {
+		return Interpretation{Predicate: c.p.text, Method: MethodCooccur}
+	}
+	return in
+}
+
+// prepare picks the search terms. "Reviews where q occurs" means reviews
+// containing q's distinctive terms: common words like "good" match
+// everything and would swamp the tally, so the search query keeps only
+// informative terms when any exist.
+func (c *cooccurStage) prepare() {
+	if c.prepared {
+		return
+	}
+	c.prepared = true
+	db := c.db
+	c.toks = c.p.tokens()
 	var informative []string
-	for _, t := range toks {
+	for _, t := range c.toks {
 		if textproc.IsStopword(t) || db.ReviewIndex.DF(t) == 0 {
 			continue
 		}
@@ -280,12 +439,13 @@ func (db *DB) interpretCooccur(predicate string, threshold float64) (Interpretat
 		}
 	}
 	if len(informative) > 0 {
-		toks = informative
-	} else if threshold >= 0 {
-		// Informativeness gate (skipped in the threshold-disabled "only"
-		// mode): with no distinctive indexed term the mined set is noise.
-		return Interpretation{}, false
+		c.toks, c.informative = informative, true
 	}
+}
+
+// mineCooccur searches the positive reviews for toks and tallies the
+// attributes and markers co-occurring in the top matches.
+func (db *DB) mineCooccur(toks []string) *cooccurMined {
 	boost := func(reviewID string) float64 {
 		s := db.ReviewSentiments[reviewID]
 		if s <= 0 {
@@ -295,7 +455,7 @@ func (db *DB) interpretCooccur(predicate string, threshold float64) (Interpretat
 	}
 	top := db.ReviewIndex.SearchBoosted(toks, db.cfg.CooccurTopK, boost)
 	if len(top) == 0 {
-		return Interpretation{}, false
+		return &cooccurMined{}
 	}
 	// Tally attribute frequencies and per-attribute marker frequencies in
 	// the top reviews.
@@ -320,7 +480,7 @@ func (db *DB) interpretCooccur(predicate string, threshold float64) (Interpretat
 		}
 	}
 	if len(freq) == 0 {
-		return Interpretation{}, false
+		return &cooccurMined{}
 	}
 	type scored struct {
 		attr  string
@@ -375,9 +535,6 @@ func (db *DB) interpretCooccur(predicate string, threshold float64) (Interpretat
 			conf = r/median - 1
 		}
 	}
-	if conf < threshold {
-		return Interpretation{}, false
-	}
 	terms := make([]AttrMarker, 0, n)
 	for i := 0; i < n; i++ {
 		a := ranked[i].attr
@@ -411,21 +568,15 @@ func (db *DB) interpretCooccur(predicate string, threshold float64) (Interpretat
 			disjunction = false
 		}
 	}
-	return Interpretation{
-		Predicate:   predicate,
-		Method:      MethodCooccur,
-		Terms:       terms,
-		Disjunction: disjunction,
-		Similarity:  conf,
-	}, true
+	return &cooccurMined{ok: true, terms: terms, disjunction: disjunction, conf: conf}
 }
 
 // queryKnownFraction returns the fraction of the predicate's content words
 // with embedding vectors, with light morphological leniency ("rooms"
 // counts when "room" is in vocabulary).
-func (db *DB) queryKnownFraction(predicate string) float64 {
+func (db *DB) queryKnownFraction(toks []string) float64 {
 	var known, total float64
-	for _, t := range textproc.Tokenize(predicate) {
+	for _, t := range toks {
 		if textproc.IsStopword(t) {
 			continue
 		}

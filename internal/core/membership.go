@@ -57,12 +57,13 @@ func newMembershipModel(db *DB, labels []MembershipLabel, rng *rand.Rand) *Membe
 		if attr == nil {
 			continue
 		}
-		_, mi, _ := db.bestDomainMatch(attr, l.Phrase)
+		query := &phrase{text: l.Phrase}
+		_, mi, _ := db.bestDomainMatch(attr, query)
 		y := 0
 		if l.Y {
 			y = 1
 		}
-		qRep := db.Embed.Rep(l.Phrase)
+		qRep := query.repIn(db.Embed)
 		markerEx = append(markerEx, classify.Example{
 			Features: markerFeatures(db, attr, l.EntityID, mi, qRep),
 			Label:    y,

@@ -11,7 +11,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/relstore"
 	"repro/internal/sqlparse"
-	"repro/internal/textproc"
 )
 
 // QueryOptions tune a single query execution.
@@ -88,20 +87,33 @@ func (db *DB) RankPredicates(predicates []string, objective func(entityID string
 		From:   "Entities",
 		Where:  sqlparse.AndCond{Children: cond},
 	}
-	return db.execute(q, opts, objective)
+	return db.execute(q, opts, objective, nil)
 }
 
 // Execute runs a parsed query.
 func (db *DB) Execute(q *sqlparse.Query, opts QueryOptions) (*QueryResult, error) {
-	return db.execute(q, opts, nil)
+	return db.execute(q, opts, nil, nil)
 }
 
-func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(string) bool) (*QueryResult, error) {
+// ExecuteResolved runs a parsed query whose predicates the caller has
+// (partly) interpreted already: resolved maps predicate text to its
+// interpretation, and Interpret resolves whatever is missing. The caller
+// vouches that each entry is what Interpret would return on this database
+// now (see CheckInterpretation for the shape check on untrusted entries);
+// resolved entries are used for this call only and never memoized.
+func (db *DB) ExecuteResolved(q *sqlparse.Query, opts QueryOptions, resolved map[string]Interpretation) (*QueryResult, error) {
+	return db.execute(q, opts, nil, resolved)
+}
+
+func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(string) bool, resolved map[string]Interpretation) (*QueryResult, error) {
 	entities, err := db.Rel.Table("Entities")
 	if err != nil {
 		return nil, err
 	}
-	// Interpret every subjective predicate once per query (§3.2).
+	// Interpret every subjective predicate once per query (§3.2). A
+	// fallback predicate is scored from its tokens, every other one from
+	// its Eq. 1 representation; both come from the phrase the interpreter
+	// already tokenized.
 	interps := map[string]Interpretation{}
 	queryReps := map[string]embedding.Vector{}
 	queryToks := map[string][]string{}
@@ -109,9 +121,17 @@ func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(
 		if _, done := interps[text]; done {
 			continue
 		}
-		interps[text] = db.Interpret(text)
-		queryReps[text] = db.Embed.Rep(text)
-		queryToks[text] = textproc.Tokenize(text)
+		p := &phrase{text: text}
+		in, ok := resolved[text]
+		if !ok {
+			in = db.interpretPhrase(p)
+		}
+		interps[text] = in
+		if in.Method == MethodFallback {
+			queryToks[text] = p.tokens()
+		} else {
+			queryReps[text] = p.repIn(db.Embed)
+		}
 	}
 
 	// Compile the condition tree to a fuzzy expression template. Objective

@@ -80,13 +80,22 @@ type TopKStats struct {
 // agree closely, and the bench harness quantifies both the agreement and
 // the saved work.
 func (db *DB) TopKThreshold(predicates []string, k int) ([]ResultRow, TopKStats, error) {
+	return db.TopKThresholdResolved(predicates, k, nil)
+}
+
+// TopKThresholdResolved is TopKThreshold over predicates the caller has
+// (partly) interpreted already, under ExecuteResolved's contract.
+func (db *DB) TopKThresholdResolved(predicates []string, k int, resolved map[string]Interpretation) ([]ResultRow, TopKStats, error) {
 	var stats TopKStats
 	if k <= 0 {
 		k = 10
 	}
 	sources := make([]*taSource, 0, len(predicates))
 	for _, text := range predicates {
-		in := db.Interpret(text)
+		in, ok := resolved[text]
+		if !ok {
+			in = db.Interpret(text)
+		}
 		src, err := db.taSourceFor(text, in)
 		if err != nil {
 			return nil, stats, err

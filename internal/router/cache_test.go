@@ -78,9 +78,9 @@ func TestInterpretCacheBounded(t *testing.T) {
 		_, gen := r.interpretCached(fmt.Sprintf("p%d", i))
 		r.interpretStore(fmt.Sprintf("p%d", i), &server.InterpretResponse{}, gen)
 	}
-	r.interpMu.Lock()
-	n := r.interpCache.Len()
-	r.interpMu.Unlock()
+	r.memoMu.Lock()
+	n := r.memo.Len()
+	r.memoMu.Unlock()
 	if n > maxInterpretCacheEntries {
 		t.Fatalf("cache grew to %d entries past the %d cap", n, maxInterpretCacheEntries)
 	}
@@ -106,9 +106,9 @@ func TestInterpretCacheEvictionOrder(t *testing.T) {
 	}
 	// One past the cap: exactly p1 (now the LRU) must go.
 	fill("overflow")
-	r.interpMu.Lock()
-	n := r.interpCache.Len()
-	r.interpMu.Unlock()
+	r.memoMu.Lock()
+	n := r.memo.Len()
+	r.memoMu.Unlock()
 	if n != maxInterpretCacheEntries {
 		t.Fatalf("cache holds %d entries after overflow, want %d", n, maxInterpretCacheEntries)
 	}
@@ -146,5 +146,50 @@ func TestInterpretCacheHeaders(t *testing.T) {
 	}
 	if v := get(); v != "hit" {
 		t.Fatalf("second request: %q, want hit", v)
+	}
+}
+
+// TestPlanMemoGenerations: an invalidation retires stage-2/3 plans and
+// every /interpret answer but keeps stage-1 plans, and the generation
+// fences a stale fill of anything except a stage-1 plan.
+func TestPlanMemoGenerations(t *testing.T) {
+	r, _ := cacheRouter(t)
+	frozen := newShippedEntry([]byte(`{"predicate":"a","method":"w2v"}`))
+	mined := newShippedEntry([]byte(`{"predicate":"b","method":"cooccur"}`))
+	cached := func(pred string) *shippedEntry {
+		plans, _ := r.planCached([]string{pred})
+		return plans[0]
+	}
+
+	_, gen := r.planCached([]string{"a", "b"})
+	r.planStore("a", frozen, true, gen)
+	r.planStore("b", mined, false, gen)
+	r.interpretStore("a", &server.InterpretResponse{}, gen)
+	if cached("a") != frozen || cached("b") != mined {
+		t.Fatal("stored plans not served")
+	}
+	if hits, misses := r.metrics.planHits.Value(), r.metrics.planMisses.Value(); hits != 2 || misses != 2 {
+		t.Fatalf("plan counters = %d hits / %d misses, want 2 / 2", hits, misses)
+	}
+
+	r.invalidateInterpret() // a write lands
+	if cached("a") != frozen {
+		t.Fatal("the stage-1 plan did not survive the invalidation")
+	}
+	if cached("b") != nil {
+		t.Fatal("the stage-2 plan survived the invalidation")
+	}
+	if resp, _ := r.interpretCached("a"); resp != nil {
+		t.Fatal("the /interpret answer survived the invalidation next to its stage-1 plan")
+	}
+
+	// Fills that started before the write: only the stage-1 one may land.
+	r.planStore("b", mined, false, gen)
+	r.planStore("c", frozen, true, gen)
+	if cached("b") != nil {
+		t.Fatal("stale stage-2 fill survived the invalidation fence")
+	}
+	if cached("c") != frozen {
+		t.Fatal("a stage-1 fill was fenced; it is valid whenever it was computed")
 	}
 }

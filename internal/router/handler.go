@@ -187,6 +187,11 @@ func (h *Handler) handleSchema(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, resp)
 }
 
+// errClientPlan refuses a `plan` on the front door's /query and /topk.
+// Plans are the router's to make (plan.go): it vouches to the shards for
+// what it ships, so it ships nothing a client handed it.
+const errClientPlan = "plan is set by the router and cannot be supplied by a client"
+
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Decoding is shared with the shard servers (server.DecodeQueryRequest),
 	// so the two tiers accept and reject exactly the same requests.
@@ -201,6 +206,10 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		} else {
 			server.WriteError(w, http.StatusBadRequest, "%v", err)
 		}
+		return
+	}
+	if len(req.Plan) > 0 {
+		server.WriteError(w, http.StatusBadRequest, errClientPlan)
 		return
 	}
 	res, err := h.r.Query(r.Context(), req.SQL, req.K)
@@ -374,12 +383,16 @@ func (h *Handler) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	preds, k, err := server.DecodeTopKRequest(r, h.r.defaultK)
+	req, err := server.DecodeTopKRequest(r, h.r.defaultK)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res, err := h.r.TopK(r.Context(), preds, k)
+	if len(req.Plan) > 0 {
+		server.WriteError(w, http.StatusBadRequest, errClientPlan)
+		return
+	}
+	res, err := h.r.TopK(r.Context(), req.Predicates, req.K)
 	if err != nil {
 		status := http.StatusBadGateway
 		if errors.Is(err, ErrBadQuery) {

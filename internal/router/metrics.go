@@ -4,8 +4,9 @@ package router
 // registry (internal/obs) as the shard servers and serves it at GET
 // /metrics: per-endpoint request histograms, the three routed-read
 // stages (parse, scatter, merge), per-shard scatter round-trip latency
-// (the series that shows a straggler shard), the /interpret memo
-// cache's hit/miss counters, and the anti-entropy loop's repair
+// (the series that shows a straggler shard), the predicate memo's
+// /interpret and plan hit/miss counters, the planning step's latency,
+// and the anti-entropy loop's repair
 // counters plus per-shard replication lag. A single-process fleet can
 // pass the same registry to the router and every shard
 // (Options.Metrics); label sets keep the families distinct.
@@ -36,6 +37,13 @@ const (
 	// front-door /interpret memo cache (cache.go).
 	MetricRouterInterpretHits   = "opinedb_router_interpret_cache_hits_total"
 	MetricRouterInterpretMisses = "opinedb_router_interpret_cache_misses_total"
+	// MetricRouterPlanHits / MetricRouterPlanMisses: predicates of routed
+	// /query and /topk requests whose plan entry the memo held, and those
+	// that needed a /plan hop (plan.go). MetricRouterPlanSeconds: the
+	// planning step's wall time, hops included.
+	MetricRouterPlanHits    = "opinedb_router_plan_cache_hits_total"
+	MetricRouterPlanMisses  = "opinedb_router_plan_cache_misses_total"
+	MetricRouterPlanSeconds = "opinedb_router_plan_seconds"
 	// MetricRouterDirtyShards: shards whose last replication failed and
 	// that no repair pass has converged yet.
 	MetricRouterDirtyShards = "opinedb_router_dirty_shards"
@@ -89,6 +97,9 @@ type routerMetrics struct {
 	shardSeconds   []*obs.Histogram
 	interpretHits  *obs.Counter
 	interpretMiss  *obs.Counter
+	planHits       *obs.Counter
+	planMisses     *obs.Counter
+	plan           *obs.Histogram
 	dirtyShards    *obs.Gauge
 	repairPasses   *obs.Counter
 	repairBackfill *obs.Counter
@@ -135,6 +146,12 @@ func newRouterMetrics(reg *obs.Registry, shards int) *routerMetrics {
 		"Front-door interpret memo cache hits.")
 	m.interpretMiss = reg.Counter(MetricRouterInterpretMisses,
 		"Front-door interpret memo cache misses.")
+	m.planHits = reg.Counter(MetricRouterPlanHits,
+		"Routed-read predicates whose plan entry the front-door memo held.")
+	m.planMisses = reg.Counter(MetricRouterPlanMisses,
+		"Routed-read predicates resolved with a /plan hop.")
+	m.plan = reg.Histogram(MetricRouterPlanSeconds,
+		"Routed-read planning step wall time in seconds, hops included.")
 	m.dirtyShards = reg.Gauge(MetricRouterDirtyShards,
 		"Shards whose last replication failed and repair has not converged.")
 	m.repairPasses = reg.Counter(MetricRouterRepairPasses,

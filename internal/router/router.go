@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,11 +153,13 @@ type Router struct {
 	// has not yet converged.
 	autoRepair bool
 	dirty      map[int]bool
-	// interpMu guards the front-door /interpret memo cache (cache.go);
-	// interpGen is the invalidation generation that fences stale fills.
-	interpMu    sync.Mutex
-	interpCache *lru.Cache[string, *server.InterpretResponse]
-	interpGen   uint64
+	// memoMu guards the front door's predicate memo (cache.go): /interpret
+	// answers and shipped plan entries under one LRU; memoGen is the
+	// generation that retires write-sensitive entries and fences stale
+	// fills.
+	memoMu  sync.Mutex
+	memo    *lru.Cache[string, memoEntry]
+	memoGen uint64
 	// metrics backs GET /metrics (metrics.go).
 	metrics *routerMetrics
 	// tracer records request-scoped spans; nil disables tracing.
@@ -195,17 +198,17 @@ func New(shards []Shard, opts Options) (*Router, error) {
 		pickSeed = time.Now().UnixNano()
 	}
 	r := &Router{
-		shards:      append([]Shard(nil), shards...),
-		timeout:     t,
-		defaultK:    k,
-		pickRng:     rand.New(rand.NewSource(pickSeed)),
-		hedge:       !opts.DisableHedging,
-		hedgeDelay:  opts.HedgeDelay,
-		ejectFor:    ejectFor,
-		autoRepair:  !opts.DisableAutoRepair,
-		dirty:       map[int]bool{},
-		interpCache: lru.New[string, *server.InterpretResponse](maxInterpretCacheEntries),
-		tracer:      opts.Trace,
+		shards:     append([]Shard(nil), shards...),
+		timeout:    t,
+		defaultK:   k,
+		pickRng:    rand.New(rand.NewSource(pickSeed)),
+		hedge:      !opts.DisableHedging,
+		hedgeDelay: opts.HedgeDelay,
+		ejectFor:   ejectFor,
+		autoRepair: !opts.DisableAutoRepair,
+		dirty:      map[int]bool{},
+		memo:       lru.New[string, memoEntry](maxInterpretCacheEntries),
+		tracer:     opts.Trace,
 	}
 	r.metrics = newRouterMetrics(opts.Metrics, len(shards))
 	v := &fleetView{}
@@ -462,8 +465,9 @@ func (r *Router) errAllShardsFailed(op string, replies []shardReply, errs map[in
 
 // Query scatters a subjective SQL query and merges the per-shard rankings
 // into the exact global top k, mirroring the engine's limit semantics (an
-// explicit SQL LIMIT wins over the request's k). The query is parsed up
-// front: unparseable SQL fails here exactly as it would on every shard,
+// explicit SQL LIMIT wins over the request's k). Its predicates are
+// interpreted once and shipped with the scatter (plan.go). The query is
+// parsed up front: unparseable SQL fails here exactly as it would on every shard,
 // and ORDER BY is rejected — shards return (entity, score) rows without
 // the ordering column, so an objective ordering cannot be merged
 // correctly at this layer.
@@ -491,7 +495,11 @@ func (r *Router) Query(ctx context.Context, sql string, k int) (*QueryResult, er
 		k = q.Limit
 	}
 	start := time.Now()
-	body, err := json.Marshal(server.QueryRequest{SQL: sql, K: k})
+	req := server.QueryRequest{SQL: sql, K: k}
+	for _, e := range r.plan(ctx, sqlparse.SubjectivePredicates(q.Where)) {
+		req.Plan = append(req.Plan, e.json)
+	}
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("router: encode query: %w", err)
 	}
@@ -529,7 +537,8 @@ func (r *Router) Query(ctx context.Context, sql string, k int) (*QueryResult, er
 	return res, nil
 }
 
-// TopK scatters a conjunction of predicates to every shard's
+// TopK scatters a conjunction of predicates — interpreted once, the plan
+// shipped with the scatter (plan.go) — to every shard's
 // Threshold-Algorithm endpoint and heap-merges the shard top-ks into the
 // exact global top k.
 func (r *Router) TopK(ctx context.Context, predicates []string, k int) (*TopKResult, error) {
@@ -540,12 +549,19 @@ func (r *Router) TopK(ctx context.Context, predicates []string, k int) (*TopKRes
 		k = r.defaultK
 	}
 	start := time.Now()
-	q := make([]string, 0, len(predicates)+1)
+	var target strings.Builder
+	target.WriteString("/topk?")
 	for _, p := range predicates {
-		q = append(q, "predicate="+queryEscape(p))
+		target.WriteString("predicate=")
+		target.WriteString(queryEscape(p))
+		target.WriteByte('&')
 	}
-	q = append(q, fmt.Sprintf("k=%d", k))
-	replies := r.scatter(ctx, "GET", "/topk?"+strings.Join(q, "&"), nil)
+	target.WriteString("k=")
+	target.WriteString(strconv.Itoa(k))
+	for _, e := range r.plan(ctx, predicates) {
+		target.WriteString(e.param)
+	}
+	replies := r.scatter(ctx, "GET", target.String(), nil)
 	outs, errs, nodeErrs := gatherInto[server.TopKResponse](r, replies)
 
 	res := &TopKResult{Rows: []server.RowJSON{}}
@@ -578,21 +594,23 @@ func (r *Router) TopK(ctx context.Context, predicates []string, k int) (*TopKRes
 	return res, nil
 }
 
-// firstSuccess tries shards in index order and decodes the first
-// successful reply — the failover (not fan-out) pattern for endpoints
+// firstSuccess tries shards in index order starting at first (wrapping
+// around) and decodes the first successful reply, returning it with the
+// shard that gave it — the failover (not fan-out) pattern for endpoints
 // whose answer comes from replicated global state, so any one shard is
 // authoritative. Within each shard the request is served by the replica
 // set (load-balanced, hedged), so a single dead replica never forces
 // the hop to the next shard.
-func firstSuccess[T any](r *Router, ctx context.Context, op, target string) (*T, error) {
+func firstSuccess[T any](r *Router, ctx context.Context, op, method, target string, body []byte, first int) (*T, int, error) {
 	errs := map[int]string{}
-	for i := range r.shards {
+	for n := range r.shards {
+		i := (first + n) % len(r.shards)
 		if err := ctx.Err(); err != nil {
 			errs[i] = err.Error()
 			break
 		}
 		reqCtx, cancel := context.WithTimeout(ctx, r.timeout)
-		rep := r.shardRequest(reqCtx, i, "GET", target, nil)
+		rep := r.shardRequest(reqCtx, i, method, target, body)
 		cancel()
 		if msg := replyError(rep); msg != "" {
 			errs[i] = msg
@@ -603,13 +621,13 @@ func firstSuccess[T any](r *Router, ctx context.Context, op, target string) (*T,
 			errs[i] = fmt.Sprintf("bad response: %v", err)
 			continue
 		}
-		return out, nil
+		return out, i, nil
 	}
-	return nil, r.errAllShardsFailed(op, nil, errs)
+	return nil, -1, r.errAllShardsFailed(op, nil, errs)
 }
 
 // InterpretChain asks the fleet for a predicate's interpretation
-// diagnostics, answering from the router's memo cache when it can (see
+// diagnostics, answering from the router's memo when it can (see
 // cache.go — interpretation state is replicated and identical on every
 // shard, so the front door may answer without a hop). cached reports
 // whether the answer came from the cache. On a miss the router tries
@@ -619,7 +637,7 @@ func (r *Router) InterpretChain(ctx context.Context, predicate string) (resp *se
 	if memo != nil {
 		return memo, true, nil
 	}
-	resp, err = firstSuccess[server.InterpretResponse](r, ctx, "interpret", "/interpret?predicate="+queryEscape(predicate))
+	resp, _, err = firstSuccess[server.InterpretResponse](r, ctx, "interpret", "GET", "/interpret?predicate="+queryEscape(predicate), nil, 0)
 	if err != nil {
 		return nil, false, err
 	}
@@ -805,7 +823,8 @@ func (r *Router) VerifyShardIdentities(ctx context.Context) error {
 // Schema returns the fleet's schema (replicated state; first live shard
 // answers).
 func (r *Router) Schema(ctx context.Context) (*server.SchemaResponse, error) {
-	return firstSuccess[server.SchemaResponse](r, ctx, "schema", "/schema")
+	resp, _, err := firstSuccess[server.SchemaResponse](r, ctx, "schema", "GET", "/schema", nil, 0)
+	return resp, err
 }
 
 // queryEscape percent-encodes a query-string value.

@@ -11,8 +11,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/url"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -390,5 +392,74 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New([]Shard{{}}, Options{}); err == nil {
 		t.Error("nil backend should fail")
+	}
+}
+
+// planningBackend answers /plan with a stage-1 entry per predicate and
+// records every other request it serves.
+type planningBackend struct {
+	name string
+	gen  uint64
+	mu   sync.Mutex
+	seen []string // "METHOD target\nbody"
+}
+
+func (b *planningBackend) Name() string { return b.name }
+
+func (b *planningBackend) Do(ctx context.Context, method, target string, body []byte) (int, []byte, error) {
+	if target == "/plan" {
+		var req server.PlanRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return 400, []byte(`{"error":"bad plan request"}`), nil
+		}
+		resp := server.PlanResponse{Gen: b.gen}
+		for _, p := range req.Predicates {
+			resp.Entries = append(resp.Entries, server.PlanEntry{
+				Predicate: p, Method: "w2v", Terms: []server.PlanTerm{{Attr: "a", Marker: 1}}, Similarity: 0.5, Gen: b.gen,
+			})
+		}
+		out, err := json.Marshal(resp)
+		return 200, out, err
+	}
+	b.mu.Lock()
+	b.seen = append(b.seen, method+" "+target+"\n"+string(body))
+	b.mu.Unlock()
+	return 200, []byte(`{"rows":[]}`), nil
+}
+
+// TestPlanHopFailsOverAndShips: with the predicate's home shard down, the
+// next shard plans; the entry then rides on every leg — as a `plan`
+// parameter of /topk and in /query's body — and the second request plans
+// from the memo.
+func TestPlanHopFailsOverAndShips(t *testing.T) {
+	const pred = "clean rooms"
+	live := &planningBackend{name: "live", gen: 7}
+	down := &fakeBackend{name: "down", err: fmt.Errorf("connection refused")}
+	shards := []Shard{{Backend: live}, {Backend: live}}
+	shards[homeShard(pred, 2)].Backend = down
+	rt, err := New(shards, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := rt.TopK(ctx, []string{pred}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Query(ctx, `select * from Entities where "`+pred+`"`, 3); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := rt.metrics.planHits.Value(), rt.metrics.planMisses.Value(); hits != 1 || misses != 1 {
+		t.Fatalf("plan memo: %d hits, %d misses, want 1 and 1", hits, misses)
+	}
+	entry, err := json.Marshal(server.PlanEntry{
+		Predicate: pred, Method: "w2v", Terms: []server.PlanTerm{{Attr: "a", Marker: 1}}, Similarity: 0.5, Gen: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTopK := "GET /topk?predicate=clean+rooms&k=3&plan=" + url.QueryEscape(string(entry)) + "\n"
+	wantQuery := `POST /query` + "\n" + `{"sql":"select * from Entities where \"clean rooms\"","k":3,"plan":[` + string(entry) + `]}`
+	if len(live.seen) != 2 || live.seen[0] != wantTopK || live.seen[1] != wantQuery {
+		t.Fatalf("legs carried:\n%q\nwant:\n%q\n%q", live.seen, wantTopK, wantQuery)
 	}
 }

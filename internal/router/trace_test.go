@@ -49,6 +49,9 @@ func TestHedgedLegSpans(t *testing.T) {
 		&orderedBackend{name: "r0", calls: &calls, unblocked: unblocked},
 		&orderedBackend{name: "r1", calls: &calls, unblocked: unblocked})
 
+	// The predicate's plan is already in the memo, so the backends' one
+	// blocking call is a scatter leg, not the planning hop.
+	rt.planStore("x", newShippedEntry([]byte(`{"predicate":"x","method":"w2v","terms":[{"attr":"a","marker":0}],"similarity":1,"gen":0}`)), true, 0)
 	if _, err := rt.TopK(context.Background(), []string{"x"}, 1); err != nil {
 		t.Fatalf("hedged topk: %v", err)
 	}

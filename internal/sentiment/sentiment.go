@@ -166,7 +166,11 @@ func ScoreTokens(tokens []string) float64 {
 // contain no known opinion word at all, falls back to scanning for any
 // substring hit so hyphenated compounds ("old-fashioned") still score.
 func ScorePhrase(phrase string) float64 {
-	toks := textproc.Tokenize(phrase)
+	return ScorePhraseTokens(textproc.Tokenize(phrase))
+}
+
+// ScorePhraseTokens is ScorePhrase over a pre-tokenized phrase.
+func ScorePhraseTokens(toks []string) float64 {
 	s := ScoreTokens(toks)
 	if s != 0 {
 		return s

@@ -54,6 +54,11 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"topk missing predicate", http.MethodGet, "/topk", "", http.StatusBadRequest, "missing predicate"},
 		{"topk bad k", http.MethodGet, "/topk?predicate=clean&k=0", "", http.StatusBadRequest, "bad k"},
 		{"topk post", http.MethodPost, "/topk?predicate=clean", "", http.StatusMethodNotAllowed, "use GET"},
+		// /plan
+		{"plan get", http.MethodGet, "/plan", "", http.StatusMethodNotAllowed, "use POST"},
+		{"plan bad body", http.MethodPost, "/plan", `{"predicates":`, http.StatusBadRequest, "bad request body"},
+		{"plan no predicates", http.MethodPost, "/plan", `{"predicates":[]}`, http.StatusBadRequest, "missing predicates"},
+		{"plan empty predicate", http.MethodPost, "/plan", `{"predicates":[" "]}`, http.StatusBadRequest, "empty predicate"},
 		// /schema and /healthz wrong verb
 		{"schema post", http.MethodPost, "/schema", "", http.StatusMethodNotAllowed, "use GET"},
 		{"healthz delete", http.MethodDelete, "/healthz", "", http.StatusMethodNotAllowed, "use GET"},

@@ -57,12 +57,17 @@ const (
 	// chain desynced and was dropped, degrading /journal/status probes to
 	// on-disk segment scans until restart.
 	MetricPrefixChainDroppedTotal = "opinedb_prefix_chain_dropped_total"
+	// MetricPlanUsed / MetricPlanStale: shipped plan entries (plan.go) a
+	// request used in place of a local interpretation, and entries it set
+	// aside because their gen was not this node's applied sequence.
+	MetricPlanUsed  = "opinedb_server_plan_used_total"
+	MetricPlanStale = "opinedb_server_plan_stale_total"
 )
 
 // metricEndpoints are the instrumented endpoint labels, fixed up front
 // so every scrape exposes the full set (zeroed, not absent).
 var metricEndpoints = []string{
-	"healthz", "schema", "query", "interpret", "evidence", "topk",
+	"healthz", "schema", "query", "interpret", "evidence", "topk", "plan",
 	"reviews", "journal_status", "journal_records",
 }
 
@@ -84,6 +89,8 @@ type serverMetrics struct {
 	queueDepth     *obs.Gauge
 	backpressure   *obs.Counter
 	chainDropped   *obs.Counter
+	planUsed       *obs.Counter
+	planStale      *obs.Counter
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -124,6 +131,10 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"Writes refused with 503 because the commit queue was full.")
 	m.chainDropped = reg.Counter(MetricPrefixChainDroppedTotal,
 		"Prefix-hash chain desyncs; probes fall back to segment scans.")
+	m.planUsed = reg.Counter(MetricPlanUsed,
+		"Shipped plan entries used in place of a local interpretation.")
+	m.planStale = reg.Counter(MetricPlanStale,
+		"Shipped plan entries set aside: resolved at another journal sequence.")
 	return m
 }
 

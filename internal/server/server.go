@@ -14,6 +14,7 @@
 //	GET  /interpret?predicate=...       Figure 5 interpretation chain
 //	GET  /evidence?entity=&attribute=   marker summary with provenance
 //	GET  /topk?predicate=...&k=...      Threshold-Algorithm top-k
+//	POST /plan                          {"predicates": [...]} → interpretations + applied seq (plan.go)
 //	POST /reviews                       ingest one review (journaled live enrichment)
 //	GET  /journal/status                journal position + prefix hash (anti-entropy)
 //	GET  /journal/records?from=&limit=  stream journal records (anti-entropy backfill)
@@ -40,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/sqlparse"
 	"repro/internal/trace"
 )
 
@@ -190,6 +192,8 @@ type Server struct {
 	// on-disk scans.
 	phInit sync.Once
 	ph     atomic.Pointer[journal.PrefixHashes]
+	// planDecoded remembers how shipped plan entries decoded (plan.go).
+	planDecoded planDecodeMemo
 	// cq is the group-commit staging queue (see groupcommit.go): /reviews
 	// handlers stage prepared deltas here and one of them — the leader —
 	// drains, journals and applies the batch with a single shared fsync.
@@ -221,6 +225,7 @@ func New(db *core.DB, opts Options) *Server {
 	s.mux.HandleFunc("/interpret", s.timed("interpret", s.read(get(s.handleInterpret))))
 	s.mux.HandleFunc("/evidence", s.timed("evidence", s.read(get(s.handleEvidence))))
 	s.mux.HandleFunc("/topk", s.timed("topk", s.read(get(s.handleTopK))))
+	s.mux.HandleFunc("/plan", s.timed("plan", s.read(s.handlePlan)))
 	s.mux.HandleFunc("/reviews", s.timed("reviews", buffered(s.handleReviews)))
 	s.mux.HandleFunc("/journal/status", s.timed("journal_status", s.read(get(s.handleJournalStatus))))
 	s.mux.HandleFunc("/journal/records", s.timed("journal_records", s.read(get(s.handleJournalRecords))))
@@ -342,13 +347,17 @@ func DecodeQueryRequest(r *http.Request) (QueryRequest, error) {
 			return req, fmt.Errorf("bad request body: %v", err)
 		}
 	case http.MethodGet:
-		req.SQL = r.URL.Query().Get("sql")
-		if ks := r.URL.Query().Get("k"); ks != "" {
+		params := r.URL.Query()
+		req.SQL = params.Get("sql")
+		if ks := params.Get("k"); ks != "" {
 			k, err := strconv.Atoi(ks)
 			if err != nil {
 				return req, fmt.Errorf("bad k: %v", err)
 			}
 			req.K = k
+		}
+		for _, e := range params["plan"] {
+			req.Plan = append(req.Plan, json.RawMessage(e))
 		}
 	default:
 		return req, ErrQueryMethod
@@ -359,24 +368,39 @@ func DecodeQueryRequest(r *http.Request) (QueryRequest, error) {
 	return req, nil
 }
 
-// DecodeTopKRequest parses /topk parameters: the repeatable predicate
-// plus k (defaultK when absent). Shared by the shard server and the
-// router so both tiers accept and reject exactly the same requests.
-func DecodeTopKRequest(r *http.Request, defaultK int) (predicates []string, k int, err error) {
-	predicates = r.URL.Query()["predicate"]
-	if len(predicates) == 0 {
-		return nil, 0, fmt.Errorf("missing predicate (repeatable)")
+// TopKRequest is a decoded /topk request.
+type TopKRequest struct {
+	Predicates []string
+	K          int
+	// Plan optionally ships pre-resolved interpretations: encoded
+	// PlanEntry values, one per `plan` parameter (plan.go).
+	Plan []json.RawMessage
+}
+
+// DecodeTopKRequest parses /topk parameters: the repeatable predicate, k
+// (defaultK when absent) and the repeatable plan. Shared by the shard
+// server and the router so both tiers accept and reject exactly the same
+// requests.
+func DecodeTopKRequest(r *http.Request, defaultK int) (TopKRequest, error) {
+	params := r.URL.Query()
+	req := TopKRequest{Predicates: params["predicate"], K: defaultK}
+	if len(req.Predicates) == 0 {
+		return req, fmt.Errorf("missing predicate (repeatable)")
 	}
-	k = defaultK
-	if k <= 0 {
-		k = 10
+	if req.K <= 0 {
+		req.K = 10
 	}
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		if k, err = strconv.Atoi(ks); err != nil || k <= 0 {
-			return nil, 0, fmt.Errorf("bad k")
+	if ks := params.Get("k"); ks != "" {
+		k, err := strconv.Atoi(ks)
+		if err != nil || k <= 0 {
+			return req, fmt.Errorf("bad k")
 		}
+		req.K = k
 	}
-	return predicates, k, nil
+	for _, e := range params["plan"] {
+		req.Plan = append(req.Plan, json.RawMessage(e))
+	}
+	return req, nil
 }
 
 // DecodeEvidenceRequest parses /evidence parameters. limit is -1 when the
@@ -516,6 +540,9 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 type QueryRequest struct {
 	SQL string `json:"sql"`
 	K   int    `json:"k"`
+	// Plan optionally ships pre-resolved interpretations: encoded
+	// PlanEntry values (plan.go).
+	Plan []json.RawMessage `json:"plan,omitempty"`
 }
 
 // InterpretationJSON renders one predicate interpretation.
@@ -578,8 +605,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.K > 0 {
 		opts.TopK = req.K
 	}
+	resolved, err := s.resolvePlan(req.Plan)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "plan: %v", err)
+		return
+	}
 	start := time.Now()
-	res, err := s.db.QueryWithOptions(req.SQL, opts)
+	q, err := sqlparse.Parse(req.SQL)
+	var res *core.QueryResult
+	if err == nil {
+		res, err = s.db.ExecuteResolved(q, opts, resolved)
+	}
 	s.metrics.engineQuery.ObserveSince(start)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "query: %v", err)
@@ -618,10 +654,11 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	chosen, w2vOnly, cooccurOnly := s.db.InterpretStages(pred)
 	WriteJSON(w, http.StatusOK, InterpretResponse{
-		Chosen:      interpretationJSON(s.db.Interpret(pred)),
-		W2VOnly:     interpretationJSON(s.db.InterpretW2VOnly(pred)),
-		CooccurOnly: interpretationJSON(s.db.InterpretCooccurOnly(pred)),
+		Chosen:      interpretationJSON(chosen),
+		W2VOnly:     interpretationJSON(w2vOnly),
+		CooccurOnly: interpretationJSON(cooccurOnly),
 	})
 }
 
@@ -704,9 +741,15 @@ type TopKResponse struct {
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// Same default as /query: the operator's -k flag, else 10 — so a
 	// shard, a monolith and the router answer a no-k request identically.
-	preds, k, err := DecodeTopKRequest(r, s.opts.DefaultTopK)
+	req, err := DecodeTopKRequest(r, s.opts.DefaultTopK)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	preds, k := req.Predicates, req.K
+	resolved, err := s.resolvePlan(req.Plan)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "plan: %v", err)
 		return
 	}
 	start := time.Now()
@@ -715,7 +758,18 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var key string
 	hit := false
 	if s.topkMemo != nil {
-		key = topkKey(preds, k)
+		// The memo key names the interpretation each predicate runs under,
+		// so every predicate is resolved before the lookup: from the plan
+		// where it applies, from the engine (itself memoized) otherwise.
+		if resolved == nil {
+			resolved = make(map[string]core.Interpretation, len(preds))
+		}
+		for _, p := range preds {
+			if _, ok := resolved[p]; !ok {
+				resolved[p] = s.db.Interpret(p)
+			}
+		}
+		key = topkKey(preds, k, resolved)
 		if f, ok := s.topkMemo.get(key); ok {
 			rows, stats, hit = f.rows, f.stats, true
 			w.Header().Set("X-Topk-Memo", "hit")
@@ -724,9 +778,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !hit {
-		t0 := time.Now()
-		rows, stats, err = s.db.TopKThreshold(preds, k)
-		s.metrics.engineTopK.ObserveSince(t0)
+		// Timed from start: the stage covers interpretation as well as TA.
+		rows, stats, err = s.db.TopKThresholdResolved(preds, k, resolved)
+		s.metrics.engineTopK.ObserveSince(start)
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, "topk: %v", err)
 			return

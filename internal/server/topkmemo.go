@@ -4,8 +4,8 @@ package server
 // same predicate set to every shard and merges the per-shard fragments;
 // the fragments are partition-stable — a shard's top-k for a predicate
 // set depends only on that shard's entities — so between writes the
-// same (predicates, k) request recomputes the same Threshold-Algorithm
-// answer. The memo caches those fragments under deterministic LRU
+// same (predicates, interpretations, k) request recomputes the same
+// Threshold-Algorithm answer. The memo caches those fragments under deterministic LRU
 // eviction and drops everything on any applied write (interpretation
 // state is corpus-global, so a single review can move any score; the
 // wholesale drop is what keeps the byte-identity contract trivially
@@ -43,14 +43,34 @@ func newTopKMemo(hits, misses *obs.Counter) *topkMemo {
 	return &topkMemo{cache: lru.New[string, topkFragment](DefaultTopKMemoEntries), hits: hits, misses: misses}
 }
 
-// topkKey canonicalizes a request; 0x1f never appears in predicates or
-// rendered integers, so the key is injective.
-func topkKey(preds []string, k int) string {
+// topkKey canonicalizes a request together with the interpretation each
+// predicate runs under (method, connective, A.m terms — everything the
+// Threshold Algorithm reads), so a fragment computed under one
+// interpretation can only ever answer a request running under the same
+// one: a shipped plan (plan.go) cannot plant an answer for requests that
+// interpret locally. Every variable-length field is length-prefixed, so
+// the key is injective whatever bytes a predicate holds.
+func topkKey(preds []string, k int, interps map[string]core.Interpretation) string {
 	var b strings.Builder
+	field := func(s string) {
+		b.WriteString(strconv.Itoa(len(s)))
+		b.WriteByte(':')
+		b.WriteString(s)
+	}
 	b.WriteString(strconv.Itoa(k))
 	for _, p := range preds {
-		b.WriteByte(0x1f)
-		b.WriteString(p)
+		in := interps[p]
+		b.WriteByte('|')
+		field(p)
+		field(string(in.Method))
+		if in.Disjunction {
+			b.WriteByte('+')
+		}
+		for _, t := range in.Terms {
+			field(t.Attr)
+			b.WriteString(strconv.Itoa(t.Marker))
+			b.WriteByte(',')
+		}
 	}
 	return b.String()
 }
