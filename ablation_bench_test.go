@@ -121,26 +121,34 @@ func BenchmarkAblationMarkerCount(b *testing.B) {
 	b.ReportMetric(quality[16], "ndcg-k=16")
 }
 
-// BenchmarkTopKThresholdAlgorithm measures TA top-10 over precomputed
-// degree lists (after warm-up, the steady-state serving path).
-func BenchmarkTopKThresholdAlgorithm(b *testing.B) {
-	_, _, hdb, _ := benchFixtures(b)
+func benchTopKThreshold(b *testing.B, db *core.DB) {
 	preds := []string{"has really clean rooms", "has friendly staff", "serves excellent breakfast"}
-	if _, _, err := hdb.TopKThreshold(preds, 10); err != nil { // warm caches
+	if _, _, err := db.TopKThreshold(preds, 10); err != nil { // warm caches
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var stats core.TopKStats
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, stats, err = hdb.TopKThreshold(preds, 10)
+		_, stats, err = db.TopKThreshold(preds, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(stats.Depth), "list-depth")
-	b.ReportMetric(float64(len(hdb.EntityIDs())), "entities")
+	b.ReportMetric(float64(len(db.EntityIDs())), "entities")
 }
+
+// BenchmarkTopKThresholdAlgorithm measures TA top-10 over precomputed
+// degree lists (after warm-up, the steady-state serving path).
+func BenchmarkTopKThresholdAlgorithm(b *testing.B) {
+	_, _, hdb, _ := benchFixtures(b)
+	benchTopKThreshold(b, hdb)
+}
+
+// BenchmarkTopKThresholdAlgorithmShard is TA on a shard-sized database.
+func BenchmarkTopKThresholdAlgorithmShard(b *testing.B) { benchTopKThreshold(b, benchShard(b)) }
 
 // BenchmarkTopKFullScan is the exhaustive counterpart: every entity is
 // aggregated (TA with k = all, which cannot terminate early).

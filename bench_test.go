@@ -304,30 +304,49 @@ func BenchmarkConcurrentTopK(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryMarkers measures one subjective query on the marker path.
-func BenchmarkQueryMarkers(b *testing.B) {
+// benchShard is the hotel fixture cut down to one node of the benchmark
+// fleet's size (bench/: 311 entities over 4 shards ≈ 78 per scatter leg),
+// so a per-leg cost can be read off directly.
+func benchShard(b *testing.B) *core.DB {
+	b.Helper()
 	_, _, hdb, _ := benchFixtures(b)
+	ids := hdb.EntityIDs()
+	shard, err := hdb.ShardDB(func(id string) bool { return id < ids[78] })
+	if err != nil {
+		b.Fatal(err)
+	}
+	return shard
+}
+
+func benchQuery(b *testing.B, db *core.DB, useMarkers bool) {
 	opts := core.DefaultQueryOptions()
+	opts.UseMarkers = useMarkers
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hdb.RankPredicates([]string{"has really clean rooms", "has friendly staff"}, nil, opts); err != nil {
+		if _, err := db.RankPredicates([]string{"has really clean rooms", "has friendly staff"}, nil, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkQueryMarkers measures one subjective query on the marker path.
+func BenchmarkQueryMarkers(b *testing.B) {
+	_, _, hdb, _ := benchFixtures(b)
+	benchQuery(b, hdb, true)
+}
+
+// BenchmarkQueryMarkersShard is the same query on a shard-sized database.
+func BenchmarkQueryMarkersShard(b *testing.B) { benchQuery(b, benchShard(b), true) }
+
 // BenchmarkQueryNoMarkers measures the same query on the scan path.
 func BenchmarkQueryNoMarkers(b *testing.B) {
 	_, _, hdb, _ := benchFixtures(b)
-	opts := core.DefaultQueryOptions()
-	opts.UseMarkers = false
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hdb.RankPredicates([]string{"has really clean rooms", "has friendly staff"}, nil, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchQuery(b, hdb, false)
 }
+
+// BenchmarkQueryNoMarkersShard is the scan path on a shard-sized database.
+func BenchmarkQueryNoMarkersShard(b *testing.B) { benchQuery(b, benchShard(b), false) }
 
 // BenchmarkInterpret measures predicate interpretation without caching.
 func BenchmarkInterpret(b *testing.B) {

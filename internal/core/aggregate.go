@@ -247,11 +247,11 @@ func (db *DB) Surprises(objectiveCol string, topPct, minNegativeMass float64) ([
 	}
 	var all []ranked
 	for _, id := range db.entityIDs {
-		rows := entities.ByKey(id)
-		if len(rows) == 0 {
+		row := entities.FirstByKey(id)
+		if len(row) == 0 {
 			continue
 		}
-		v, err := entities.Get(rows[0], objectiveCol)
+		v, err := entities.Get(row, objectiveCol)
 		if err != nil {
 			return nil, err
 		}

@@ -64,10 +64,9 @@ func newMembershipModel(db *DB, labels []MembershipLabel, rng *rand.Rand) *Membe
 			y = 1
 		}
 		qRep := query.repIn(db.Embed)
-		markerEx = append(markerEx, classify.Example{
-			Features: markerFeatures(db, attr, l.EntityID, mi, qRep),
-			Label:    y,
-		})
+		term := db.newMarkerTerm(attr, mi, qRep)
+		mf := term.features(term.summaries[l.EntityID])
+		markerEx = append(markerEx, classify.Example{Features: mf[:], Label: y})
 		sf, _ := scanFeatures(db, attr, l.EntityID, qRep, nil)
 		scanEx = append(scanEx, classify.Example{Features: sf, Label: y})
 	}
@@ -102,19 +101,108 @@ func newMembershipModel(db *DB, labels []MembershipLabel, rng *rand.Rand) *Membe
 	return mm
 }
 
-// DegreeMarker computes the degree of truth of interpreted predicate
-// attr.marker for an entity using only the marker summary (the fast path
-// accelerated by precomputation, §3.3).
-func (mm *MembershipModel) DegreeMarker(db *DB, entityID string, attr *SubjectiveAttribute, marker int, queryRep embedding.Vector) float64 {
-	s := db.Summary(attr.Name, entityID)
+// markerTerm is one interpreted A.m readied for scoring: everything the
+// marker path needs that does not depend on the entity, worked out once per
+// query (or per degree list) instead of once per entity. It is the single
+// home of the §3.3 marker features — queries, TA degree lists, DegreeMarker
+// and membership training all score through it.
+type markerTerm struct {
+	attr      *SubjectiveAttribute
+	summaries map[string]*MarkerSummary // the attribute's, by entity
+	marker    int                       // -1 when out of range: every feature stays 0
+	weights   []markerWeight            // per marker of the attribute
+	q         embedding.Vector          // query representation, may be nil
+	qNorm     float64                   // q.Norm(), taken once
+	pow       float64                   // AttributeWeights exponent; 0 = none
+}
+
+// markerWeight is what marker i contributes to a term targeting marker m.
+type markerWeight struct {
+	// near is i's share of the mass feature: linear attributes credit
+	// adjacent markers with decayed weight, categorical only m itself.
+	near float64
+	// aligned: i's sentiment is within 0.25 of m's.
+	aligned bool
+}
+
+func (db *DB) newMarkerTerm(attr *SubjectiveAttribute, marker int, q embedding.Vector) markerTerm {
+	t := markerTerm{attr: attr, summaries: db.Summaries[attr.Name], marker: -1, q: q, qNorm: q.Norm()}
+	if marker < 0 || marker >= len(attr.Markers) {
+		return t
+	}
+	t.marker = marker
+	t.weights = make([]markerWeight, len(attr.Markers))
+	for i := range attr.Markers {
+		w := &t.weights[i]
+		if attr.Categorical {
+			if i == marker {
+				w.near = 1
+			}
+		} else {
+			w.near = math.Max(0, 1-math.Abs(float64(i-marker))/2.5)
+		}
+		w.aligned = math.Abs(attr.Markers[i].Sentiment-attr.Markers[marker].Sentiment) <= 0.25
+	}
+	return t
+}
+
+// features returns the fast-path feature vector of summary s: mass
+// near the target marker, support size, overall sentiment, target marker
+// sentiment, sentiment-mass alignment, and centroid similarity.
+//
+// Float order is part of the contract (answers are compared bit for bit
+// across shards, replicas and releases): every sum runs over the markers in
+// index order with one accumulator, and the cosine is dot/(|q|·|c|) with
+// embedding.Vector's own Dot and Norm.
+func (t *markerTerm) features(s *MarkerSummary) (f [markerFeatureCount]float64) {
+	if s == nil || s.Total == 0 || t.marker < 0 {
+		return f
+	}
+	var mass, sentSum, aligned float64
+	for i, w := range t.weights {
+		mass += w.near * s.Counts[i]
+		sentSum += s.SentSum[i]
+		if w.aligned {
+			aligned += s.Counts[i]
+		}
+	}
+	f[0] = mass / s.Total
+	// f1: support (log-scaled total phrase count).
+	f[1] = math.Log1p(s.Total) / 6
+	f[2] = sentSum / s.Total
+	// f3: is the user asking for the good end of the scale?
+	f[3] = t.attr.Markers[t.marker].Sentiment
+	f[4] = aligned / s.Total
+	// f5: cosine between the query phrase and the entity's phrase centroid
+	// at the target marker; 0 if either is a zero vector.
+	if t.qNorm != 0 {
+		c := s.Centroid(t.marker)
+		if cNorm := c.Norm(); cNorm != 0 {
+			f[5] = t.q.Dot(c) / (t.qNorm * cNorm)
+		}
+	}
+	return f
+}
+
+// degree is the term's degree of truth for one entity from its marker
+// summary alone (the fast path accelerated by precomputation, §3.3).
+func (mm *MembershipModel) degree(t *markerTerm, entityID string) float64 {
+	s := t.summaries[entityID]
 	if s == nil || s.Total == 0 {
 		return 0 // no evidence at all: definitively false, not model bias
 	}
-	feats := markerFeatures(db, attr, entityID, marker, queryRep)
+	f := t.features(s)
 	if mm.markerLR != nil {
-		return mm.markerLR.Prob(feats)
+		return mm.markerLR.Prob(f[:])
 	}
-	return heuristicFromMarkerFeatures(feats)
+	return heuristicFromMarkerFeatures(f[:])
+}
+
+// DegreeMarker computes the degree of truth of interpreted predicate
+// attr.marker for an entity using only the marker summary.
+func (mm *MembershipModel) DegreeMarker(db *DB, entityID string, attr *SubjectiveAttribute, marker int, queryRep embedding.Vector) float64 {
+	t := db.newMarkerTerm(attr, marker, queryRep)
+	return mm.degree(&t, entityID)
 }
 
 // DegreeScan computes the same degree by scanning the entity's raw
@@ -129,60 +217,6 @@ func (mm *MembershipModel) DegreeScan(db *DB, entityID string, attr *SubjectiveA
 		return mm.scanLR.Prob(feats)
 	}
 	return heuristicFromScanFeatures(feats)
-}
-
-// markerFeatures builds the fast-path feature vector from the summary:
-// mass near the target marker, support size, overall sentiment, target
-// marker sentiment, sentiment-mass alignment, and centroid similarity.
-func markerFeatures(db *DB, attr *SubjectiveAttribute, entityID string, marker int, queryRep embedding.Vector) []float64 {
-	s := db.Summary(attr.Name, entityID)
-	feats := make([]float64, markerFeatureCount)
-	if s == nil || s.Total == 0 || marker < 0 || marker >= len(attr.Markers) {
-		return feats
-	}
-	k := len(attr.Markers)
-	// f0: mass at/near the target marker. Linear attributes credit
-	// adjacent markers with decayed weight; categorical only exact.
-	var mass float64
-	for i := 0; i < k; i++ {
-		w := 0.0
-		if attr.Categorical {
-			if i == marker {
-				w = 1
-			}
-		} else {
-			d := float64(abs(i - marker))
-			w = math.Max(0, 1-d/2.5)
-		}
-		mass += w * s.Counts[i]
-	}
-	feats[0] = mass / s.Total
-	// f1: support (log-scaled total phrase count).
-	feats[1] = math.Log1p(s.Total) / 6
-	// f2: overall average sentiment of the entity's phrases for this attr.
-	var sentSum float64
-	for i := 0; i < k; i++ {
-		sentSum += s.SentSum[i]
-	}
-	feats[2] = sentSum / s.Total
-	// f3: target marker's own sentiment (is the user asking for the good
-	// end of the scale?).
-	feats[3] = attr.Markers[marker].Sentiment
-	// f4: sentiment-weighted mass — how much of the mass sits at markers at
-	// least as sentiment-close to the target as a small tolerance.
-	var aligned float64
-	for i := 0; i < k; i++ {
-		if math.Abs(attr.Markers[i].Sentiment-attr.Markers[marker].Sentiment) <= 0.25 {
-			aligned += s.Counts[i]
-		}
-	}
-	feats[4] = aligned / s.Total
-	// f5: cosine between the query phrase and the entity's phrase centroid
-	// at the target marker.
-	if queryRep != nil {
-		feats[5] = embedding.Cosine(queryRep, s.Centroid(marker))
-	}
-	return feats
 }
 
 // scanFeatures builds the slow-path features by walking the entity's raw
@@ -249,13 +283,6 @@ func heuristicFromScanFeatures(f []float64) float64 {
 	}
 	conf := 1 - math.Exp(-support*4)
 	return clamp01(score * conf)
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func clamp01(x float64) float64 {

@@ -294,7 +294,7 @@ type DB struct {
 	phraseReps    shardedCache[embedding.Vector]
 	phraseSentis  shardedCache[float64]
 	interpCache   shardedCache[Interpretation]
-	degreeLists   shardedCache[[]entityDegree]
+	degreeLists   shardedCache[*taSource]
 
 	cfg Config
 }
@@ -313,11 +313,11 @@ func (db *DB) ObjectiveValue(entityID, column string) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := t.ByKey(entityID)
-	if len(rows) == 0 {
+	row := t.FirstByKey(entityID)
+	if len(row) == 0 {
 		return nil, fmt.Errorf("core: no entity %q", entityID)
 	}
-	return t.Get(rows[0], column)
+	return t.Get(row, column)
 }
 
 // Summary returns the marker summary for (attribute, entity), or nil.

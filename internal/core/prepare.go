@@ -146,9 +146,12 @@ func (db *DB) ApplyPrepared(p *PreparedReview) error {
 		}
 		db.addIncremental(pe.attr, ext, owned)
 	}
-	// Interpretations and precomputed degree lists may shift with new
-	// evidence; drop both caches.
+	// Interpretations may shift with new evidence. A degree list is a
+	// function of this node's own summaries, the frozen markers and the
+	// frozen membership model, so only a write this node owns stales it.
 	db.interpCache.reset()
-	db.degreeLists.reset()
+	if owned {
+		db.degreeLists.reset()
+	}
 	return nil
 }

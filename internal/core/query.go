@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
-	"repro/internal/embedding"
 	"repro/internal/fuzzy"
 	"repro/internal/ir"
 	"repro/internal/relstore"
@@ -58,6 +58,8 @@ type QueryResult struct {
 	// Rewritten is the fuzzy-SQL rendering of the compiled query, e.g.
 	// "price_pn < 150 ⊗ room_cleanliness.8 ⊗ (service.4 ⊕ style.2)".
 	Rewritten string
+	// Stats is the scan's work; it appears in no serialized response.
+	Stats QueryStats
 }
 
 // Query parses and executes a subjective SQL statement with default
@@ -105,6 +107,59 @@ func (db *DB) ExecuteResolved(q *sqlparse.Query, opts QueryOptions, resolved map
 	return db.execute(q, opts, nil, resolved)
 }
 
+// QueryStats reports how much work one executed query did, so a slow
+// answer can be told apart from a wide scan.
+type QueryStats struct {
+	// EntitiesScanned counts the entities the WHERE tree was evaluated for.
+	EntitiesScanned int
+	// DegreesComputed counts membership evaluations: one per scanned entity
+	// and interpreted term, plus one per fallback predicate.
+	DegreesComputed int
+}
+
+// predicatePlan is one distinct subjective predicate of a query, readied
+// for scoring every entity.
+type predicatePlan struct {
+	text        string
+	disjunction bool
+	terms       []markerTerm
+	// fallback holds BM25(D, q) per entity, parallel to db.entityIDs, when
+	// the predicate fell through to text retrieval; nil otherwise.
+	fallback []float64
+}
+
+// queryPlan is a query's subjective predicates readied once for the whole
+// scan, distinct and in first-appearance order; the compiled WHERE tree
+// reads them by index. It lives for one execute call and is never retained.
+type queryPlan struct {
+	db         *DB
+	preds      []predicatePlan
+	useMarkers bool
+	// filter, when non-nil, is the review qualification: degrees come from
+	// the scan path over the extractions it admits.
+	filter func(*Extraction) bool
+}
+
+// condNode is one compiled WHERE node. Subjective predicates read their
+// degree by index from the entity's slice of the score slab; objective
+// comparisons are evaluated against the entity's row.
+type condNode struct {
+	op       condOp
+	pred     int
+	cmp      sqlparse.CmpCond
+	children []*condNode
+}
+
+type condOp int
+
+const (
+	condPred condOp = iota
+	condCmp
+	condAnd
+	condOr
+	condNot
+)
+
 func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(string) bool, resolved map[string]Interpretation) (*QueryResult, error) {
 	entities, err := db.Rel.Table("Entities")
 	if err != nil {
@@ -114,9 +169,12 @@ func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(
 	// fallback predicate is scored from its tokens, every other one from
 	// its Eq. 1 representation; both come from the phrase the interpreter
 	// already tokenized.
+	plan := &queryPlan{db: db, useMarkers: opts.UseMarkers}
+	if opts.ReviewFilter != nil {
+		plan.filter = extractionFilter(opts.ReviewFilter)
+	}
 	interps := map[string]Interpretation{}
-	queryReps := map[string]embedding.Vector{}
-	queryToks := map[string][]string{}
+	degreesPerEntity := 0
 	for _, text := range sqlparse.SubjectivePredicates(q.Where) {
 		if _, done := interps[text]; done {
 			continue
@@ -127,173 +185,261 @@ func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(
 			in = db.interpretPhrase(p)
 		}
 		interps[text] = in
+		pp := predicatePlan{text: text, disjunction: in.Disjunction}
 		if in.Method == MethodFallback {
-			queryToks[text] = p.tokens()
+			pp.fallback = db.EntityIndex.ScoreDocs(db.entityIDs, p.tokens())
+			degreesPerEntity++
 		} else {
-			queryReps[text] = p.repIn(db.Embed)
-		}
-	}
-
-	// Compile the condition tree to a fuzzy expression template. Objective
-	// comparisons become per-entity constants, resolved in the closure.
-	var filter *extractionFilter
-	if opts.ReviewFilter != nil {
-		filter = &extractionFilter{fn: opts.ReviewFilter}
-	}
-
-	var rows []ResultRow
-	for _, id := range db.entityIDs {
-		row := entities.ByKey(id)
-		if len(row) == 0 {
-			continue
-		}
-		if extraObjective != nil && !extraObjective(id) {
-			continue
-		}
-		expr, err := db.compileCond(q.Where, entities, row[0])
-		if err != nil {
-			return nil, err
-		}
-		predScores := map[string]float64{}
-		env := func(text string) float64 {
-			if s, ok := predScores[text]; ok {
-				return s
+			rep := p.repIn(db.Embed)
+			for _, term := range in.Terms {
+				if attr := db.Attr(term.Attr); attr != nil {
+					t := db.newMarkerTerm(attr, term.Marker, rep)
+					if w, ok := opts.AttributeWeights[term.Attr]; ok && w > 0 {
+						t.pow = w
+					}
+					pp.terms = append(pp.terms, t)
+				}
 			}
-			s := db.degreeOf(id, interps[text], queryReps[text], queryToks[text], opts, filter)
-			predScores[text] = s
-			return s
+			degreesPerEntity += len(pp.terms)
 		}
-		score := 1.0
-		if expr != nil {
-			score = expr.Eval(db.fuzzyVariant(), env)
-		}
-		if score <= 0 {
-			continue
-		}
-		rows = append(rows, ResultRow{EntityID: id, Score: score, PredicateScores: predScores})
+		plan.preds = append(plan.preds, pp)
+	}
+	where, err := plan.compile(q.Where) // nil without a WHERE clause
+	if err != nil {
+		return nil, err
 	}
 
-	// Rank: by fuzzy score desc (the subjective default) or by an explicit
-	// ORDER BY column.
-	if q.OrderBy != "" {
-		if err := sortByColumn(rows, entities, q.OrderBy, q.OrderDesc); err != nil {
-			return nil, err
-		}
-	} else {
-		sort.SliceStable(rows, func(i, j int) bool {
-			if rows[i].Score != rows[j].Score {
-				return rows[i].Score > rows[j].Score
-			}
-			return rows[i].EntityID < rows[j].EntityID
-		})
-	}
 	// An explicit LIMIT in the SQL wins; opts.TopK is the default cap for
 	// queries without one.
 	limit := opts.TopK
 	if q.Limit > 0 {
 		limit = q.Limit
 	}
+	// Ranked by fuzzy score (the subjective default) under a limit, only
+	// the best `limit` rows are ever held; rankBefore is a total order, so
+	// that selection is the prefix a full sort would leave.
+	bounded := q.OrderBy == "" && limit > 0
+
+	// Scan entity-major: entity e's predicate degrees are
+	// slab[e*np : (e+1)*np], kept so the returned rows can report them.
+	np := len(plan.preds)
+	slab := make([]float64, len(db.entityIDs)*np)
+	var rows []ResultRow
+	var stats QueryStats
+	for e, id := range db.entityIDs {
+		row := entities.FirstByKey(id)
+		if len(row) == 0 {
+			continue
+		}
+		if extraObjective != nil && !extraObjective(id) {
+			continue
+		}
+		stats.EntitiesScanned++
+		scores := slab[e*np : (e+1)*np]
+		for pi := range plan.preds {
+			scores[pi] = plan.degree(&plan.preds[pi], e, id)
+		}
+		score := 1.0
+		if where != nil {
+			if score, err = where.eval(db.fuzzyVariant(), scores, entities, row); err != nil {
+				return nil, err
+			}
+		}
+		if score <= 0 {
+			continue
+		}
+		if bounded {
+			rows = insertTop(rows, ResultRow{EntityID: id, Score: score}, limit)
+		} else {
+			rows = append(rows, ResultRow{EntityID: id, Score: score})
+		}
+	}
+	stats.DegreesComputed = stats.EntitiesScanned * degreesPerEntity
+
+	if q.OrderBy != "" {
+		if err := sortByColumn(rows, entities, q.OrderBy, q.OrderDesc); err != nil {
+			return nil, err
+		}
+	} else if !bounded {
+		sort.Stable(rowSorter{rows, rankBefore})
+	}
 	if limit > 0 && len(rows) > limit {
 		rows = rows[:limit]
+	}
+	for i := range rows {
+		e := sort.SearchStrings(db.entityIDs, rows[i].EntityID)
+		rows[i].PredicateScores = make(map[string]float64, np)
+		for pi := range plan.preds {
+			rows[i].PredicateScores[plan.preds[pi].text] = slab[e*np+pi]
+		}
 	}
 	return &QueryResult{
 		Rows:            rows,
 		Interpretations: interps,
 		Rewritten:       db.rewrite(q.Where, interps),
+		Stats:           stats,
 	}, nil
 }
 
-// degreeOf computes one predicate's degree of truth for one entity
-// according to its interpretation (§3.3).
-func (db *DB) degreeOf(entityID string, in Interpretation, qRep embedding.Vector, qToks []string, opts QueryOptions, filter *extractionFilter) float64 {
-	if in.Method == MethodFallback {
+// degree computes one predicate's degree of truth for entity e (id is
+// db.entityIDs[e]) according to its interpretation (§3.3).
+func (p *queryPlan) degree(pp *predicatePlan, e int, id string) float64 {
+	db := p.db
+	if pp.fallback != nil {
 		// sigmoid(BM25(D, q) − c) over the entity document (§3.2).
-		return ir.Sigmoid(db.EntityIndex.Score(entityID, qToks), db.cfg.FallbackCenter)
+		return ir.Sigmoid(pp.fallback[e], db.cfg.FallbackCenter)
 	}
-	var degrees []float64
-	for _, term := range in.Terms {
-		attr := db.Attr(term.Attr)
-		if attr == nil {
-			continue
-		}
-		var d float64
-		switch {
-		case filter != nil:
-			d = db.Membership.DegreeScan(db, entityID, attr, qRep, filter.predicate())
-		case opts.UseMarkers:
-			d = db.Membership.DegreeMarker(db, entityID, attr, term.Marker, qRep)
-		default:
-			d = db.Membership.DegreeScan(db, entityID, attr, qRep, nil)
-		}
-		if w, ok := opts.AttributeWeights[term.Attr]; ok && w > 0 {
-			d = math.Pow(d, w)
-		}
-		degrees = append(degrees, d)
-	}
-	if len(degrees) == 0 {
+	if len(pp.terms) == 0 {
 		return 0
 	}
 	v := db.fuzzyVariant()
-	acc := degrees[0]
-	for _, d := range degrees[1:] {
-		if in.Disjunction {
+	var acc float64
+	for ti := range pp.terms {
+		t := &pp.terms[ti]
+		var d float64
+		switch {
+		case p.filter != nil:
+			d = db.Membership.DegreeScan(db, id, t.attr, t.q, p.filter)
+		case p.useMarkers:
+			d = db.Membership.degree(t, id)
+		default:
+			d = db.Membership.DegreeScan(db, id, t.attr, t.q, nil)
+		}
+		if t.pow > 0 {
+			d = math.Pow(d, t.pow)
+		}
+		switch {
+		case ti == 0:
+			acc = d
+		case pp.disjunction:
 			acc = v.Or(acc, d)
-		} else {
+		default:
 			acc = v.And(acc, d)
 		}
 	}
 	return acc
 }
 
-// compileCond translates the parsed WHERE tree into a fuzzy expression for
-// one entity row: objective comparisons fold to Const 0/1, subjective
-// predicates stay symbolic.
-func (db *DB) compileCond(c sqlparse.Cond, entities *relstore.Table, row relstore.Row) (fuzzy.Expr, error) {
-	if c == nil {
-		return nil, nil
-	}
+// compile translates the parsed WHERE tree into condNodes once per query.
+// Conjunctions and disjunctions are flattened exactly as fuzzy.NewAnd and
+// fuzzy.NewOr flatten them, so each left fold multiplies in the same order
+// the expression tree always has.
+func (p *queryPlan) compile(c sqlparse.Cond) (*condNode, error) {
 	switch t := c.(type) {
+	case nil:
+		return nil, nil
 	case sqlparse.SubjCond:
-		return fuzzy.Pred{ID: t.Text}, nil
+		pred := slices.IndexFunc(p.preds, func(pp predicatePlan) bool { return pp.text == t.Text })
+		return &condNode{op: condPred, pred: pred}, nil
 	case sqlparse.CmpCond:
-		ok, err := evalCmp(t, entities, row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return fuzzy.Const{Value: 1}, nil
-		}
-		return fuzzy.Const{Value: 0}, nil
+		return &condNode{op: condCmp, cmp: t}, nil
 	case sqlparse.AndCond:
-		children := make([]fuzzy.Expr, 0, len(t.Children))
-		for _, ch := range t.Children {
-			e, err := db.compileCond(ch, entities, row)
-			if err != nil {
-				return nil, err
-			}
-			children = append(children, e)
-		}
-		return fuzzy.NewAnd(children...), nil
+		return p.compileJunction(condAnd, t.Children)
 	case sqlparse.OrCond:
-		children := make([]fuzzy.Expr, 0, len(t.Children))
-		for _, ch := range t.Children {
-			e, err := db.compileCond(ch, entities, row)
-			if err != nil {
-				return nil, err
-			}
-			children = append(children, e)
-		}
-		return fuzzy.NewOr(children...), nil
+		return p.compileJunction(condOr, t.Children)
 	case sqlparse.NotCond:
-		e, err := db.compileCond(t.Child, entities, row)
+		child, err := p.compile(t.Child)
 		if err != nil {
 			return nil, err
 		}
-		return fuzzy.Not{Child: e}, nil
+		return &condNode{op: condNot, children: []*condNode{child}}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown condition %T", c)
 	}
 }
+
+func (p *queryPlan) compileJunction(op condOp, children []sqlparse.Cond) (*condNode, error) {
+	flat := make([]*condNode, 0, len(children))
+	for _, ch := range children {
+		n, err := p.compile(ch)
+		if err != nil {
+			return nil, err
+		}
+		if n.op == op {
+			flat = append(flat, n.children...)
+		} else {
+			flat = append(flat, n)
+		}
+	}
+	if len(flat) == 1 {
+		return flat[0], nil
+	}
+	return &condNode{op: op, children: flat}, nil
+}
+
+// eval returns the node's degree of truth in [0,1] for one entity: scores
+// holds the entity's predicate degrees, row its Entities tuple. Objective
+// comparisons evaluate to exactly 0 or 1 and thus act as hard filters.
+func (n *condNode) eval(v fuzzy.Variant, scores []float64, entities *relstore.Table, row relstore.Row) (float64, error) {
+	switch n.op {
+	case condPred:
+		return clamp01(scores[n.pred]), nil
+	case condCmp:
+		ok, err := evalCmp(n.cmp, entities, row)
+		if err != nil || !ok {
+			return 0, err
+		}
+		return 1, nil
+	case condNot:
+		x, err := n.children[0].eval(v, scores, entities, row)
+		return v.Not(x), err
+	}
+	// An empty conjunction is true, an empty disjunction false.
+	acc := 1.0
+	if n.op == condOr {
+		acc = 0
+	}
+	for i, ch := range n.children {
+		x, err := ch.eval(v, scores, entities, row)
+		switch {
+		case err != nil:
+			return 0, err
+		case i == 0:
+			acc = x
+		case n.op == condOr:
+			acc = v.Or(acc, x)
+		default:
+			acc = v.And(acc, x)
+		}
+	}
+	return acc, nil
+}
+
+// rankBefore is the engine's result order: fuzzy score descending, entity
+// id ascending. Ids are unique, so it is a total order: the best k rows
+// under it are the same rows whether they are selected or sorted.
+func rankBefore(a, b *ResultRow) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.EntityID < b.EntityID
+}
+
+// insertTop inserts row into top, which is sorted under rankBefore and
+// holds at most k rows, dropping whichever row then ranks last.
+func insertTop(top []ResultRow, row ResultRow, k int) []ResultRow {
+	if len(top) >= k {
+		if !rankBefore(&row, &top[k-1]) {
+			return top
+		}
+		top = top[:k-1]
+	}
+	pos := sort.Search(len(top), func(i int) bool { return rankBefore(&row, &top[i]) })
+	top = append(top, ResultRow{})
+	copy(top[pos+1:], top[pos:])
+	top[pos] = row
+	return top
+}
+
+// rowSorter sorts result rows under less without reflection.
+type rowSorter struct {
+	rows []ResultRow
+	less func(a, b *ResultRow) bool
+}
+
+func (s rowSorter) Len() int           { return len(s.rows) }
+func (s rowSorter) Less(i, j int) bool { return s.less(&s.rows[i], &s.rows[j]) }
+func (s rowSorter) Swap(i, j int)      { s.rows[i], s.rows[j] = s.rows[j], s.rows[i] }
 
 // evalCmp evaluates an objective comparison against an entity row.
 func evalCmp(c sqlparse.CmpCond, entities *relstore.Table, row relstore.Row) (bool, error) {
@@ -350,11 +496,11 @@ func evalCmp(c sqlparse.CmpCond, entities *relstore.Table, row relstore.Row) (bo
 func sortByColumn(rows []ResultRow, entities *relstore.Table, col string, desc bool) error {
 	key := make(map[string]float64, len(rows))
 	for _, r := range rows {
-		eRows := entities.ByKey(r.EntityID)
-		if len(eRows) == 0 {
+		eRow := entities.FirstByKey(r.EntityID)
+		if len(eRow) == 0 {
 			continue
 		}
-		v, err := entities.Get(eRows[0], col)
+		v, err := entities.Get(eRow, col)
 		if err != nil {
 			return err
 		}
@@ -367,16 +513,16 @@ func sortByColumn(rows []ResultRow, entities *relstore.Table, col string, desc b
 			return fmt.Errorf("core: cannot ORDER BY non-numeric column %s", col)
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := key[rows[i].EntityID], key[rows[j].EntityID]
+	sort.Stable(rowSorter{rows, func(ra, rb *ResultRow) bool {
+		a, b := key[ra.EntityID], key[rb.EntityID]
 		if a != b {
 			if desc {
 				return a > b
 			}
 			return a < b
 		}
-		return rows[i].EntityID < rows[j].EntityID
-	})
+		return ra.EntityID < rb.EntityID
+	}})
 	return nil
 }
 
@@ -412,22 +558,15 @@ func (db *DB) rewrite(c sqlparse.Cond, interps map[string]Interpretation) string
 
 // extractionFilter adapts a reviewer/day predicate to extraction records,
 // caching per-reviewer decisions.
-type extractionFilter struct {
-	fn    func(reviewer string, day int) bool
-	cache map[string]bool
-}
-
-func (f *extractionFilter) predicate() func(*Extraction) bool {
-	if f.cache == nil {
-		f.cache = map[string]bool{}
-	}
+func extractionFilter(fn func(reviewer string, day int) bool) func(*Extraction) bool {
+	cache := map[string]bool{}
 	return func(e *Extraction) bool {
 		key := e.Reviewer + "|" + fmt.Sprint(e.Day)
-		if v, ok := f.cache[key]; ok {
-			return v
+		v, ok := cache[key]
+		if !ok {
+			v = fn(e.Reviewer, e.Day)
+			cache[key] = v
 		}
-		v := f.fn(e.Reviewer, e.Day)
-		f.cache[key] = v
 		return v
 	}
 }

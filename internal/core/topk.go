@@ -26,38 +26,45 @@ type entityDegree struct {
 	degree float64
 }
 
-// degreeList returns the (cached) entity list for an interpreted A.m,
-// sorted by descending precomputed degree. The precomputation uses the
-// marker's own centroid as the query representation — exactly the
-// "degree of truth for variations in the linguistic domain".
-func (db *DB) degreeList(am AttrMarker) []entityDegree {
-	return db.degreeLists.getOrCompute(am.String(), func() []entityDegree {
-		attr := db.Attr(am.Attr)
-		list := make([]entityDegree, 0, len(db.entityIDs))
-		if attr != nil && am.Marker >= 0 && am.Marker < len(attr.Markers) {
-			rep := attr.Markers[am.Marker].Centroid
-			for _, id := range db.entityIDs {
-				list = append(list, entityDegree{
-					entity: id,
-					degree: db.Membership.DegreeMarker(db, id, attr, am.Marker, rep),
-				})
-			}
-		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].degree != list[j].degree {
-				return list[i].degree > list[j].degree
-			}
-			return list[i].entity < list[j].entity
-		})
-		return list
-	})
-}
-
 // taSource is one predicate's access structure for TA: a sorted list plus
 // a random-access degree lookup.
 type taSource struct {
 	list   []entityDegree
 	degree map[string]float64
+}
+
+// newTASource sorts list by descending degree (entity id breaking ties)
+// and indexes it for random access.
+func newTASource(list []entityDegree) *taSource {
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].degree != list[j].degree {
+			return list[i].degree > list[j].degree
+		}
+		return list[i].entity < list[j].entity
+	})
+	m := make(map[string]float64, len(list))
+	for _, e := range list {
+		m[e.entity] = e.degree
+	}
+	return &taSource{list: list, degree: m}
+}
+
+// degreeList returns the (cached) TA source for an interpreted A.m: the
+// entities sorted by descending precomputed degree. The precomputation
+// uses the marker's own centroid as the query representation — exactly
+// the "degree of truth for variations in the linguistic domain".
+func (db *DB) degreeList(am AttrMarker) *taSource {
+	return db.degreeLists.getOrCompute(am.String(), func() *taSource {
+		attr := db.Attr(am.Attr)
+		list := make([]entityDegree, 0, len(db.entityIDs))
+		if attr != nil && am.Marker >= 0 && am.Marker < len(attr.Markers) {
+			term := db.newMarkerTerm(attr, am.Marker, attr.Markers[am.Marker].Centroid)
+			for _, id := range db.entityIDs {
+				list = append(list, entityDegree{entity: id, degree: db.Membership.degree(&term, id)})
+			}
+		}
+		return newTASource(list)
+	})
 }
 
 // TopKStats reports how much work TA did.
@@ -117,28 +124,6 @@ func (db *DB) TopKThresholdResolved(predicates []string, k int, resolved map[str
 
 	seen := map[string]bool{}
 	var top []ResultRow
-	worstTop := func() float64 {
-		if len(top) < k {
-			return -1
-		}
-		return top[len(top)-1].Score
-	}
-	insert := func(entity string, score float64) {
-		row := ResultRow{EntityID: entity, Score: score}
-		pos := sort.Search(len(top), func(i int) bool {
-			if top[i].Score != score {
-				return top[i].Score < score
-			}
-			return top[i].EntityID > entity
-		})
-		top = append(top, ResultRow{})
-		copy(top[pos+1:], top[pos:])
-		top[pos] = row
-		if len(top) > k {
-			top = top[:k]
-		}
-	}
-
 	maxLen := 0
 	for _, s := range sources {
 		if len(s.list) > maxLen {
@@ -161,7 +146,7 @@ func (db *DB) TopKThresholdResolved(predicates []string, k int, resolved map[str
 				seen[entry.entity] = true
 				stats.Candidates++
 				if score := aggregate(entry.entity); score > 0 {
-					insert(entry.entity, score)
+					top = insertTop(top, ResultRow{EntityID: entry.entity, Score: score}, k)
 				}
 			}
 		}
@@ -180,7 +165,7 @@ func (db *DB) TopKThresholdResolved(predicates []string, k int, resolved map[str
 		// the end of the lists — worst-case O(n), the same bound as the
 		// full-scan /query path — because enumerating every potential tie
 		// is precisely what deployment-invariance requires.
-		if !progressed || (len(top) >= k && worstTop() > threshold) {
+		if !progressed || (len(top) >= k && top[k-1].Score > threshold) {
 			break
 		}
 	}
@@ -195,29 +180,20 @@ func (db *DB) taSourceFor(text string, in Interpretation) (*taSource, error) {
 	case in.Method == MethodFallback:
 		// Fallback predicates have no precomputed lists; score all
 		// entities once (they rarely dominate the conjunction anyway).
-		toks := textproc.Tokenize(text)
-		list := make([]entityDegree, 0, len(db.entityIDs))
-		for _, id := range db.entityIDs {
-			list = append(list, entityDegree{
-				entity: id,
-				degree: ir.Sigmoid(db.EntityIndex.Score(id, toks), db.cfg.FallbackCenter),
-			})
+		scores := db.EntityIndex.ScoreDocs(db.entityIDs, textproc.Tokenize(text))
+		list := make([]entityDegree, len(scores))
+		for i, id := range db.entityIDs {
+			list[i] = entityDegree{entity: id, degree: ir.Sigmoid(scores[i], db.cfg.FallbackCenter)}
 		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].degree != list[j].degree {
-				return list[i].degree > list[j].degree
-			}
-			return list[i].entity < list[j].entity
-		})
-		return sourceFromList(list), nil
+		return newTASource(list), nil
 	case len(in.Terms) == 1:
-		return sourceFromList(db.degreeList(in.Terms[0])), nil
+		return db.degreeList(in.Terms[0]), nil
 	default:
 		// Multi-term interpretation: merge the per-term lists under the
 		// interpretation's connective.
 		merged := map[string]float64{}
 		for ti, term := range in.Terms {
-			for _, e := range db.degreeList(term) {
+			for _, e := range db.degreeList(term).list {
 				if ti == 0 {
 					merged[e.entity] = e.degree
 				} else if in.Disjunction {
@@ -231,20 +207,6 @@ func (db *DB) taSourceFor(text string, in Interpretation) (*taSource, error) {
 		for id, d := range merged {
 			list = append(list, entityDegree{entity: id, degree: d})
 		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].degree != list[j].degree {
-				return list[i].degree > list[j].degree
-			}
-			return list[i].entity < list[j].entity
-		})
-		return sourceFromList(list), nil
+		return newTASource(list), nil
 	}
-}
-
-func sourceFromList(list []entityDegree) *taSource {
-	m := make(map[string]float64, len(list))
-	for _, e := range list {
-		m[e.entity] = e.degree
-	}
-	return &taSource{list: list, degree: m}
 }

@@ -14,6 +14,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/textproc"
@@ -217,6 +218,46 @@ func (ix *Index) Score(id string, query []string) float64 {
 		}
 	}
 	return s
+}
+
+// ScoreDocs returns Score(id, query) for every id, in one pass over each
+// distinct query term's postings instead of one pass per document. A
+// document's terms are still summed in query order, so each score carries
+// exactly the bits Score gives it.
+func (ix *Index) ScoreDocs(ids []string, query []string) []float64 {
+	out := make([]float64, len(ids))
+	// acc[doc] is doc's running sum; last[doc] is 0 for a document nobody
+	// asked for, else 1 + the number of query terms already counted for it
+	// (Score counts a term's first posting for a document only).
+	acc := make([]float64, len(ix.docLen))
+	last := make([]int, len(ix.docLen))
+	for _, id := range ids {
+		if doc, ok := ix.byExtID[id]; ok {
+			last[doc] = 1
+		}
+	}
+	avg := ix.AvgDocLen()
+	for ti, term := range query {
+		if slices.Index(query, term) < ti {
+			continue
+		}
+		idf := ix.idf(term)
+		for _, p := range ix.postings[term] {
+			if last[p.Doc] == 0 || last[p.Doc] > ti+1 {
+				continue
+			}
+			last[p.Doc] = ti + 2
+			tf := float64(p.TF)
+			dl := float64(ix.docLen[p.Doc])
+			acc[p.Doc] += idf * tf * (k1 + 1) / (tf + k1*(1-b+b*dl/avg))
+		}
+	}
+	for i, id := range ids {
+		if doc, ok := ix.byExtID[id]; ok {
+			out[i] = acc[doc]
+		}
+	}
+	return out
 }
 
 // Sigmoid converts a BM25 score into a pseudo degree of truth,

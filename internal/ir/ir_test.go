@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -106,6 +107,42 @@ func TestScoreSingleDoc(t *testing.T) {
 	}
 	if s := ix.Score("unknown", []string{"clean"}); s != 0 {
 		t.Errorf("unknown doc score = %v", s)
+	}
+}
+
+// TestScoreDocsEqualsScore: the one-pass scorer gives every document the
+// bits the per-document scorer gives it — repeated query terms, terms no
+// document holds, unknown and repeated ids included.
+func TestScoreDocsEqualsScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	vocab := textproc.Tokenize("clean dirty room staff friendly breakfast view quiet noisy bed towel pool bar")
+	ix := NewIndex()
+	var ids []string
+	for d := 0; d < 40; d++ {
+		toks := make([]string, 5+rng.Intn(30))
+		for i := range toks {
+			toks[i] = vocab[rng.Intn(len(vocab))]
+		}
+		ids = append(ids, fmt.Sprintf("h%02d", d))
+		ix.Add(ids[d], toks)
+	}
+	for trial := 0; trial < 200; trial++ {
+		query := make([]string, rng.Intn(6))
+		for i := range query {
+			query[i] = append(vocab, "motorcyclists")[rng.Intn(len(vocab)+1)]
+		}
+		// A shard asks for its own slice of the replicated index.
+		lo := rng.Intn(len(ids))
+		ask := append([]string{"unknown", ids[lo]}, ids[lo:lo+rng.Intn(len(ids)-lo+1)]...)
+		got := ix.ScoreDocs(ask, query)
+		if len(got) != len(ask) {
+			t.Fatalf("%d scores for %d ids", len(got), len(ask))
+		}
+		for i, id := range ask {
+			if want := ix.Score(id, query); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("query %v: ScoreDocs gives %s %x, Score %x", query, id, got[i], want)
+			}
+		}
 	}
 }
 

@@ -200,6 +200,17 @@ func (t *Table) ByKey(k interface{}) []Row {
 	return out
 }
 
+// FirstByKey returns the first row whose key equals k, or nil. Unlike ByKey
+// it copies no match list, so a lookup on a unique key does not allocate.
+func (t *Table) FirstByKey(k interface{}) Row {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if positions := t.keyIdx[k]; len(positions) > 0 {
+		return t.rows[positions[0]]
+	}
+	return nil
+}
+
 // Scan invokes fn on every row; fn returning false stops the scan.
 func (t *Table) Scan(fn func(Row) bool) {
 	t.mu.RLock()

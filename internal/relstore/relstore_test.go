@@ -106,6 +106,17 @@ func TestByKeyNonUnique(t *testing.T) {
 	if got := tbl.ByKey("Unknown"); len(got) != 0 {
 		t.Errorf("ByKey(Unknown) = %d rows", len(got))
 	}
+	// FirstByKey is ByKey(k)[0] without the copied match list.
+	if got := tbl.FirstByKey("Ritz"); !reflect.DeepEqual(got, tbl.ByKey("Ritz")[0]) {
+		t.Errorf("FirstByKey(Ritz) = %v, want the first inserted row", got)
+	}
+	if got := tbl.FirstByKey("Unknown"); got != nil {
+		t.Errorf("FirstByKey(Unknown) = %v, want nil", got)
+	}
+	key := "Savoy"
+	if allocs := testing.AllocsPerRun(100, func() { tbl.FirstByKey(key) }); allocs != 0 {
+		t.Errorf("FirstByKey allocates %.0f times per lookup", allocs)
+	}
 }
 
 func TestGetAndMustGet(t *testing.T) {

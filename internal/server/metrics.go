@@ -62,6 +62,12 @@ const (
 	// aside because their gen was not this node's applied sequence.
 	MetricPlanUsed  = "opinedb_server_plan_used_total"
 	MetricPlanStale = "opinedb_server_plan_stale_total"
+	// MetricQueryEntitiesScanned / MetricQueryDegrees: the /query engine's
+	// own work (core.QueryStats) — entities the WHERE tree was evaluated
+	// for and membership degrees computed — so a wide scan can be told
+	// from a slow hop.
+	MetricQueryEntitiesScanned = "opinedb_server_query_entities_scanned_total"
+	MetricQueryDegrees         = "opinedb_server_query_degrees_total"
 )
 
 // metricEndpoints are the instrumented endpoint labels, fixed up front
@@ -91,6 +97,8 @@ type serverMetrics struct {
 	chainDropped   *obs.Counter
 	planUsed       *obs.Counter
 	planStale      *obs.Counter
+	queryScanned   *obs.Counter
+	queryDegrees   *obs.Counter
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -135,6 +143,10 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"Shipped plan entries used in place of a local interpretation.")
 	m.planStale = reg.Counter(MetricPlanStale,
 		"Shipped plan entries set aside: resolved at another journal sequence.")
+	m.queryScanned = reg.Counter(MetricQueryEntitiesScanned,
+		"Entities the /query engine evaluated the WHERE tree for.")
+	m.queryDegrees = reg.Counter(MetricQueryDegrees,
+		"Membership degrees the /query engine computed.")
 	return m
 }
 

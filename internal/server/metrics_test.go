@@ -69,6 +69,9 @@ func scrape(t *testing.T, base string) string {
 
 func TestMetricsEndpointServesInstrumentedFamilies(t *testing.T) {
 	db, _, srv := metricsServer(t)
+	// The one /query below scans every entity once per interpreted term.
+	scanned := len(db.EntityIDs())
+	degrees := scanned * max(1, len(db.Interpret("clean rooms").Terms))
 	// Drive each instrumented path once.
 	getJSON(t, srv.URL+"/query?sql="+`select+*+from+Entities+where+"clean+rooms"+limit+3`, http.StatusOK, nil)
 	getJSON(t, srv.URL+"/topk?predicate=clean+rooms&k=3", http.StatusOK, nil)
@@ -87,6 +90,8 @@ func TestMetricsEndpointServesInstrumentedFamilies(t *testing.T) {
 		`opinedb_stage_seconds_bucket{le="+Inf",stage="apply"}`,
 		"opinedb_topk_memo_misses_total 1",
 		"opinedb_http_requests_total{endpoint=\"query\"} 1",
+		fmt.Sprintf("%s %d", server.MetricQueryEntitiesScanned, scanned),
+		fmt.Sprintf("%s %d", server.MetricQueryDegrees, degrees),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

@@ -621,6 +621,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "query: %v", err)
 		return
 	}
+	s.metrics.queryScanned.Add(uint64(res.Stats.EntitiesScanned))
+	s.metrics.queryDegrees.Add(uint64(res.Stats.DegreesComputed))
 	resp := QueryResponse{
 		Rewritten:       res.Rewritten,
 		Interpretations: map[string]InterpretationJSON{},
