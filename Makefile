@@ -50,17 +50,21 @@ bench:
 # The repository benchmark (bench/, BENCHMARK.json) is its own Go module,
 # so `go build ./...` and `go test ./...` above never compile it even
 # though it imports internal/{core,server,router,journal,snapshot,obs}.
-# This target does: vet and test the module, then two short end-to-end
+# This target does: vet and test the module, then three short end-to-end
 # runs gated only on their exit codes (non-zero unless the run printed
 # "correct":true — every answer matched the monolith, nothing failed):
-# read_cold, where the interpreter does the work, and read_hot, where the
-# compiled query plan and the degree kernel do.
+# read_cold, where the interpreter does the work; read_hot, where the
+# compiled query plan and the degree kernel do; and mixed, the only gated
+# workload that writes inside the window — so ApplyPrepared has to keep
+# the interpreter's derived tables in step — and re-checks durability from
+# disk.
 # Timings are not gated here; comparing two commits is `bench -compare`.
 bench-check:
 	go vet -C bench ./...
 	go test -C bench ./...
 	bash bench/run.sh --workload read_cold --seconds 3 --trace 0
 	bash bench/run.sh --workload read_hot --seconds 3 --trace 0
+	bash bench/run.sh --workload mixed --seconds 3 --trace 0
 
 # Run the HTTP serving daemon on a small corpus (in-process build).
 serve:

@@ -164,9 +164,8 @@ func (db *DB) nearestDomainVariation(text string) (*SubjectiveAttribute, int, fl
 	}
 	query := &phrase{text: text}
 	for _, attr := range db.Attrs {
-		_, m, sim := db.bestDomainMatch(attr, query)
-		if sim > bestSim && m >= 0 {
-			bestAttr, bestMarker, bestSim = attr, m, sim
+		if m := db.bestDomainMatch(attr, query); m.sim > bestSim && m.marker >= 0 {
+			bestAttr, bestMarker, bestSim = attr, m.marker, m.sim
 		}
 	}
 	return bestAttr, bestMarker, bestSim
@@ -195,24 +194,7 @@ func (db *DB) addIncremental(attr *SubjectiveAttribute, ext Extraction, owned bo
 			s.centroids[ext.Marker] = c
 		}
 	}
-	// Maintain the extraction access paths.
-	if db.extIndex[attr.Name] == nil {
-		db.extIndex[attr.Name] = map[string][]int{}
-	}
-	db.extIndex[attr.Name][ext.EntityID] = append(db.extIndex[attr.Name][ext.EntityID], ext.ID)
-	db.extByReview[ext.ReviewID] = append(db.extByReview[ext.ReviewID], ext.ID)
-	if db.ReviewSentiments[ext.ReviewID] > 0 {
-		seen := false
-		for _, otherID := range db.extByReview[ext.ReviewID] {
-			if otherID != ext.ID && db.Extractions[otherID].Attribute == ext.Attribute {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			db.reviewsWithAttrCount[ext.Attribute]++
-		}
-	}
+	db.indexExtraction(&ext)
 }
 
 // Surprise is an entity whose subjective evidence contradicts its

@@ -192,16 +192,13 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	db := &DB{
-		Name:                 in.Name,
-		Rel:                  relstore.NewDB(),
-		attrByName:           map[string]*SubjectiveAttribute{},
-		Summaries:            map[string]map[string]*MarkerSummary{},
-		ReviewSentiments:     map[string]float64{},
-		reviewsPerReviewer:   map[string]int{},
-		extIndex:             map[string]map[string][]int{},
-		extByReview:          map[string][]int{},
-		reviewsWithAttrCount: map[string]int{},
-		cfg:                  cfg,
+		Name:               in.Name,
+		Rel:                relstore.NewDB(),
+		attrByName:         map[string]*SubjectiveAttribute{},
+		Summaries:          map[string]map[string]*MarkerSummary{},
+		ReviewSentiments:   map[string]float64{},
+		reviewsPerReviewer: map[string]int{},
+		cfg:                cfg,
 	}
 
 	// ---- Relational layer: Entities and Reviews tables.
@@ -366,32 +363,6 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 			return nil, err
 		}
 		addToSummary(db, attr, ext)
-		if db.extIndex[ext.Attribute] == nil {
-			db.extIndex[ext.Attribute] = map[string][]int{}
-		}
-		db.extIndex[ext.Attribute][ext.EntityID] = append(db.extIndex[ext.Attribute][ext.EntityID], id)
-		db.extByReview[ext.ReviewID] = append(db.extByReview[ext.ReviewID], id)
-	}
-	// Count positive reviews containing each attribute (the idf(A)
-	// denominator, over the same population the co-occurrence miner
-	// searches).
-	for _, s := range db.ReviewSentiments {
-		if s > 0 {
-			db.positiveReviews++
-		}
-	}
-	seenAttrReview := map[string]map[string]bool{}
-	for _, ext := range db.Extractions {
-		if db.ReviewSentiments[ext.ReviewID] <= 0 {
-			continue
-		}
-		if seenAttrReview[ext.Attribute] == nil {
-			seenAttrReview[ext.Attribute] = map[string]bool{}
-		}
-		if !seenAttrReview[ext.Attribute][ext.ReviewID] {
-			seenAttrReview[ext.Attribute][ext.ReviewID] = true
-			db.reviewsWithAttrCount[ext.Attribute]++
-		}
 	}
 
 	// Finalize summaries: precompute per-marker centroids.
@@ -411,6 +382,10 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 		entityDocs[rv.EntityID] = append(entityDocs[rv.EntityID], rv.Text)
 	}
 	db.EntityIndex = ir.EntityDocs(entityDocs)
+
+	// ---- Derived access paths, statistics and tables (derived.go);
+	// membership training below already reads them.
+	db.buildDerived()
 
 	// ---- Membership functions (§3.3).
 	db.Membership = newMembershipModel(db, in.MembershipLabels, rng)

@@ -3,7 +3,7 @@ package core
 import "sync"
 
 // Query-time caching infrastructure. A built DB memoizes deterministic
-// derived values (interpretations, phrase representations, TA degree
+// derived values (interpretations, prepare-path domain matches, TA degree
 // lists); under concurrent query serving those memos are the only shared
 // mutable state on the read path, so they are sharded RWMutex caches:
 // reads on a warm cache take a shard-local read lock, and independent
@@ -20,8 +20,9 @@ const cacheShardCount = 32
 
 // cacheStripeCap bounds one stripe, so a table holds at most
 // cacheShardCount × cacheStripeCap = 65,536 entries. Two of the tables are
-// keyed by arbitrary client text (interpretations, domain matches) and
-// would otherwise grow with every distinct predicate ever asked. A full
+// keyed by text from outside the process (interpretations by predicate,
+// domain matches by the opinion phrases of ingested reviews) and would
+// otherwise grow with every distinct text ever seen. A full
 // stripe is dropped whole: every cached value is a pure function of the
 // built database, so eviction costs a recomputation and cannot change an
 // answer, and the tables keyed by schema-sized sets never reach the cap.

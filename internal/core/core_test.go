@@ -22,7 +22,7 @@ var (
 	fixErr  error
 )
 
-func testDB(t *testing.T) (*corpus.Dataset, *core.DB) {
+func testDB(t testing.TB) (*corpus.Dataset, *core.DB) {
 	t.Helper()
 	fixOnce.Do(func() {
 		cfg := corpus.SmallConfig()

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/embedding"
@@ -93,17 +94,28 @@ func (db *DB) CheckInterpretation(in Interpretation) error {
 }
 
 // phrase is one query phrase with the derived forms the interpreter stages
-// and the executor all need — tokens, Eq. 1 representation, phrase
-// sentiment — each computed on first use and shared from then on, so a
-// predicate is tokenized and embedded once however many attributes stage 1
-// scans. One phrase lives for one call chain; it is not safe for
-// concurrent use.
+// and the executor all need — tokens, Eq. 1 representation and its norm,
+// phrase sentiment, the stage-1 scan's winner — each computed on first use
+// and shared from then on, so a predicate is tokenized, embedded and scanned
+// once however many callers ask. One phrase lives for one call chain; it is
+// not safe for concurrent use.
 type phrase struct {
 	text      string
 	toks      []string
 	rep       embedding.Vector
+	norm      float64 // rep.Norm(), taken with rep
 	senti     float64
 	haveSenti bool
+	// best is the variation most similar to the phrase across every
+	// attribute and bestAttr the attribute it belongs to (bestVariation),
+	// valid once scanned.
+	scanned  bool
+	bestAttr *SubjectiveAttribute
+	best     domainMatch
+	// markerSim and markerRow are scanDomainMatch's per-marker scratch,
+	// reused from attribute to attribute.
+	markerSim []float64
+	markerRow []int
 }
 
 func (p *phrase) tokens() []string {
@@ -117,6 +129,7 @@ func (p *phrase) tokens() []string {
 func (p *phrase) repIn(m *embedding.Model) embedding.Vector {
 	if p.rep == nil {
 		p.rep = m.RepTokens(p.tokens())
+		p.norm = p.rep.Norm()
 	}
 	return p.rep
 }
@@ -127,6 +140,24 @@ func (p *phrase) sentiment() float64 {
 		p.senti, p.haveSenti = sentiment.ScorePhraseTokens(p.tokens()), true
 	}
 	return p.senti
+}
+
+// bestVariation is the stage-1 scan: the linguistic variation across all
+// subjective attributes with the highest Eq. 2 similarity to the phrase
+// (attr is nil when no attribute has one). It does not depend on θ1, so the
+// gated answer and the ungated component-study answer are two gates over
+// one scan.
+func (p *phrase) bestVariation(db *DB) (*SubjectiveAttribute, domainMatch) {
+	if !p.scanned {
+		p.scanned = true
+		p.best.sim = -1
+		for _, attr := range db.Attrs {
+			if m := db.scanDomainMatch(attr, p); m.sim > p.best.sim {
+				p.bestAttr, p.best = attr, m
+			}
+		}
+	}
+	return p.bestAttr, p.best
 }
 
 // Interpret runs the three-stage predicate interpretation algorithm of
@@ -186,9 +217,11 @@ func (db *DB) InterpretCooccurOnly(predicate string) Interpretation {
 
 // InterpretStages returns what Interpret, InterpretW2VOnly and
 // InterpretCooccurOnly return for the predicate, computed together: the
-// predicate is tokenized and embedded once, and when stage 1 fails the
-// chosen answer and the co-occurrence diagnostic share one mining pass
-// (they differ only in the θ2 and informativeness gates).
+// predicate is tokenized, embedded and scanned against the domains once
+// (the chosen answer and the w2v diagnostic differ only in the θ1 and
+// vocabulary gates), and when stage 1 fails the chosen answer and the
+// co-occurrence diagnostic share one mining pass (they differ only in the
+// θ2 and informativeness gates).
 func (db *DB) InterpretStages(predicate string) (chosen, w2vOnly, cooccurOnly Interpretation) {
 	p := &phrase{text: predicate}
 	co := &cooccurStage{db: db, p: p}
@@ -223,33 +256,45 @@ func (db *DB) interpretW2V(p *phrase, threshold float64) (Interpretation, bool) 
 			}
 		}
 	}
-	var best struct {
-		attr   *SubjectiveAttribute
-		phrase string
-		marker int
-		sim    float64
-	}
-	best.sim = -1
-	for _, attr := range db.Attrs {
-		phrase, marker, sim := db.bestDomainMatch(attr, p)
-		if sim > best.sim {
-			best.attr, best.phrase, best.marker, best.sim = attr, phrase, marker, sim
-		}
-	}
-	if best.attr == nil || best.sim < threshold {
+	attr, best := p.bestVariation(db)
+	if attr == nil || best.sim < threshold {
 		return Interpretation{}, false
 	}
 	return Interpretation{
 		Predicate:     predicate,
 		Method:        MethodW2V,
-		Terms:         []AttrMarker{{Attr: best.attr.Name, Marker: best.marker}},
+		Terms:         []AttrMarker{{Attr: attr.Name, Marker: best.marker}},
 		MatchedPhrase: best.phrase,
 		Similarity:    best.sim,
 	}, true
 }
 
-// bestDomainMatch returns the linguistic variation of attr most similar to
-// the query phrase (Eq. 2), with its marker.
+// domainMatch is the variation of one attribute most similar to a phrase
+// (Eq. 2), with its marker.
+type domainMatch struct {
+	phrase string
+	marker int
+	sim    float64
+}
+
+// bestDomainMatch is scanDomainMatch through the domainMatches memo, for
+// the callers whose phrase texts recur: review preparation (the same
+// opinion phrases arrive review after review) and membership-label
+// resolution. The scan's inputs — the embedding model, the attribute's
+// marker schema, and the domain tables — are all frozen at build time
+// (ingestion folds summaries, it never retrains), so the entry for
+// (attr, query) is never invalidated. The interpreter does not come
+// through here: its texts are the clients' and mostly never repeat, and one
+// scan costs less than keeping them.
+func (db *DB) bestDomainMatch(attr *SubjectiveAttribute, query *phrase) domainMatch {
+	return db.domainMatches.getOrCompute(attr.Name+"\x00"+query.text, func() domainMatch {
+		return db.scanDomainMatch(attr, query)
+	})
+}
+
+// scanDomainMatch returns the linguistic variation of attr most similar to
+// the query phrase (Eq. 2), with its marker, in one pass over the
+// attribute's domain table.
 //
 // Similarity is sentiment-consistent: a variation whose sentiment opposes
 // the query's is halved. Large-corpus word2vec separates "really clean"
@@ -257,33 +302,14 @@ func (db *DB) interpretW2V(p *phrase, threshold float64) (Interpretation, bool) 
 // same context for both (they share "clean" and "room"), so polarity must
 // be enforced explicitly or positive queries would resolve to negated
 // variations and rank dirty hotels first.
-func (db *DB) bestDomainMatch(attr *SubjectiveAttribute, query *phrase) (phrase string, marker int, sim float64) {
-	// The scan below is O(variations × embedding dim) and sits on both the
-	// query interpreter and the ingestion prepare path, where the same
-	// phrase texts recur constantly. Its inputs — the embedding model, the
-	// attribute's marker schema, and the domain phrase lists — are all
-	// frozen at build time (ingestion folds summaries, it never retrains),
-	// so the winning (phrase, marker, sim) is memoized per (attr, query)
-	// and never invalidated.
-	m := db.domainMatches.getOrCompute(attr.Name+"\x00"+query.text, func() domainMatch {
-		p, mk, s := db.scanDomainMatch(attr, query)
-		return domainMatch{phrase: p, marker: mk, sim: s}
-	})
-	return m.phrase, m.marker, m.sim
-}
-
-// domainMatch is the memoized result of scanDomainMatch.
-type domainMatch struct {
-	phrase string
-	marker int
-	sim    float64
-}
-
-// scanDomainMatch is the uncached scan behind bestDomainMatch.
-func (db *DB) scanDomainMatch(attr *SubjectiveAttribute, query *phrase) (phrase string, marker int, sim float64) {
-	qRep := query.repIn(db.Embed)
-	if qRep.Norm() == 0 {
-		return "", -1, 0
+//
+// Float order is part of the contract: the cosine is dot/(|q|·|c|) with one
+// accumulator in dimension order (domainTable.cosine), and the halving
+// applies to the quotient.
+func (db *DB) scanDomainMatch(attr *SubjectiveAttribute, query *phrase) domainMatch {
+	q := query.repIn(db.Embed)
+	if query.norm == 0 {
+		return domainMatch{marker: -1}
 	}
 	qSent := query.sentiment()
 	// Track the best similarity per marker; on a small corpus many
@@ -291,33 +317,32 @@ func (db *DB) scanDomainMatch(attr *SubjectiveAttribute, query *phrase) (phrase 
 	// "room very clean", "room clean and tidy" all share the query's
 	// words), so the marker is resolved among close candidates by
 	// sentiment proximity to the query.
-	bestPerMarker := make([]float64, len(attr.Markers))
-	bestPhrase := make([]string, len(attr.Markers))
-	for i := range bestPerMarker {
-		bestPerMarker[i] = -1
+	k := len(attr.Markers)
+	if cap(query.markerSim) < k {
+		query.markerSim, query.markerRow = make([]float64, k), make([]int, k)
 	}
-	sim = -1
-	for _, p := range db.domainPhraseList(attr) {
-		s := embedding.Cosine(qRep, db.phraseRep(p))
-		if qSent*db.phraseSentiment(p) < -0.01 {
+	bestPerMarker, bestRow := query.markerSim[:k], query.markerRow[:k]
+	for m := range bestPerMarker {
+		bestPerMarker[m] = -1
+	}
+	t := attr.domain
+	sim := -1.0
+	for i, m := range t.markers {
+		s := t.cosine(i, q, query.norm)
+		if qSent*t.sentis[i] < -0.01 {
 			s *= 0.5
 		}
-		m, ok := attr.MarkerOf(p)
-		if !ok {
-			continue
-		}
 		if s > bestPerMarker[m] {
-			bestPerMarker[m] = s
-			bestPhrase[m] = p
+			bestPerMarker[m], bestRow[m] = s, i
 		}
 		if s > sim {
 			sim = s
 		}
 	}
 	if sim < 0 {
-		return "", -1, sim
+		return domainMatch{marker: -1, sim: sim}
 	}
-	marker = -1
+	marker := -1
 	bestAdj := math.Inf(-1)
 	for m := range attr.Markers {
 		if bestPerMarker[m] < 0 {
@@ -333,25 +358,19 @@ func (db *DB) scanDomainMatch(attr *SubjectiveAttribute, query *phrase) (phrase 
 		}
 	}
 	if marker < 0 {
-		return "", -1, -1
+		return domainMatch{marker: -1, sim: -1}
 	}
-	return bestPhrase[marker], marker, sim
-}
-
-// phraseSentiment returns the cached sentiment of a domain phrase.
-func (db *DB) phraseSentiment(phrase string) float64 {
-	return db.phraseSentis.getOrCompute(phrase, func() float64 {
-		return sentiment.ScorePhrase(phrase)
-	})
+	return domainMatch{phrase: t.phrases[bestRow[marker]], marker: marker, sim: sim}
 }
 
 // phraseToAttrMarker resolves a known domain phrase to its attribute and
 // marker, returning the similarity to the original predicate.
-func (db *DB) phraseToAttrMarker(phrase string, predicate *phrase) (AttrMarker, float64, bool) {
+func (db *DB) phraseToAttrMarker(match string, predicate *phrase) (AttrMarker, float64, bool) {
 	for _, attr := range db.Attrs {
-		if m, ok := attr.MarkerOf(phrase); ok {
-			sim := embedding.Cosine(predicate.repIn(db.Embed), db.phraseRep(phrase))
-			return AttrMarker{Attr: attr.Name, Marker: m}, sim, true
+		t := attr.domain
+		if i, ok := slices.BinarySearch(t.phrases, match); ok {
+			sim := t.cosine(i, predicate.repIn(db.Embed), predicate.norm)
+			return AttrMarker{Attr: attr.Name, Marker: t.markers[i]}, sim, true
 		}
 	}
 	return AttrMarker{}, 0, false
@@ -444,66 +463,68 @@ func (c *cooccurStage) prepare() {
 }
 
 // mineCooccur searches the positive reviews for toks and tallies the
-// attributes and markers co-occurring in the top matches.
+// attributes and markers co-occurring in the top matches. The tallies are
+// integer counts indexed by attribute ordinal (and marker), so every
+// quantity below is an array read and no float depends on the order the
+// reviews or their extractions are visited in.
 func (db *DB) mineCooccur(toks []string) *cooccurMined {
-	boost := func(reviewID string) float64 {
-		s := db.ReviewSentiments[reviewID]
-		if s <= 0 {
-			return 0 // only positive reviews participate (§3.2)
-		}
-		return s
-	}
-	top := db.ReviewIndex.SearchBoosted(toks, db.cfg.CooccurTopK, boost)
+	top := db.ReviewIndex.SearchBoosted(toks, db.cfg.CooccurTopK, db.reviewBoost)
 	if len(top) == 0 {
 		return &cooccurMined{}
 	}
-	// Tally attribute frequencies and per-attribute marker frequencies in
-	// the top reviews.
-	freq := map[string]float64{}
-	markerFreq := map[string]map[int]float64{}
-	reviewsWithAttr := map[string]map[string]bool{}
+	nA := len(db.Attrs)
+	// freq[a] counts a's extractions in the top reviews, markerFreq[a][m]
+	// those at marker m, and obs[a] the top reviews carrying any; mined
+	// holds one attribute set per top review that has an extraction.
+	freq, obs := make([]int, nA), make([]int, nA)
+	markerFreq := make([][]int, nA)
+	words := (nA + 63) / 64
+	mined := make([]uint64, 0, len(top)*words)
 	for _, r := range top {
-		for _, extID := range db.extByReview[r.ID] {
-			ext := &db.Extractions[extID]
-			freq[ext.Attribute]++
-			if markerFreq[ext.Attribute] == nil {
-				markerFreq[ext.Attribute] = map[int]float64{}
+		exts := db.extByReview[r.ID]
+		if len(exts) == 0 {
+			continue
+		}
+		set := mined[len(mined) : len(mined)+words]
+		mined = mined[:len(mined)+words]
+		for _, ext := range exts {
+			a := int(ext.attr)
+			freq[a]++
+			if markerFreq[a] == nil {
+				markerFreq[a] = make([]int, len(db.Attrs[a].Markers))
 			}
-			// Weight markers by sentiment-positivity: the co-occurrence
-			// method mines positive reviews, so the positive markers of the
-			// correlated attributes are the interpretation targets.
-			markerFreq[ext.Attribute][ext.Marker]++
-			if reviewsWithAttr[r.ID] == nil {
-				reviewsWithAttr[r.ID] = map[string]bool{}
+			markerFreq[a][ext.marker]++
+			if set[a/64]&(1<<(a%64)) == 0 {
+				set[a/64] |= 1 << (a % 64)
+				obs[a]++
 			}
-			reviewsWithAttr[r.ID][ext.Attribute] = true
 		}
 	}
-	if len(freq) == 0 {
+	if len(mined) == 0 {
 		return &cooccurMined{}
 	}
 	type scored struct {
-		attr  string
+		attr  *SubjectiveAttribute
 		score float64
 	}
-	var ranked []scored
+	ranked := make([]scored, 0, nA)
 	for a, f := range freq {
+		if f == 0 {
+			continue
+		}
 		idf := math.Log(float64(db.positiveReviews+1) / float64(db.reviewsWithAttrCount[a]+1))
 		if idf < 0.05 {
 			idf = 0.05 // ubiquitous attributes still carry some signal
 		}
-		ranked = append(ranked, scored{attr: a, score: f * idf})
+		ranked = append(ranked, scored{attr: db.Attrs[a], score: float64(f) * idf})
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].score != ranked[j].score {
-			return ranked[i].score > ranked[j].score
+	slices.SortFunc(ranked, func(x, y scored) int {
+		if x.score != y.score {
+			return cmp.Compare(y.score, x.score)
 		}
-		return ranked[i].attr < ranked[j].attr
+		return cmp.Compare(x.attr.Name, y.attr.Name)
 	})
-	n := db.cfg.CooccurTopN
-	if n > len(ranked) {
-		n = len(ranked)
-	}
+	n := min(db.cfg.CooccurTopN, len(ranked))
 	// Confidence: over-representation of the chosen attributes relative to
 	// the *other* attributes in the same mined set. Reviews matched by a
 	// genuine composite concept over-mention its proxy aspects (§3.2) —
@@ -513,54 +534,44 @@ func (db *DB) mineCooccur(toks []string) *cooccurMined {
 	// median attribute's over-representation cancels the uniform lift the
 	// sentiment-boosted retrieval gives every attribute; +1 smoothing
 	// deflates thin evidence.
-	ratioOf := func(a string) float64 {
-		var obs float64
-		for _, attrs := range reviewsWithAttr {
-			if attrs[a] {
-				obs++
-			}
-		}
+	ratioOf := make([]float64, nA)
+	for a := range ratioOf {
 		exp := float64(len(top)) * float64(db.reviewsWithAttrCount[a]) / float64(db.positiveReviews+1)
-		return obs / (exp + 1)
+		ratioOf[a] = float64(obs[a]) / (exp + 1)
 	}
-	allRatios := make([]float64, 0, len(db.Attrs))
-	for _, attr := range db.Attrs {
-		allRatios = append(allRatios, ratioOf(attr.Name))
-	}
-	sort.Float64s(allRatios)
-	median := allRatios[len(allRatios)/2]
+	sorted := slices.Clone(ratioOf)
+	slices.Sort(sorted)
+	median := sorted[nA/2]
 	conf := 0.0
-	for i := 0; i < n; i++ {
-		if r := ratioOf(ranked[i].attr); median > 0 && r/median-1 > conf {
-			conf = r/median - 1
-		}
-	}
 	terms := make([]AttrMarker, 0, n)
-	for i := 0; i < n; i++ {
-		a := ranked[i].attr
-		attr := db.Attr(a)
-		best, bestF := 0, -1.0
-		for m, f := range markerFreq[a] {
-			// Prefer frequent positive markers: positive reviews mention the
-			// good end of each correlated scale.
-			w := f * (1 + math.Max(0, attr.Markers[m].Sentiment))
-			if w > bestF || (w == bestF && m < best) {
-				best, bestF = m, w
+	for _, r := range ranked[:n] {
+		if lift := ratioOf[r.attr.ord]/median - 1; median > 0 && lift > conf {
+			conf = lift
+		}
+		// Prefer frequent positive markers — positive reviews mention the
+		// good end of each correlated scale — taking the lowest index among
+		// equal weights.
+		best, bestW := 0, -1.0
+		for m, f := range markerFreq[r.attr.ord] {
+			if w := float64(f) * (1 + math.Max(0, r.attr.Markers[m].Sentiment)); f > 0 && w > bestW {
+				best, bestW = m, w
 			}
 		}
-		terms = append(terms, AttrMarker{Attr: a, Marker: best})
+		terms = append(terms, AttrMarker{Attr: r.attr.Name, Marker: best})
 	}
 	// ⊕ vs ⊗ (§3.2): if the chosen attributes are usually mentioned
 	// together in the mined reviews, emit a conjunction.
 	disjunction := true
 	if len(terms) == 2 {
+		a0, a1 := ranked[0].attr.ord, ranked[1].attr.ord
 		joint, either := 0, 0
-		for _, attrs := range reviewsWithAttr {
-			a0, a1 := attrs[terms[0].Attr], attrs[terms[1].Attr]
-			if a0 || a1 {
+		for i := 0; i < len(mined); i += words {
+			has0 := mined[i+a0/64]&(1<<(a0%64)) != 0
+			has1 := mined[i+a1/64]&(1<<(a1%64)) != 0
+			if has0 || has1 {
 				either++
 			}
-			if a0 && a1 {
+			if has0 && has1 {
 				joint++
 			}
 		}
@@ -597,25 +608,6 @@ func (db *DB) queryKnownFraction(toks []string) float64 {
 		return 0
 	}
 	return known / total
-}
-
-// domainPhraseList returns the (cached, sorted) linguistic domain of attr.
-func (db *DB) domainPhraseList(attr *SubjectiveAttribute) []string {
-	return db.domainLists.getOrCompute(attr.Name, func() []string {
-		out := make([]string, 0, len(attr.DomainPhrases))
-		for p := range attr.DomainPhrases {
-			out = append(out, p)
-		}
-		sort.Strings(out)
-		return out
-	})
-}
-
-// phraseRep returns the cached Eq. 1 representation of a domain phrase.
-func (db *DB) phraseRep(phrase string) embedding.Vector {
-	return db.phraseReps.getOrCompute(phrase, func() embedding.Vector {
-		return db.Embed.Rep(phrase)
-	})
 }
 
 // extractionsFor returns extraction ids for (attribute, entity).

@@ -58,7 +58,7 @@ func newMembershipModel(db *DB, labels []MembershipLabel, rng *rand.Rand) *Membe
 			continue
 		}
 		query := &phrase{text: l.Phrase}
-		_, mi, _ := db.bestDomainMatch(attr, query)
+		mi := db.bestDomainMatch(attr, query).marker
 		y := 0
 		if l.Y {
 			y = 1

@@ -9,8 +9,8 @@
 // TopKThreshold, Interpret, InterpretW2VOnly, InterpretCooccurOnly,
 // Explain, ProvenanceOf and every other read-only accessor may be called
 // from any number of goroutines simultaneously. Query processing memoizes
-// deterministic derived values (interpretations, phrase representations,
-// TA degree lists) in sharded RWMutex caches (cache.go), so a warm cache
+// deterministic derived values (interpretations, prepare-path domain
+// matches, TA degree lists) in sharded RWMutex caches (cache.go), so a warm cache
 // costs one shard-local read lock per lookup and results are identical to
 // a sequential run. Mutations — Build-time helpers aside, ApplyReview
 // (and its AddReview alias), RebuildSummaries, RestoreSummaries,
@@ -64,6 +64,10 @@ type SubjectiveAttribute struct {
 	DomainPhrases map[string]int
 	// phraseMarker caches each domain phrase's marker assignment.
 	phraseMarker map[string]int
+	// ord is the attribute's position in DB.Attrs and domain its compiled
+	// linguistic domain; both derived (buildDerived).
+	ord    int
+	domain *domainTable
 	// markerIdx lazily indexes marker name → position for MarkerIndex;
 	// built once under markerIdxOnce so concurrent readers share it
 	// without locking. Markers are fixed after construction.
@@ -271,28 +275,34 @@ type DB struct {
 	// extIndex[attr][entity] lists extraction ids — the access path of the
 	// no-marker scan membership and of review qualification.
 	extIndex map[string]map[string][]int
-	// extByReview[reviewID] lists extraction ids, used by the
-	// co-occurrence interpreter.
-	extByReview map[string][]int
-	// reviewsWithAttrCount[attr] counts positive-sentiment reviews
-	// containing at least one extraction of the attribute (the idf(A)
-	// denominator of §3.2). Positive-only because the co-occurrence miner
-	// searches positive reviews; comparing against the same population
+	// extByReview[reviewID] lists the review's extractions, in extraction-id
+	// order, as the co-occurrence interpreter reads them: attribute ordinal
+	// and marker.
+	extByReview map[string][]reviewOpinion
+	// reviewsWithAttrCount[attribute ordinal] counts positive-sentiment
+	// reviews containing at least one extraction of the attribute (the
+	// idf(A) denominator of §3.2). Positive-only because the co-occurrence
+	// miner searches positive reviews; comparing against the same population
 	// removes the systematic bias of positive reviews mentioning
 	// positive-skewed aspects more.
-	reviewsWithAttrCount map[string]int
+	reviewsWithAttrCount []int
 	// positiveReviews counts reviews with positive sentiment.
 	positiveReviews int
+	// reviewBoost[doc] is Eq. 3's senti(d) for ReviewIndex's internal
+	// document doc (reviewBoostOf); it grows with the index, entry for
+	// entry.
+	reviewBoost []float64
 
-	// Query-time caches. Interpretations are deterministic for a built
-	// database, so they are computed once per predicate text ("these
-	// degrees of truth, once computed, can also be indexed", §3.3). All
-	// five are sharded concurrent caches (cache.go) so readers never need
-	// external locking; degreeLists is keyed by AttrMarker.String().
-	domainLists   shardedCache[[]string]
+	// Query-time caches, all sharded concurrent caches (cache.go) so
+	// readers never need external locking. Interpretations are
+	// deterministic for a built database, so they are computed once per
+	// predicate text ("these degrees of truth, once computed, can also be
+	// indexed", §3.3). domainMatches memoizes the per-attribute stage-1
+	// scan where phrase texts recur — review preparation
+	// (nearestDomainVariation) and membership-label resolution; the
+	// interpreter scans the domain tables directly and never fills it.
+	// degreeLists is keyed by AttrMarker.String().
 	domainMatches shardedCache[domainMatch]
-	phraseReps    shardedCache[embedding.Vector]
-	phraseSentis  shardedCache[float64]
 	interpCache   shardedCache[Interpretation]
 	degreeLists   shardedCache[*taSource]
 
@@ -351,6 +361,9 @@ func (db *DB) ProvenanceOf(attr, entityID string, marker int) []Extraction {
 	sort.Slice(out, func(i, j int) bool { return out[i].ReviewID < out[j].ReviewID })
 	return out
 }
+
+// reviewOpinion is one extraction's target: attribute ordinal and marker.
+type reviewOpinion struct{ attr, marker int32 }
 
 // AttrMarker names one interpreted predicate target: attribute A and
 // marker index m, the A.m of §3.2.

@@ -118,6 +118,7 @@ func (db *DB) ApplyPrepared(p *PreparedReview) error {
 	db.ReviewSentiments[rv.ID] = p.senti
 	db.reviewsPerReviewer[rv.Reviewer]++
 	db.ReviewIndex.Add(rv.ID, p.toks)
+	db.reviewBoost = append(db.reviewBoost, reviewBoostOf(p.senti))
 	if p.senti > 0 {
 		db.positiveReviews++
 	}

@@ -10,7 +10,7 @@ import (
 
 // freshClone copies the fixture with empty memo tables (every entity
 // kept), so the clone recomputes what the fixture may already hold.
-func freshClone(t *testing.T, db *core.DB) *core.DB {
+func freshClone(t testing.TB, db *core.DB) *core.DB {
 	t.Helper()
 	clone, err := db.ShardDB(func(string) bool { return true })
 	if err != nil {

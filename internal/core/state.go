@@ -9,10 +9,11 @@ package core
 // FromState() reconstructs a query-ready DB from that state plus the
 // independently serialized subsystems (relational layer, embedding model,
 // IR indexes, extractor tagger, optional substitution index), rebuilding
-// the derived access paths — attrByName, entityIDs, reviewsPerReviewer,
-// extIndex, extByReview, reviewsWithAttrCount, positiveReviews, summary
-// centroids — by exactly the loops Build uses, so a loaded DB answers
-// every query byte-identically to the freshly built one. The query-time
+// the derived state — attrByName, entityIDs, reviewsPerReviewer, summary
+// centroids, and through buildDerived (derived.go, the helper Build ends in
+// too) the extraction access paths, co-occurrence statistics, domain tables
+// and review boost table — so a loaded DB answers every query
+// byte-identically to the freshly built one. The query-time
 // memo caches start empty; they are memos of pure functions of the
 // restored state, so warming them changes latency, never results.
 
@@ -109,8 +110,8 @@ type Components struct {
 // FromState reconstructs a query-ready DB from exported state and its
 // subsystem components. It validates referential integrity (marker
 // summary shapes, extraction ids, required relations) and rebuilds every
-// derived access path with the same loops Build uses, so query results
-// are byte-identical to the freshly built database's.
+// derived access path with the helper Build uses (buildDerived), so query
+// results are byte-identical to the freshly built database's.
 func FromState(st *DBState, c Components) (*DB, error) {
 	switch {
 	case st == nil:
@@ -133,21 +134,18 @@ func FromState(st *DBState, c Components) (*DB, error) {
 	}
 
 	db := &DB{
-		Name:                 st.Name,
-		Rel:                  c.Rel,
-		attrByName:           map[string]*SubjectiveAttribute{},
-		Summaries:            st.Summaries,
-		Extractions:          st.Extractions,
-		Embed:                c.Embed,
-		ReviewIndex:          c.ReviewIndex,
-		EntityIndex:          c.EntityIndex,
-		ReviewSentiments:     st.ReviewSentiments,
-		Extractor:            &extract.Extractor{Tagger: c.Tagger, Pairer: extract.RulePairer{}},
-		reviewsPerReviewer:   map[string]int{},
-		extIndex:             map[string]map[string][]int{},
-		extByReview:          map[string][]int{},
-		reviewsWithAttrCount: map[string]int{},
-		cfg:                  st.Cfg,
+		Name:               st.Name,
+		Rel:                c.Rel,
+		attrByName:         map[string]*SubjectiveAttribute{},
+		Summaries:          st.Summaries,
+		Extractions:        st.Extractions,
+		Embed:              c.Embed,
+		ReviewIndex:        c.ReviewIndex,
+		EntityIndex:        c.EntityIndex,
+		ReviewSentiments:   st.ReviewSentiments,
+		Extractor:          &extract.Extractor{Tagger: c.Tagger, Pairer: extract.RulePairer{}},
+		reviewsPerReviewer: map[string]int{},
+		cfg:                st.Cfg,
 	}
 	if db.Summaries == nil {
 		db.Summaries = map[string]map[string]*MarkerSummary{}
@@ -247,8 +245,8 @@ func FromState(st *DBState, c Components) (*DB, error) {
 		return true
 	})
 
-	// ---- Extraction access paths, rebuilt in extraction-id order (the
-	// order Build materializes them in).
+	// ---- Extractions must reference the schema before the derived access
+	// paths index them.
 	for i := range db.Extractions {
 		ext := &db.Extractions[i]
 		if ext.ID != i {
@@ -262,33 +260,8 @@ func FromState(st *DBState, c Components) (*DB, error) {
 			return nil, fmt.Errorf("core: state extraction %d references marker %d of %d (%s)",
 				i, ext.Marker, len(attr.Markers), ext.Attribute)
 		}
-		if db.extIndex[ext.Attribute] == nil {
-			db.extIndex[ext.Attribute] = map[string][]int{}
-		}
-		db.extIndex[ext.Attribute][ext.EntityID] = append(db.extIndex[ext.Attribute][ext.EntityID], ext.ID)
-		db.extByReview[ext.ReviewID] = append(db.extByReview[ext.ReviewID], ext.ID)
 	}
-
-	// ---- Co-occurrence statistics (idf(A) numerator/denominator).
-	for _, s := range db.ReviewSentiments {
-		if s > 0 {
-			db.positiveReviews++
-		}
-	}
-	seenAttrReview := map[string]map[string]bool{}
-	for i := range db.Extractions {
-		ext := &db.Extractions[i]
-		if db.ReviewSentiments[ext.ReviewID] <= 0 {
-			continue
-		}
-		if seenAttrReview[ext.Attribute] == nil {
-			seenAttrReview[ext.Attribute] = map[string]bool{}
-		}
-		if !seenAttrReview[ext.Attribute][ext.ReviewID] {
-			seenAttrReview[ext.Attribute][ext.ReviewID] = true
-			db.reviewsWithAttrCount[ext.Attribute]++
-		}
-	}
+	db.buildDerived()
 
 	// ---- Optional Appendix B substitution index, rebuilt against the
 	// restored embedding model.

@@ -21,7 +21,10 @@ func TestUnitBoostIsIdentity(t *testing.T) {
 		}
 		ix.Add(fmt.Sprintf("doc%02d", d), toks)
 	}
-	one := func(string) float64 { return 1 }
+	one := make([]float64, ix.Len())
+	for i := range one {
+		one[i] = 1
+	}
 	f := func(q1, q2 uint8) bool {
 		query := []string{vocab[int(q1)%len(vocab)], vocab[int(q2)%len(vocab)]}
 		a := ix.Search(query, 10)
@@ -48,10 +51,8 @@ func TestBoostScaleInvariance(t *testing.T) {
 	ix.Add("a", []string{"clean", "room", "clean"})
 	ix.Add("b", []string{"clean", "staff"})
 	ix.Add("c", []string{"room", "room"})
-	base := func(id string) float64 {
-		return map[string]float64{"a": 0.9, "b": 0.5, "c": 0.7}[id]
-	}
-	doubled := func(id string) float64 { return 2 * base(id) }
+	base := []float64{0.9, 0.5, 0.7}
+	doubled := []float64{1.8, 1.0, 1.4}
 	r1 := ix.SearchBoosted([]string{"clean", "room"}, 10, base)
 	r2 := ix.SearchBoosted([]string{"clean", "room"}, 10, doubled)
 	if len(r1) != len(r2) {
@@ -70,13 +71,7 @@ func TestZeroBoostExcludes(t *testing.T) {
 	ix := NewIndex()
 	ix.Add("strong", []string{"clean", "clean", "clean"})
 	ix.Add("weak", []string{"clean", "filler", "filler", "filler"})
-	boost := func(id string) float64 {
-		if id == "strong" {
-			return 0
-		}
-		return 1
-	}
-	res := ix.SearchBoosted([]string{"clean"}, 10, boost)
+	res := ix.SearchBoosted([]string{"clean"}, 10, []float64{0, 1})
 	for _, r := range res {
 		if r.ID == "strong" {
 			t.Error("zero-boosted doc returned")

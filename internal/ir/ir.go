@@ -1,5 +1,5 @@
 // Package ir implements the information-retrieval substrate of OpineDB:
-// an inverted index with Okapi BM25 ranking and heap-based top-k retrieval.
+// an inverted index with Okapi BM25 ranking and bounded top-k retrieval.
 //
 // The paper uses BM25 in three roles, all served by this package:
 //  1. the co-occurrence interpreter ranks reviews by BM25(d,q)·senti(d)
@@ -11,11 +11,11 @@
 package ir
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/textproc"
 )
@@ -103,29 +103,6 @@ type Result struct {
 	Score float64
 }
 
-// resultHeap is a min-heap on Score used for top-k selection. Ties break
-// by id — the worst element among equals is the lexicographically largest
-// id — so the retained top-k set is deterministic even though candidates
-// arrive in map-iteration order.
-type resultHeap []Result
-
-func (h resultHeap) Len() int { return len(h) }
-func (h resultHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
-	}
-	return h[i].ID > h[j].ID
-}
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Search returns the top-k documents by BM25 score for the query tokens,
 // sorted by descending score (ties broken by id for determinism).
 // Documents with zero score are omitted.
@@ -133,61 +110,108 @@ func (ix *Index) Search(query []string, k int) []Result {
 	return ix.SearchBoosted(query, k, nil)
 }
 
+// searchScratch is SearchBoosted's per-call working memory, pooled so a
+// search allocates only its result. acc is indexed by internal document
+// number and is all zero between calls; touched lists the documents a call
+// scored, which is what it has to zero again.
+type searchScratch struct {
+	acc     []float64
+	touched []int
+	top     []scoredDoc
+}
+
+var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// scoredDoc is one candidate of the bounded selection.
+type scoredDoc struct {
+	doc   int
+	score float64
+}
+
+// ranksBefore is the result order: score descending, then id ascending.
+func (ix *Index) ranksBefore(c, e scoredDoc) bool {
+	if c.score != e.score {
+		return c.score > e.score
+	}
+	return ix.docIDs[c.doc] < ix.docIDs[e.doc]
+}
+
 // SearchBoosted is Search with an optional per-document multiplicative
-// boost (by external id). This implements Eq. 3's BM25(d,q)·senti(d)
-// without a second pass: the co-occurrence interpreter passes the
-// precomputed positive-sentiment weight of each review as the boost.
-// A nil boost function means no boosting. Documents whose boosted score is
-// <= 0 are omitted.
-func (ix *Index) SearchBoosted(query []string, k int, boost func(id string) float64) []Result {
+// boost, indexed by internal document number (the number Add returned).
+// This implements Eq. 3's BM25(d,q)·senti(d) without a second pass: the
+// co-occurrence interpreter passes the positive-sentiment weight of each
+// review as the boost. A nil boost means no boosting; a non-nil one must
+// cover the index exactly, and SearchBoosted panics when it does not — a
+// caller that let the two drift would otherwise get a wrong ranking.
+// Documents whose boosted score is <= 0 are omitted.
+//
+// Float order: a document's terms are summed in query order into one
+// accumulator and the boost multiplies the sum last. Selection keeps the k
+// best under (score descending, id ascending), a total order over distinct
+// ids, so neither the retained set nor its order depends on the order
+// candidates are met in.
+func (ix *Index) SearchBoosted(query []string, k int, boost []float64) []Result {
+	if boost != nil && len(boost) != len(ix.docLen) {
+		panic(fmt.Sprintf("ir: boost table covers %d documents, the index holds %d", len(boost), len(ix.docLen)))
+	}
 	if k <= 0 || len(ix.docLen) == 0 {
 		return nil
 	}
-	scores := make(map[int]float64)
+	sc := searchScratchPool.Get().(*searchScratch)
+	if len(sc.acc) < len(ix.docLen) {
+		sc.acc = make([]float64, len(ix.docLen))
+	}
+	acc, touched, top := sc.acc, sc.touched[:0], sc.top[:0]
 	avg := ix.AvgDocLen()
-	seen := make(map[string]bool, len(query))
-	for _, term := range query {
-		if seen[term] {
+	for ti, term := range query {
+		if slices.Index(query, term) < ti {
 			continue // query terms are deduplicated, standard BM25 practice
 		}
-		seen[term] = true
-		plist, ok := ix.postings[term]
-		if !ok {
+		plist := ix.postings[term]
+		if len(plist) == 0 {
 			continue
 		}
 		idf := ix.idf(term)
 		for _, p := range plist {
+			if boost != nil && boost[p.Doc] == 0 {
+				continue // its boosted score would be 0 whatever it matched
+			}
+			// Every term contribution is strictly positive (idf > 0, tf >= 1),
+			// so a zero accumulator means a document not met before.
+			if acc[p.Doc] == 0 {
+				touched = append(touched, p.Doc)
+			}
 			tf := float64(p.TF)
 			dl := float64(ix.docLen[p.Doc])
-			scores[p.Doc] += idf * tf * (k1 + 1) / (tf + k1*(1-b+b*dl/avg))
+			acc[p.Doc] += idf * tf * (k1 + 1) / (tf + k1*(1-b+b*dl/avg))
 		}
 	}
-	h := make(resultHeap, 0, k+1)
-	heap.Init(&h)
-	for doc, s := range scores {
-		id := ix.docIDs[doc]
+	for _, doc := range touched {
+		c := scoredDoc{doc: doc, score: acc[doc]}
+		acc[doc] = 0
 		if boost != nil {
-			s *= boost(id)
+			c.score *= boost[doc]
 		}
-		if s <= 0 {
+		if c.score <= 0 {
 			continue
 		}
-		heap.Push(&h, Result{ID: id, Score: s})
-		if h.Len() > k {
-			heap.Pop(&h)
+		if len(top) >= k {
+			if !ix.ranksBefore(c, top[k-1]) {
+				continue
+			}
+			top = top[:k-1]
 		}
+		pos := sort.Search(len(top), func(i int) bool { return ix.ranksBefore(c, top[i]) })
+		top = append(top, scoredDoc{})
+		copy(top[pos+1:], top[pos:])
+		top[pos] = c
 	}
-	out := make([]Result, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Result)
+	out := make([]Result, len(top))
+	for i, e := range top {
+		out[i] = Result{ID: ix.docIDs[e.doc], Score: e.score}
 	}
-	// Stable ordering for equal scores.
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
+	sc.touched, sc.top = touched, top
+	searchScratchPool.Put(sc)
 	return out
 }
 

@@ -148,18 +148,8 @@ func TestScoreDocsEqualsScore(t *testing.T) {
 
 func TestSearchBoosted(t *testing.T) {
 	ix := buildIndex()
-	// Boost h1 heavily; suppress h3 to zero.
-	boost := func(id string) float64 {
-		switch id {
-		case "h1":
-			return 10
-		case "h3":
-			return 0
-		default:
-			return 1
-		}
-	}
-	res := ix.SearchBoosted([]string{"clean"}, 10, boost)
+	// Boost h1 heavily; suppress h3 to zero (documents h1..h4 in Add order).
+	res := ix.SearchBoosted([]string{"clean"}, 10, []float64{10, 1, 0, 1})
 	if len(res) != 1 || res[0].ID != "h1" {
 		t.Errorf("boosted search = %v, want only h1", res)
 	}

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -62,6 +63,13 @@ const (
 	// aside because their gen was not this node's applied sequence.
 	MetricPlanUsed  = "opinedb_server_plan_used_total"
 	MetricPlanStale = "opinedb_server_plan_stale_total"
+	// MetricInterpretations: predicates this server resolved itself —
+	// /plan, /interpret, and the /query and /topk predicates no shipped plan
+	// entry covered — labeled by the Figure 5 stage that answered,
+	// {method="w2v"|"cooccur"|"fallback"}, so "stage 2 fired" can be told
+	// from "the hop was slow". Engine-memo hits count: the server still
+	// resolved the predicate.
+	MetricInterpretations = "opinedb_server_interpretations_total"
 	// MetricQueryEntitiesScanned / MetricQueryDegrees: the /query engine's
 	// own work (core.QueryStats) — entities the WHERE tree was evaluated
 	// for and membership degrees computed — so a wide scan can be told
@@ -97,6 +105,7 @@ type serverMetrics struct {
 	chainDropped   *obs.Counter
 	planUsed       *obs.Counter
 	planStale      *obs.Counter
+	interpreted    map[core.Method]*obs.Counter
 	queryScanned   *obs.Counter
 	queryDegrees   *obs.Counter
 }
@@ -143,6 +152,12 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"Shipped plan entries used in place of a local interpretation.")
 	m.planStale = reg.Counter(MetricPlanStale,
 		"Shipped plan entries set aside: resolved at another journal sequence.")
+	m.interpreted = make(map[core.Method]*obs.Counter, 3)
+	for _, method := range []core.Method{core.MethodW2V, core.MethodCooccur, core.MethodFallback} {
+		m.interpreted[method] = reg.Counter(MetricInterpretations,
+			"Predicates this server interpreted itself, by the stage that answered.",
+			obs.L("method", string(method)))
+	}
 	m.queryScanned = reg.Counter(MetricQueryEntitiesScanned,
 		"Entities the /query engine evaluated the WHERE tree for.")
 	m.queryDegrees = reg.Counter(MetricQueryDegrees,

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -198,5 +199,60 @@ func TestJournalStatusIncrementalMatchesScan(t *testing.T) {
 		if got.PrefixHash != wantHash || got.HashSeq != wantSeq {
 			t.Fatalf("at=%d: (%s, %d), want (%s, %d)", at, got.PrefixHash, got.HashSeq, wantHash, wantSeq)
 		}
+	}
+}
+
+// TestInterpretationsCountedByStage: every predicate a server resolves
+// itself — on /plan, on /interpret, and on /query and /topk where no usable
+// plan entry covers it — counts once under the stage that answered; a
+// predicate a shipped entry resolved does not.
+func TestInterpretationsCountedByStage(t *testing.T) {
+	db, reg, srv := metricsServer(t)
+	w2v := predicateOf(t, db, core.MethodW2V)
+	mined := predicateOf(t, db, core.MethodCooccur)
+	fallback := predicateOf(t, db, core.MethodFallback)
+	counts := func() [3]uint64 {
+		var c [3]uint64
+		for i, m := range []core.Method{core.MethodW2V, core.MethodCooccur, core.MethodFallback} {
+			c[i] = reg.Counter(server.MetricInterpretations, "", obs.L("method", string(m))).Value()
+		}
+		return c
+	}
+	step := func(what string, want [3]uint64, do func()) {
+		t.Helper()
+		before := counts()
+		do()
+		after := counts()
+		for i := range want {
+			if after[i]-before[i] != want[i] {
+				t.Fatalf("%s: w2v/cooccur/fallback moved by %d/%d/%d, want %v",
+					what, after[0]-before[0], after[1]-before[1], after[2]-before[2], want)
+			}
+		}
+	}
+	sql := `select * from Entities where "` + w2v + `" and "` + mined + `"`
+	var plan server.PlanResponse
+	step("/plan over a stage-1 and a stage-2 predicate", [3]uint64{1, 1, 0}, func() {
+		plan = fetchPlan(t, srv.URL, w2v, mined)
+	})
+	step("/interpret of an out-of-schema predicate", [3]uint64{0, 0, 1}, func() {
+		getJSON(t, srv.URL+"/interpret?predicate="+url.QueryEscape(fallback), http.StatusOK, nil)
+	})
+	step("/query without a plan", [3]uint64{1, 1, 0}, func() {
+		answer(t, srv.URL+"/query", server.QueryRequest{SQL: sql, K: 3})
+	})
+	// A volatile node takes the frozen stage-1 entry and sets the stage-2
+	// one aside, so only the latter is resolved here.
+	step("/query with a plan", [3]uint64{0, 1, 0}, func() {
+		answer(t, srv.URL+"/query", server.QueryRequest{SQL: sql, K: 3, Plan: shipped(t, plan.Entries...)})
+	})
+	step("/topk without a plan", [3]uint64{0, 0, 1}, func() {
+		getJSON(t, srv.URL+topkTarget(3, []string{fallback}, nil), http.StatusOK, nil)
+	})
+	step("/topk with a stage-1 plan", [3]uint64{0, 0, 0}, func() {
+		getJSON(t, srv.URL+topkTarget(3, []string{w2v}, shipped(t, plan.Entries[0])), http.StatusOK, nil)
+	})
+	if text, want := scrape(t, srv.URL), server.MetricInterpretations+`{method="cooccur"} 3`; !strings.Contains(text, want) {
+		t.Errorf("exposition missing %q", want)
 	}
 }

@@ -140,9 +140,17 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, http.StatusBadRequest, "empty predicate")
 			return
 		}
-		resp.Entries = append(resp.Entries, NewPlanEntry(s.db.Interpret(p), resp.Gen))
+		resp.Entries = append(resp.Entries, NewPlanEntry(s.interpret(p), resp.Gen))
 	}
 	WriteJSON(w, http.StatusOK, resp)
+}
+
+// interpret resolves a predicate on this node and counts the stage that
+// answered.
+func (s *Server) interpret(predicate string) core.Interpretation {
+	in := s.db.Interpret(predicate)
+	s.metrics.interpreted[in.Method].Inc()
+	return in
 }
 
 // checkedEntry is a shipped entry that decoded and passed the schema

@@ -623,6 +623,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.queryScanned.Add(uint64(res.Stats.EntitiesScanned))
 	s.metrics.queryDegrees.Add(uint64(res.Stats.DegreesComputed))
+	for text, in := range res.Interpretations {
+		if _, shipped := resolved[text]; !shipped {
+			s.metrics.interpreted[in.Method].Inc()
+		}
+	}
 	resp := QueryResponse{
 		Rewritten:       res.Rewritten,
 		Interpretations: map[string]InterpretationJSON{},
@@ -657,6 +662,7 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	chosen, w2vOnly, cooccurOnly := s.db.InterpretStages(pred)
+	s.metrics.interpreted[chosen.Method].Inc()
 	WriteJSON(w, http.StatusOK, InterpretResponse{
 		Chosen:      interpretationJSON(chosen),
 		W2VOnly:     interpretationJSON(w2vOnly),
@@ -759,18 +765,18 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var stats core.TopKStats
 	var key string
 	hit := false
+	// Every predicate is resolved up front — from the plan where it applies,
+	// from the engine (itself memoized) otherwise — because the memo key
+	// names the interpretation each predicate runs under.
+	if resolved == nil {
+		resolved = make(map[string]core.Interpretation, len(preds))
+	}
+	for _, p := range preds {
+		if _, ok := resolved[p]; !ok {
+			resolved[p] = s.interpret(p)
+		}
+	}
 	if s.topkMemo != nil {
-		// The memo key names the interpretation each predicate runs under,
-		// so every predicate is resolved before the lookup: from the plan
-		// where it applies, from the engine (itself memoized) otherwise.
-		if resolved == nil {
-			resolved = make(map[string]core.Interpretation, len(preds))
-		}
-		for _, p := range preds {
-			if _, ok := resolved[p]; !ok {
-				resolved[p] = s.db.Interpret(p)
-			}
-		}
 		key = topkKey(preds, k, resolved)
 		if f, ok := s.topkMemo.get(key); ok {
 			rows, stats, hit = f.rows, f.stats, true
