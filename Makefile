@@ -26,6 +26,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/sqlparse
 	go test -run xxx -fuzz FuzzSnapshotLoad -fuzztime $(FUZZTIME) ./internal/snapshot
 	go test -run xxx -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal
+	go test -run xxx -fuzz FuzzFragmentScan -fuzztime $(FUZZTIME) ./internal/router
 
 # gofmt cleanliness: fail listing any file that gofmt would rewrite.
 fmtcheck:

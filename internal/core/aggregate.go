@@ -187,11 +187,7 @@ func (db *DB) addIncremental(attr *SubjectiveAttribute, ext Extraction, owned bo
 		s.add(ext.Marker, ext.Sentiment, vec, ext.ID)
 		// Refresh the finalized centroid of the touched marker only.
 		if s.centroids != nil {
-			c := s.VecSum[ext.Marker].Clone()
-			if s.Counts[ext.Marker] > 0 {
-				c.Scale(1 / s.Counts[ext.Marker])
-			}
-			s.centroids[ext.Marker] = c
+			s.refreshCentroid(ext.Marker)
 		}
 	}
 	db.indexExtraction(&ext)

@@ -174,11 +174,12 @@ func (t *markerTerm) features(s *MarkerSummary) (f [markerFeatureCount]float64) 
 	f[3] = t.attr.Markers[t.marker].Sentiment
 	f[4] = aligned / s.Total
 	// f5: cosine between the query phrase and the entity's phrase centroid
-	// at the target marker; 0 if either is a zero vector.
+	// at the target marker; 0 if either is a zero vector. Every summary the
+	// engine serves is finalized, so |c| is the stored c.Norm(), not a dot
+	// per entity.
 	if t.qNorm != 0 {
-		c := s.Centroid(t.marker)
-		if cNorm := c.Norm(); cNorm != 0 {
-			f[5] = t.q.Dot(c) / (t.qNorm * cNorm)
+		if cNorm := s.centroidNorms[t.marker]; cNorm != 0 {
+			f[5] = t.q.Dot(s.centroids[t.marker]) / (t.qNorm * cNorm)
 		}
 	}
 	return f

@@ -121,18 +121,28 @@ type MarkerSummary struct {
 	// after construction so query processing avoids per-call allocation —
 	// the "features precomputed for each marker" of §5.4.2.
 	centroids []embedding.Vector
+	// centroidNorms[i] is centroids[i].Norm(): a centroid only moves on an
+	// owned write, so the cosine's |c| is not recomputed per query.
+	centroidNorms []float64
 }
 
-// finalize precomputes the per-marker centroids.
+// finalize precomputes the per-marker centroids and their norms.
 func (s *MarkerSummary) finalize() {
 	s.centroids = make([]embedding.Vector, len(s.VecSum))
+	s.centroidNorms = make([]float64, len(s.VecSum))
 	for i := range s.VecSum {
-		c := s.VecSum[i].Clone()
-		if s.Counts[i] > 0 {
-			c.Scale(1 / s.Counts[i])
-		}
-		s.centroids[i] = c
+		s.refreshCentroid(i)
 	}
+}
+
+// refreshCentroid rederives marker i's finalized centroid and norm from
+// the sums.
+func (s *MarkerSummary) refreshCentroid(i int) {
+	c := s.VecSum[i].Clone()
+	if s.Counts[i] > 0 {
+		c.Scale(1 / s.Counts[i])
+	}
+	s.centroids[i], s.centroidNorms[i] = c, c.Norm()
 }
 
 // newMarkerSummary allocates an empty summary for k markers and dim-sized

@@ -121,9 +121,9 @@ func (b *LocalBackend) Do(ctx context.Context, method, target string, body []byt
 	// are behaviorally indistinguishable from remote ones, headers
 	// included.
 	trace.Inject(ctx, req.Header)
-	rec := &memResponse{header: http.Header{}}
-	b.handler.ServeHTTP(rec, req)
-	return rec.status(), rec.buf.Bytes(), nil
+	var rec server.MemResponse
+	b.handler.ServeHTTP(&rec, req)
+	return rec.Status(), rec.Body(), nil
 }
 
 // DelayBackend injects a fixed per-request delay in front of an inner
@@ -152,32 +152,4 @@ func (b *DelayBackend) Do(ctx context.Context, method, target string, body []byt
 		}
 	}
 	return b.Inner.Do(ctx, method, target, body)
-}
-
-// memResponse is a minimal in-memory http.ResponseWriter for LocalBackend
-// (httptest's recorder, without importing a testing package into the
-// serving path).
-type memResponse struct {
-	header http.Header
-	code   int
-	buf    bytes.Buffer
-}
-
-func (m *memResponse) Header() http.Header { return m.header }
-func (m *memResponse) WriteHeader(c int) {
-	if m.code == 0 {
-		m.code = c
-	}
-}
-func (m *memResponse) Write(b []byte) (int, error) {
-	if m.code == 0 {
-		m.code = http.StatusOK
-	}
-	return m.buf.Write(b)
-}
-func (m *memResponse) status() int {
-	if m.code == 0 {
-		return http.StatusOK
-	}
-	return m.code
 }

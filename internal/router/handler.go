@@ -212,16 +212,29 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, errClientPlan)
 		return
 	}
-	res, err := h.r.Query(r.Context(), req.SQL, req.K)
+	m, err := h.r.query(r.Context(), req.SQL, req.K)
 	if err != nil {
-		status := http.StatusBadGateway
-		if errors.Is(err, ErrBadQuery) {
-			status = http.StatusBadRequest
-		}
-		server.WriteError(w, status, "%v", err)
+		writeScatterError(w, err)
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, res)
+	writeRaw(w, http.StatusOK, m.appendQuery(make([]byte, 0, m.size())))
+}
+
+// writeScatterError answers a failed /query or /topk: 400 when the request
+// was at fault, 502 when the fleet was.
+func writeScatterError(w http.ResponseWriter, err error) {
+	status := http.StatusBadGateway
+	if errors.Is(err, ErrBadQuery) {
+		status = http.StatusBadRequest
+	}
+	server.WriteError(w, status, "%v", err)
+}
+
+// writeRaw sends an already encoded JSON body.
+func writeRaw(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 func (h *Handler) handleInterpret(w http.ResponseWriter, r *http.Request) {
@@ -327,9 +340,7 @@ func (h *Handler) handleEvidence(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Pass the owning shard's status and body through verbatim.
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(res.Status)
-	_, _ = w.Write(res.Body)
+	writeRaw(w, res.Status, res.Body)
 }
 
 // handleReviews is the fleet's write front door: decode exactly as a
@@ -368,9 +379,7 @@ func (h *Handler) handleReviews(w http.ResponseWriter, r *http.Request) {
 				server.WriteJSON(w, se.Status, env)
 				return
 			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(se.Status)
-			_, _ = w.Write(se.Body)
+			writeRaw(w, se.Status, se.Body)
 			return
 		}
 		server.WriteError(w, http.StatusBadGateway, "%v", err)
@@ -392,14 +401,10 @@ func (h *Handler) handleTopK(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, errClientPlan)
 		return
 	}
-	res, err := h.r.TopK(r.Context(), req.Predicates, req.K)
+	m, err := h.r.topK(r.Context(), req.Predicates, req.K)
 	if err != nil {
-		status := http.StatusBadGateway
-		if errors.Is(err, ErrBadQuery) {
-			status = http.StatusBadRequest
-		}
-		server.WriteError(w, status, "%v", err)
+		writeScatterError(w, err)
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, res)
+	writeRaw(w, http.StatusOK, m.appendTopK(make([]byte, 0, m.size())))
 }

@@ -15,11 +15,13 @@
 // internal/router/e2e_test.go over the full harness query fingerprint.
 //
 // The merge is a bounded k-way heap merge: O((k + s) log s) for k results
-// over s shards, never a concatenate-and-sort.
+// over s shards, never a concatenate-and-sort — and it runs over the
+// shards' answers as bytes (fragment.go): only the k winning rows are ever
+// forwarded or decoded.
 package router
 
 import (
-	"container/heap"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -310,98 +312,145 @@ func replyError(rep shardReply) string {
 	return ""
 }
 
-// gather decodes every successful reply into outs[i] (a pointer) and
-// returns per-shard error strings keyed by shard index plus the
-// replica-attributed failure list. outs[i] stays nil for failed shards.
-func gatherInto[T any](r *Router, replies []shardReply) ([]*T, map[int]string, []NodeError) {
-	outs := make([]*T, len(replies))
-	errs := map[int]string{}
-	var nodeErrs []NodeError
+// merged is a scatter's answer before anyone decodes it: the k winning
+// rows as the byte spans their shards wrote (fragment.go), the first live
+// leg's raw /query diagnostics, /topk's summed counters, and who failed.
+// The HTTP handlers splice it into the response; the typed API decodes
+// that same rendering.
+type merged struct {
+	rows [][]byte
+	// Interpretation is a function of replicated global state, so any
+	// shard's rewritten and interpretations are the fleet's.
+	rewritten, interpretations []byte
+	// Work statistics are summed over shards (depth takes the deepest).
+	sortedAccesses, depth, candidates int
+	errs                              map[int]string
+	nodeErrs                          []NodeError
+	elapsedMs                         float64
+}
+
+// gather walks every successful reply, records per-shard error strings
+// keyed by shard index plus the replica-attributed failure list, and merges
+// the live fragments' rows into the global top k. A reply the walker
+// rejects is that shard's failure, not the request's.
+func (r *Router) gather(ctx context.Context, op string, replies []shardReply, k int) (*merged, error) {
+	m := &merged{errs: map[int]string{}}
+	lists := make([][]rowSpan, 0, len(replies))
+	// One backing array for every leg's rows, sized for the usual k; a
+	// larger (client-chosen) k grows it.
+	rows := make([]rowSpan, 0, len(replies)*min(k, 16))
 	for i, rep := range replies {
 		if msg := replyError(rep); msg != "" {
-			errs[i] = msg
-			nodeErrs = append(nodeErrs, r.nodeFailures(i, rep)...)
+			m.errs[i] = msg
+			m.nodeErrs = append(m.nodeErrs, r.nodeFailures(i, rep)...)
 			continue
 		}
-		v := new(T)
-		if err := json.Unmarshal(rep.body, v); err != nil {
-			errs[i] = fmt.Sprintf("bad response: %v", err)
-			nodeErrs = append(nodeErrs, NodeError{
+		var f fragment
+		var err error
+		if f, rows, err = scanFragment(rep.body, rows); err != nil {
+			m.errs[i] = fmt.Sprintf("bad response: %v", err)
+			m.nodeErrs = append(m.nodeErrs, NodeError{
 				Shard: i, Replica: rep.replica,
 				Backend: r.backendName(i, rep.replica),
-				Error:   errs[i],
+				Error:   m.errs[i],
 			})
 			continue
 		}
-		outs[i] = v
+		if len(lists) == 0 {
+			m.rewritten, m.interpretations = f.rewritten, f.interpretations
+		}
+		lists = append(lists, f.rows)
+		m.sortedAccesses += f.sortedAccesses
+		m.candidates += f.candidates
+		m.depth = max(m.depth, f.depth)
 	}
-	return outs, errs, nodeErrs
-}
-
-// ---- bounded-heap ranked merge ----
-
-// rowCursor walks one shard's ranked row list.
-type rowCursor struct {
-	rows []server.RowJSON
-	pos  int
-}
-
-// rowHeap orders cursors by their head row: score descending, entity id
-// ascending — the engine's own ranking order, so the merge reproduces the
-// monolithic sort exactly.
-type rowHeap []*rowCursor
-
-func (h rowHeap) Len() int { return len(h) }
-func (h rowHeap) Less(i, j int) bool {
-	a, b := h[i].rows[h[i].pos], h[j].rows[h[j].pos]
-	if a.Score != b.Score {
-		return a.Score > b.Score
+	if len(lists) == 0 {
+		return nil, r.errAllShardsFailed(op, replies, m.errs)
 	}
-	return a.EntityID < b.EntityID
-}
-func (h rowHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *rowHeap) Push(x interface{}) { *h = append(*h, x.(*rowCursor)) }
-func (h *rowHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	mergeStart := time.Now()
+	_, mergeSpan := r.tracer.Start(ctx, "router.merge")
+	m.rows = mergeRows(lists, k)
+	mergeSpan.End()
+	r.metrics.merge.ObserveSince(mergeStart)
+	return m, nil
 }
 
-// mergeRanked merges per-shard ranked lists (each already sorted by score
-// desc, entity asc) into the global top k. The heap holds at most one
-// cursor per shard, so the merge is O((k + s) log s) — it never
-// concatenates and re-sorts.
-func mergeRanked(lists [][]server.RowJSON, k int) []server.RowJSON {
-	h := make(rowHeap, 0, len(lists))
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-		if len(l) > 0 {
-			h = append(h, &rowCursor{rows: l})
+// appendRows appends the rows member (no leading comma).
+func (m *merged) appendRows(b []byte) []byte {
+	b = append(b, `"rows":[`...)
+	for i, row := range m.rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, row...)
+	}
+	return append(b, ']')
+}
+
+// appendTail appends what both answers end in: the failure report, only
+// when a shard failed and then by encoding/json — it is cold — and the
+// elapsed time.
+func (m *merged) appendTail(b []byte) []byte {
+	if len(m.errs) > 0 {
+		b = append(b, `,"partial":true,"shard_errors":`...)
+		b = appendCold(b, m.errs)
+		if len(m.nodeErrs) > 0 {
+			b = append(b, `,"failed_nodes":`...)
+			b = appendCold(b, m.nodeErrs)
 		}
 	}
-	heap.Init(&h)
-	// Allocate by what can actually be merged, not by k: k comes straight
-	// from the request, and make(..., 0, 9e18) would panic while a merely
-	// huge k would allocate unbounded memory per request.
-	capHint := k
-	if total < capHint {
-		capHint = total
+	b = append(b, `,"elapsed_ms":`...)
+	b, _ = server.AppendFloat(b, m.elapsedMs) // a duration: always finite
+	return append(b, "}\n"...)
+}
+
+// appendCold appends v as the response encoder always has: encoding/json,
+// HTML escaping off.
+func appendCold(b []byte, v interface{}) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v) // maps of strings and plain structs: cannot fail
+	return append(b, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
+}
+
+// size bounds the rendered answer when no shard failed.
+func (m *merged) size() int {
+	n := 160 + len(m.rewritten) + len(m.interpretations)
+	for _, row := range m.rows {
+		n += len(row) + 1
 	}
-	out := make([]server.RowJSON, 0, capHint)
-	for len(h) > 0 && len(out) < k {
-		c := h[0]
-		out = append(out, c.rows[c.pos])
-		c.pos++
-		if c.pos < len(c.rows) {
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
+	return n
+}
+
+// appendQuery renders the /query answer: QueryResult's JSON.
+func (m *merged) appendQuery(b []byte) []byte {
+	b = append(b, `{"rewritten":`...)
+	b = append(b, orElse(m.rewritten, `""`)...)
+	b = append(b, `,"interpretations":`...)
+	b = append(b, orElse(m.interpretations, "null")...)
+	b = append(b, ',')
+	return m.appendTail(m.appendRows(b))
+}
+
+// appendTopK renders the /topk answer: TopKResult's JSON.
+func (m *merged) appendTopK(b []byte) []byte {
+	b = m.appendRows(append(b, '{'))
+	b = append(b, `,"sorted_accesses":`...)
+	b = strconv.AppendInt(b, int64(m.sortedAccesses), 10)
+	b = append(b, `,"depth":`...)
+	b = strconv.AppendInt(b, int64(m.depth), 10)
+	b = append(b, `,"candidates":`...)
+	b = strconv.AppendInt(b, int64(m.candidates), 10)
+	return m.appendTail(b)
+}
+
+// orElse is raw, or the value an absent field encodes as.
+func orElse(raw []byte, absent string) []byte {
+	if raw == nil {
+		return []byte(absent)
 	}
-	return out
+	return raw
 }
 
 // ---- merged endpoint results ----
@@ -472,6 +521,19 @@ func (r *Router) errAllShardsFailed(op string, replies []shardReply, errs map[in
 // the ordering column, so an objective ordering cannot be merged
 // correctly at this layer.
 func (r *Router) Query(ctx context.Context, sql string, k int) (*QueryResult, error) {
+	m, err := r.query(ctx, sql, k)
+	if err != nil {
+		return nil, err
+	}
+	res := new(QueryResult)
+	if err := json.Unmarshal(m.appendQuery(nil), res); err != nil {
+		return nil, fmt.Errorf("router: decode merged query: %w", err)
+	}
+	return res, nil
+}
+
+// query is Query up to the merge: nothing of the answer is decoded yet.
+func (r *Router) query(ctx context.Context, sql string, k int) (*merged, error) {
 	parseStart := time.Now()
 	_, parseSpan := r.tracer.Start(ctx, "router.parse")
 	q, err := sqlparse.Parse(sql)
@@ -503,38 +565,12 @@ func (r *Router) Query(ctx context.Context, sql string, k int) (*QueryResult, er
 	if err != nil {
 		return nil, fmt.Errorf("router: encode query: %w", err)
 	}
-	replies := r.scatter(ctx, "POST", "/query", body)
-	outs, errs, nodeErrs := gatherInto[server.QueryResponse](r, replies)
-
-	res := &QueryResult{Rows: []server.RowJSON{}}
-	lists := make([][]server.RowJSON, 0, len(outs))
-	for _, o := range outs {
-		if o == nil {
-			continue
-		}
-		lists = append(lists, o.Rows)
-		if res.Interpretations == nil {
-			// Interpretation is a function of replicated global state, so
-			// any shard's diagnostics are the fleet's.
-			res.Interpretations = o.Interpretations
-			res.Rewritten = o.Rewritten
-		}
+	m, err := r.gather(ctx, "query", r.scatter(ctx, "POST", "/query", body), k)
+	if err != nil {
+		return nil, err
 	}
-	if len(lists) == 0 {
-		return nil, r.errAllShardsFailed("query", replies, errs)
-	}
-	mergeStart := time.Now()
-	_, mergeSpan := r.tracer.Start(ctx, "router.merge")
-	res.Rows = mergeRanked(lists, k)
-	mergeSpan.End()
-	r.metrics.merge.ObserveSince(mergeStart)
-	res.Partial = len(errs) > 0
-	if len(errs) > 0 {
-		res.ShardErrors = errs
-		res.FailedNodes = nodeErrs
-	}
-	res.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
-	return res, nil
+	m.elapsedMs = float64(time.Since(start).Microseconds()) / 1000
+	return m, nil
 }
 
 // TopK scatters a conjunction of predicates — interpreted once, the plan
@@ -542,6 +578,19 @@ func (r *Router) Query(ctx context.Context, sql string, k int) (*QueryResult, er
 // Threshold-Algorithm endpoint and heap-merges the shard top-ks into the
 // exact global top k.
 func (r *Router) TopK(ctx context.Context, predicates []string, k int) (*TopKResult, error) {
+	m, err := r.topK(ctx, predicates, k)
+	if err != nil {
+		return nil, err
+	}
+	res := new(TopKResult)
+	if err := json.Unmarshal(m.appendTopK(nil), res); err != nil {
+		return nil, fmt.Errorf("router: decode merged topk: %w", err)
+	}
+	return res, nil
+}
+
+// topK is TopK up to the merge: nothing of the answer is decoded yet.
+func (r *Router) topK(ctx context.Context, predicates []string, k int) (*merged, error) {
 	if len(predicates) == 0 {
 		return nil, fmt.Errorf("%w: topk needs at least one predicate", ErrBadQuery)
 	}
@@ -561,37 +610,12 @@ func (r *Router) TopK(ctx context.Context, predicates []string, k int) (*TopKRes
 	for _, e := range r.plan(ctx, predicates) {
 		target.WriteString(e.param)
 	}
-	replies := r.scatter(ctx, "GET", target.String(), nil)
-	outs, errs, nodeErrs := gatherInto[server.TopKResponse](r, replies)
-
-	res := &TopKResult{Rows: []server.RowJSON{}}
-	lists := make([][]server.RowJSON, 0, len(outs))
-	for _, o := range outs {
-		if o == nil {
-			continue
-		}
-		lists = append(lists, o.Rows)
-		res.SortedAccesses += o.SortedAccesses
-		res.Candidates += o.Candidates
-		if o.Depth > res.Depth {
-			res.Depth = o.Depth
-		}
+	m, err := r.gather(ctx, "topk", r.scatter(ctx, "GET", target.String(), nil), k)
+	if err != nil {
+		return nil, err
 	}
-	if len(lists) == 0 {
-		return nil, r.errAllShardsFailed("topk", replies, errs)
-	}
-	mergeStart := time.Now()
-	_, mergeSpan := r.tracer.Start(ctx, "router.merge")
-	res.Rows = mergeRanked(lists, k)
-	mergeSpan.End()
-	r.metrics.merge.ObserveSince(mergeStart)
-	res.Partial = len(errs) > 0
-	if len(errs) > 0 {
-		res.ShardErrors = errs
-		res.FailedNodes = nodeErrs
-	}
-	res.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
-	return res, nil
+	m.elapsedMs = float64(time.Since(start).Microseconds()) / 1000
+	return m, nil
 }
 
 // firstSuccess tries shards in index order starting at first (wrapping

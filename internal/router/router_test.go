@@ -10,9 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -49,77 +47,6 @@ func (f *fakeBackend) Do(ctx context.Context, method, target string, body []byte
 		return 0, nil, err
 	}
 	return rep.status, b, nil
-}
-
-// refMerge is the naive reference: concatenate, sort, truncate.
-func refMerge(lists [][]server.RowJSON, k int) []server.RowJSON {
-	var all []server.RowJSON
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].EntityID < all[j].EntityID
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
-func TestMergeRankedMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		nLists := 1 + rng.Intn(8)
-		lists := make([][]server.RowJSON, nLists)
-		id := 0
-		for i := range lists {
-			n := rng.Intn(12)
-			for j := 0; j < n; j++ {
-				score := float64(rng.Intn(6)) / 5 // deliberately collide scores to hit tie-breaks
-				lists[i] = append(lists[i], server.RowJSON{EntityID: fmt.Sprintf("e%04d", id), Score: score})
-				id++
-			}
-			sort.Slice(lists[i], func(a, b int) bool {
-				if lists[i][a].Score != lists[i][b].Score {
-					return lists[i][a].Score > lists[i][b].Score
-				}
-				return lists[i][a].EntityID < lists[i][b].EntityID
-			})
-		}
-		k := 1 + rng.Intn(15)
-		got := mergeRanked(lists, k)
-		want := refMerge(lists, k)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: merged %d rows, want %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].EntityID != want[i].EntityID || got[i].Score != want[i].Score {
-				t.Fatalf("trial %d row %d: got %+v, want %+v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestMergeRankedEmpty(t *testing.T) {
-	if rows := mergeRanked(nil, 10); len(rows) != 0 {
-		t.Fatalf("merged %d rows from nothing", len(rows))
-	}
-	if rows := mergeRanked([][]server.RowJSON{{}, {}}, 10); len(rows) != 0 {
-		t.Fatalf("merged %d rows from empty lists", len(rows))
-	}
-}
-
-func TestMergeRankedHugeKDoesNotAllocate(t *testing.T) {
-	// k is attacker-controlled (?k=, {"k":...}); the merge must allocate
-	// by available rows, not by k — a 9e18 cap would panic outright.
-	lists := [][]server.RowJSON{{{EntityID: "a", Score: 0.5}}, {{EntityID: "b", Score: 0.4}}}
-	rows := mergeRanked(lists, 1<<62)
-	if len(rows) != 2 {
-		t.Fatalf("merged %d rows, want 2", len(rows))
-	}
 }
 
 // topkBackend builds a fake backend serving one /topk reply.

@@ -258,46 +258,67 @@ func (s *Server) read(h http.HandlerFunc) http.HandlerFunc {
 // returns. Without it, a handler holding (R)Lock across a write to a
 // slow client would stall the lock: sync.RWMutex blocks new readers once
 // a writer waits, so one stalled connection plus one pending ingest
-// would freeze every endpoint, health probes included.
+// would freeze every endpoint, health probes included. A writer that is
+// already in memory (an in-process leg's MemResponse) cannot stall and is
+// written straight through.
 func buffered(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		buf := &bufferedResponse{header: http.Header{}}
-		h(buf, r)
+		if _, ok := w.(*MemResponse); ok {
+			h(w, r)
+			return
+		}
+		var buf MemResponse
+		h(&buf, r)
 		dst := w.Header()
 		for k, v := range buf.header {
 			dst[k] = v
 		}
-		w.WriteHeader(buf.status())
-		_, _ = w.Write(buf.buf.Bytes())
+		w.WriteHeader(buf.Status())
+		_, _ = w.Write(buf.Body())
 	}
 }
 
-// bufferedResponse is a minimal in-memory http.ResponseWriter backing
-// read()'s compose-under-lock, flush-after-unlock split.
-type bufferedResponse struct {
+// MemResponse is a minimal in-memory http.ResponseWriter (httptest's
+// recorder, without importing a testing package into the serving path):
+// read()'s compose-under-lock buffer, and what an in-process caller hands
+// ServeHTTP to get the status and body back. The zero value is ready.
+type MemResponse struct {
 	header http.Header
 	code   int
 	buf    bytes.Buffer
 }
 
-func (b *bufferedResponse) Header() http.Header { return b.header }
-func (b *bufferedResponse) WriteHeader(c int) {
-	if b.code == 0 {
-		b.code = c
+// Header implements http.ResponseWriter.
+func (m *MemResponse) Header() http.Header {
+	if m.header == nil {
+		m.header = http.Header{}
+	}
+	return m.header
+}
+
+// WriteHeader implements http.ResponseWriter; the first status wins.
+func (m *MemResponse) WriteHeader(c int) {
+	if m.code == 0 {
+		m.code = c
 	}
 }
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.code == 0 {
-		b.code = http.StatusOK
-	}
-	return b.buf.Write(p)
+
+// Write implements http.ResponseWriter.
+func (m *MemResponse) Write(p []byte) (int, error) {
+	m.WriteHeader(http.StatusOK)
+	return m.buf.Write(p)
 }
-func (b *bufferedResponse) status() int {
-	if b.code == 0 {
+
+// Status returns the response status: 200 unless the handler set one.
+func (m *MemResponse) Status() int {
+	if m.code == 0 {
 		return http.StatusOK
 	}
-	return b.code
+	return m.code
 }
+
+// Body returns the bytes written so far.
+func (m *MemResponse) Body() []byte { return m.buf.Bytes() }
 
 // get wraps a read-only handler with a 405 + JSON envelope for every verb
 // other than GET and HEAD (HEAD stays allowed — net/http strips the body —
@@ -437,13 +458,32 @@ func DecodeInterpretRequest(r *http.Request) (string, error) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// WriteJSON emits one JSON response.
+// WriteJSON emits one JSON response. The body is encoded in full before
+// the status goes out — by the append encoders of wire.go for the hot
+// response types, by encoding/json otherwise — so a value JSON cannot
+// carry (a non-finite score) is a 500 with the error envelope, never a
+// 200 with half a body.
 func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	e := encoders.Get().(*encoder)
+	e.buf, e.err = e.buf[:0], nil
+	if a, ok := v.(wireAppender); ok {
+		a.appendJSON(e)
+		e.buf = append(e.buf, '\n')
+	} else {
+		enc := json.NewEncoder(e)
+		enc.SetEscapeHTML(false)
+		e.err = enc.Encode(v)
+	}
+	if e.err != nil {
+		WriteError(w, http.StatusInternalServerError, "encode response: %v", e.err)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		_, _ = w.Write(e.buf)
+	}
+	if cap(e.buf) <= maxPooledBuffer {
+		encoders.Put(e)
+	}
 }
 
 // WriteError emits {"error": msg}.
@@ -630,8 +670,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := QueryResponse{
 		Rewritten:       res.Rewritten,
-		Interpretations: map[string]InterpretationJSON{},
-		Rows:            []RowJSON{},
+		Interpretations: make(map[string]InterpretationJSON, len(res.Interpretations)),
+		Rows:            make([]RowJSON, 0, len(res.Rows)),
 		ElapsedMs:       float64(time.Since(start).Microseconds()) / 1000,
 	}
 	for text, in := range res.Interpretations {
@@ -644,7 +684,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Rows = append(resp.Rows, rj)
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, &resp)
 }
 
 // InterpretResponse is the /interpret payload: the chosen interpretation
@@ -663,7 +703,7 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 	}
 	chosen, w2vOnly, cooccurOnly := s.db.InterpretStages(pred)
 	s.metrics.interpreted[chosen.Method].Inc()
-	WriteJSON(w, http.StatusOK, InterpretResponse{
+	WriteJSON(w, http.StatusOK, &InterpretResponse{
 		Chosen:      interpretationJSON(chosen),
 		W2VOnly:     interpretationJSON(w2vOnly),
 		CooccurOnly: interpretationJSON(cooccurOnly),
@@ -798,7 +838,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := TopKResponse{
-		Rows:           []RowJSON{},
+		Rows:           make([]RowJSON, 0, len(rows)),
 		SortedAccesses: stats.SortedAccesses,
 		Depth:          stats.Depth,
 		Candidates:     stats.Candidates,
@@ -811,7 +851,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Rows = append(resp.Rows, rj)
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, &resp)
 }
 
 // ReviewRequest is the POST /reviews body: one raw review to ingest.
