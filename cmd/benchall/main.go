@@ -1,7 +1,8 @@
 // Command benchall regenerates every table and figure of the paper's
 // evaluation (§5 and the appendices) in one run, printing paper-formatted
 // output. Flags trade fidelity for speed; the defaults complete in a few
-// minutes on a laptop.
+// minutes on a laptop. Serving performance is not measured here: that is
+// the repository benchmark's job (`bash bench/run.sh`, BENCHMARK.json).
 //
 // Usage:
 //
@@ -10,11 +11,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,220 +24,200 @@ import (
 	"repro/internal/harness"
 )
 
+// suite is what the experiments share: the flags, and the corpora and
+// databases most of them read — generated on first use, so a run that
+// skips every reader never pays for them.
+type suite struct {
+	seed     int64
+	start    time.Time
+	genCfg   corpus.GenConfig
+	subindex bool // build the Appendix B substitution index
+
+	t5               harness.Table5Config
+	t7               harness.Table7Config
+	table6Trials     int
+	taggedN, labelsN int
+
+	hotels, restaurants *corpus.Dataset
+	hotelDB, restDB     *core.DB
+}
+
+// generate makes the two corpora available.
+func (s *suite) generate() {
+	if s.hotels != nil {
+		return
+	}
+	fmt.Println("generating corpora...")
+	s.hotels = corpus.GenerateHotels(s.genCfg)
+	s.restaurants = corpus.GenerateRestaurants(s.genCfg)
+	fmt.Printf("  hotels: %d entities, %d reviews; restaurants: %d entities, %d reviews (%.1fs)\n\n",
+		len(s.hotels.Entities), len(s.hotels.Reviews),
+		len(s.restaurants.Entities), len(s.restaurants.Reviews), time.Since(s.start).Seconds())
+}
+
+// build makes the corpora and the two subjective databases available.
+func (s *suite) build() {
+	if s.hotelDB != nil {
+		return
+	}
+	s.generate()
+	fmt.Println("building subjective databases (extraction + markers + summaries)...")
+	buildStart := time.Now()
+	cfg := core.DefaultConfig()
+	cfg.Seed = s.seed
+	cfg.UseSubstitutionIndex = s.subindex
+	var err error
+	if s.hotelDB, err = harness.BuildDB(s.hotels, cfg, s.taggedN, s.labelsN); err != nil {
+		log.Fatalf("hotel build: %v", err)
+	}
+	if s.restDB, err = harness.BuildDB(s.restaurants, cfg, s.taggedN, s.labelsN); err != nil {
+		log.Fatalf("restaurant build: %v", err)
+	}
+	fmt.Printf("  built in %.1fs (hotel: %d extractions, restaurant: %d)\n\n",
+		time.Since(buildStart).Seconds(), len(s.hotelDB.Extractions), len(s.restDB.Extractions))
+}
+
+// experiments is the suite in run order. It is also the vocabulary of
+// -skip: the flag's help text and its validation both read the names here.
+var experiments = []struct {
+	name string
+	run  func(s *suite)
+}{
+	{"table3", func(s *suite) {
+		fmt.Println(harness.FormatTable3(harness.RunTable3(s.seed)))
+	}},
+	{"table4", func(s *suite) {
+		s.generate()
+		fmt.Println(harness.FormatTable4(harness.RunTable4(s.hotels, s.restaurants)))
+	}},
+	{"table5", func(s *suite) {
+		s.build()
+		fmt.Println("running Table 5 (quality vs baselines)...")
+		s.t5.Seed = s.seed + 100
+		fmt.Println(harness.FormatTable5(harness.RunTable5(s.hotels, s.restaurants, s.hotelDB, s.restDB, s.t5)))
+	}},
+	{"table6", func(s *suite) {
+		fmt.Println("running Table 6 (extractor F1)...")
+		fmt.Println(harness.FormatTable6(harness.RunTable6(s.table6Trials, s.seed+200)))
+	}},
+	{"table7", func(s *suite) {
+		s.build()
+		fmt.Println("running Table 7 (marker speedup)...")
+		s.t7.Seed = s.seed + 300
+		fmt.Println(harness.FormatTable7(harness.RunTable7(s.hotels, s.restaurants, s.hotelDB, s.restDB, s.t7)))
+	}},
+	{"table8", func(s *suite) {
+		s.build()
+		fmt.Println("running Table 8 (interpreter accuracy)...")
+		fmt.Println(harness.FormatTable8(harness.RunTable8(s.hotels, s.restaurants, s.hotelDB, s.restDB, s.seed+400)))
+	}},
+	{"figure7", func(s *suite) {
+		s.build()
+		fmt.Println(harness.FormatFigure7(harness.RunFigure7(s.hotelDB)))
+	}},
+	{"figure8", func(s *suite) {
+		s.build()
+		fmt.Println(harness.FormatFigure8(harness.RunFigure8(s.hotels, s.hotelDB)))
+	}},
+	{"appendixb", func(s *suite) {
+		s.build()
+		fmt.Println(harness.FormatAppendixB(harness.RunAppendixB(s.hotels, s.hotelDB)))
+	}},
+	{"appendixc", func(s *suite) {
+		fmt.Println(harness.FormatAppendixC(harness.RunAppendixC(s.seed + 500)))
+	}},
+	{"concurrency", func(s *suite) {
+		s.build()
+		fmt.Println("running concurrency (parallel serving + parallel build)...")
+		fmt.Println(harness.FormatConcurrency(harness.RunConcurrency(s.hotels, s.hotelDB, s.seed+600)))
+	}},
+	{"persistence", func(s *suite) {
+		fmt.Println("running persistence (snapshot cold start vs rebuild)...")
+		fmt.Println(harness.FormatPersistence(harness.RunPersistence(s.seed + 700)))
+	}},
+	{"sharding", func(s *suite) {
+		fmt.Println("running sharding (scatter-gather router vs monolith)...")
+		fmt.Println(harness.FormatSharding(harness.RunSharding(context.Background(), s.seed+800)))
+	}},
+	{"rebalance", func(s *suite) {
+		fmt.Println("running rebalance (online N→M re-partitioning vs full rebuild)...")
+		fmt.Println(harness.FormatRebalance(harness.RunRebalance(context.Background(), s.seed+900)))
+	}},
+}
+
+func experimentNames() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
+}
+
+// parseSkip reads the -skip list (case-insensitive, blanks ignored). A
+// name that is not an experiment is an error: a typo must not silently
+// run the multi-minute suite it meant to skip.
+func parseSkip(spec string) (map[string]bool, error) {
+	names := experimentNames()
+	skipped := map[string]bool{}
+	for _, s := range strings.Split(spec, ",") {
+		if s = strings.TrimSpace(strings.ToLower(s)); s == "" {
+			continue
+		}
+		if !slices.Contains(names, s) {
+			return nil, fmt.Errorf("unknown experiment %q in -skip (valid: %s)", s, strings.Join(names, ","))
+		}
+		skipped[s] = true
+	}
+	return skipped, nil
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "reduced corpus and trial counts (~10x faster)")
 	seed := flag.Int64("seed", 1, "master random seed")
-	skip := flag.String("skip", "", "comma-separated experiments to skip (table3..table8,figure7,figure8,appendixB,appendixC,concurrency,persistence,sharding,rebalance,load,replication,replicaops,groupcommit)")
-	baseline := flag.String("baseline", "", "compare the load experiment's SLOs against this committed baseline JSON (BENCH_baseline.json) and WARN on regressions — advisory only, never fails the run (shared CI machines are too noisy for a hard latency gate)")
+	skip := flag.String("skip", "", "comma-separated experiments to skip ("+strings.Join(experimentNames(), ",")+")")
 	flag.Parse()
 
-	skipped := map[string]bool{}
-	for _, s := range strings.Split(*skip, ",") {
-		if s = strings.TrimSpace(strings.ToLower(s)); s != "" {
-			skipped[s] = true
-		}
+	skipped, err := parseSkip(*skip)
+	if err != nil {
+		fmt.Fprintf(flag.CommandLine.Output(), "benchall: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
-	run := func(name string) bool { return !skipped[strings.ToLower(name)] }
 
-	genCfg := corpus.DefaultConfig()
-	t5 := harness.DefaultTable5Config()
-	t7 := harness.DefaultTable7Config()
-	table6Trials := 3
-	taggedN, labelsN := 900, 1000
+	s := &suite{
+		seed:         *seed,
+		start:        time.Now(),
+		genCfg:       corpus.DefaultConfig(),
+		subindex:     !skipped["appendixb"],
+		t5:           harness.DefaultTable5Config(),
+		t7:           harness.DefaultTable7Config(),
+		table6Trials: 3,
+		taggedN:      900,
+		labelsN:      1000,
+	}
 	if *quick {
-		genCfg = corpus.SmallConfig()
-		genCfg.HotelsLondon, genCfg.HotelsAmsterdam = 60, 25
-		genCfg.ReviewsPerHotel = 20
-		genCfg.Restaurants = 80
-		genCfg.ReviewsPerRestaurant = 10
-		t5.QueriesPerSet, t5.Trials = 10, 2
-		t7.QueriesPerSet = 30
-		table6Trials = 2
-		taggedN, labelsN = 500, 600
+		s.genCfg = corpus.SmallConfig()
+		s.genCfg.HotelsLondon, s.genCfg.HotelsAmsterdam = 60, 25
+		s.genCfg.ReviewsPerHotel = 20
+		s.genCfg.Restaurants = 80
+		s.genCfg.ReviewsPerRestaurant = 10
+		s.t5.QueriesPerSet, s.t5.Trials = 10, 2
+		s.t7.QueriesPerSet = 30
+		s.table6Trials = 2
+		s.taggedN, s.labelsN = 500, 600
 	}
-	genCfg.Seed = *seed
+	s.genCfg.Seed = *seed
 
-	start := time.Now()
 	fmt.Println("== OpineDB experiment suite ==")
 	fmt.Printf("corpus: %d hotels, %d restaurants (seed %d, quick=%v)\n\n",
-		genCfg.HotelsLondon+genCfg.HotelsAmsterdam, genCfg.Restaurants, *seed, *quick)
+		s.genCfg.HotelsLondon+s.genCfg.HotelsAmsterdam, s.genCfg.Restaurants, *seed, *quick)
 
-	if run("table3") {
-		fmt.Println(harness.FormatTable3(harness.RunTable3(*seed)))
-	}
-
-	fmt.Println("generating corpora...")
-	hotels := corpus.GenerateHotels(genCfg)
-	restaurants := corpus.GenerateRestaurants(genCfg)
-	fmt.Printf("  hotels: %d entities, %d reviews; restaurants: %d entities, %d reviews (%.1fs)\n\n",
-		len(hotels.Entities), len(hotels.Reviews),
-		len(restaurants.Entities), len(restaurants.Reviews), time.Since(start).Seconds())
-
-	if run("table4") {
-		fmt.Println(harness.FormatTable4(harness.RunTable4(hotels, restaurants)))
-	}
-
-	needDB := run("table5") || run("table7") || run("table8") || run("figure7") || run("figure8") || run("appendixb") || run("concurrency")
-	var hotelDB, restDB *core.DB
-	if needDB {
-		fmt.Println("building subjective databases (extraction + markers + summaries)...")
-		buildStart := time.Now()
-		cfg := core.DefaultConfig()
-		cfg.Seed = *seed
-		cfg.UseSubstitutionIndex = run("appendixb")
-		var err error
-		hotelDB, err = harness.BuildDB(hotels, cfg, taggedN, labelsN)
-		if err != nil {
-			log.Fatalf("hotel build: %v", err)
-		}
-		restDB, err = harness.BuildDB(restaurants, cfg, taggedN, labelsN)
-		if err != nil {
-			log.Fatalf("restaurant build: %v", err)
-		}
-		fmt.Printf("  built in %.1fs (hotel: %d extractions, restaurant: %d)\n\n",
-			time.Since(buildStart).Seconds(), len(hotelDB.Extractions), len(restDB.Extractions))
-	}
-
-	if run("table5") {
-		fmt.Println("running Table 5 (quality vs baselines)...")
-		t5.Seed = *seed + 100
-		fmt.Println(harness.FormatTable5(harness.RunTable5(hotels, restaurants, hotelDB, restDB, t5)))
-	}
-	if run("table6") {
-		fmt.Println("running Table 6 (extractor F1)...")
-		fmt.Println(harness.FormatTable6(harness.RunTable6(table6Trials, *seed+200)))
-	}
-	if run("table7") {
-		fmt.Println("running Table 7 (marker speedup)...")
-		t7.Seed = *seed + 300
-		fmt.Println(harness.FormatTable7(harness.RunTable7(hotels, restaurants, hotelDB, restDB, t7)))
-	}
-	if run("table8") {
-		fmt.Println("running Table 8 (interpreter accuracy)...")
-		fmt.Println(harness.FormatTable8(harness.RunTable8(hotels, restaurants, hotelDB, restDB, *seed+400)))
-	}
-	if run("figure7") {
-		fmt.Println(harness.FormatFigure7(harness.RunFigure7(hotelDB)))
-	}
-	if run("figure8") {
-		fmt.Println(harness.FormatFigure8(harness.RunFigure8(hotels, hotelDB)))
-	}
-	if run("appendixb") {
-		fmt.Println(harness.FormatAppendixB(harness.RunAppendixB(hotels, hotelDB)))
-	}
-	if run("appendixc") {
-		fmt.Println(harness.FormatAppendixC(harness.RunAppendixC(*seed + 500)))
-	}
-	if run("concurrency") {
-		fmt.Println("running concurrency (parallel serving + parallel build)...")
-		fmt.Println(harness.FormatConcurrency(harness.RunConcurrency(hotels, hotelDB, *seed+600)))
-	}
-	if run("persistence") {
-		fmt.Println("running persistence (snapshot cold start vs rebuild)...")
-		fmt.Println(harness.FormatPersistence(harness.RunPersistence(*seed + 700)))
-	}
-	if run("sharding") {
-		fmt.Println("running sharding (scatter-gather router vs monolith)...")
-		fmt.Println(harness.FormatSharding(harness.RunSharding(context.Background(), *seed+800)))
-	}
-	if run("rebalance") {
-		fmt.Println("running rebalance (online N→M re-partitioning vs full rebuild)...")
-		fmt.Println(harness.FormatRebalance(harness.RunRebalance(context.Background(), *seed+900)))
-	}
-	if run("load") {
-		fmt.Println("running load (mixed-traffic SLOs + hot-path A/Bs)...")
-		loadRes := harness.RunLoad(context.Background(), *seed+1000)
-		fmt.Println(harness.FormatLoadBench(loadRes))
-		if data, err := json.MarshalIndent(loadRes, "", "  "); err == nil {
-			if err := os.WriteFile("BENCH_load.json", data, 0o644); err != nil {
-				log.Printf("BENCH_load.json: %v", err)
-			} else {
-				fmt.Println("wrote BENCH_load.json")
-			}
-		}
-		if *baseline != "" {
-			compareBaseline(*baseline, loadRes)
-		}
-	}
-	if run("replication") {
-		fmt.Println("running replication (replica-set read scaling + hedged-scatter tail A/B)...")
-		replRes := harness.RunReplication(context.Background(), *seed+1100)
-		fmt.Println(harness.FormatReplication(replRes))
-		if data, err := json.MarshalIndent(replRes, "", "  "); err == nil {
-			if err := os.WriteFile("BENCH_replication.json", data, 0o644); err != nil {
-				log.Printf("BENCH_replication.json: %v", err)
-			} else {
-				fmt.Println("wrote BENCH_replication.json")
-			}
+	for _, e := range experiments {
+		if !skipped[e.name] {
+			e.run(s)
 		}
 	}
 
-	if run("replicaops") {
-		fmt.Println("running replicaops (live replica join vs rebuild + hot-range scaling 1→3)...")
-		opsRes := harness.RunReplicaOps(context.Background(), *seed+1300)
-		fmt.Println(harness.FormatReplicaOps(opsRes))
-		if data, err := json.MarshalIndent(opsRes, "", "  "); err == nil {
-			if err := os.WriteFile("BENCH_replicaops.json", data, 0o644); err != nil {
-				log.Printf("BENCH_replicaops.json: %v", err)
-			} else {
-				fmt.Println("wrote BENCH_replicaops.json")
-			}
-		}
-	}
-
-	if run("groupcommit") {
-		fmt.Println("running groupcommit (shared-fsync write pipeline vs serialized seed path)...")
-		gcRes := harness.RunGroupCommit(context.Background(), *seed+1200)
-		fmt.Println(harness.FormatGroupCommit(gcRes))
-		if data, err := json.MarshalIndent(gcRes, "", "  "); err == nil {
-			if err := os.WriteFile("BENCH_groupcommit.json", data, 0o644); err != nil {
-				log.Printf("BENCH_groupcommit.json: %v", err)
-			} else {
-				fmt.Println("wrote BENCH_groupcommit.json")
-			}
-		}
-	}
-
-	fmt.Printf("total time: %.1fs\n", time.Since(start).Seconds())
+	fmt.Printf("total time: %.1fs\n", time.Since(s.start).Seconds())
 	os.Exit(0)
-}
-
-// compareBaseline reads a committed load baseline and reports, warn-only,
-// where the current run regressed: per-op p95 latency more than 1.5x the
-// baseline, or overall throughput below 2/3 of it. Advisory output for
-// `make slo-check` — machine noise (shared CI runners, thermal state)
-// makes a hard latency gate flakier than it is protective, so a human
-// reads the warnings next to the diff that caused them.
-func compareBaseline(path string, cur harness.LoadBenchResult) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		log.Printf("slo-check: baseline %s: %v", path, err)
-		return
-	}
-	var base harness.LoadBenchResult
-	if err := json.Unmarshal(data, &base); err != nil {
-		log.Printf("slo-check: baseline %s: %v", path, err)
-		return
-	}
-	fmt.Printf("slo-check: comparing against %s\n", path)
-	warned := false
-	for op, bst := range base.Mixed.PerOp {
-		cst, ok := cur.Mixed.PerOp[op]
-		if !ok || bst.P95Micros <= 0 || cst.Ops == 0 {
-			continue
-		}
-		if cst.P95Micros > bst.P95Micros*1.5 {
-			fmt.Printf("slo-check: WARN %s p95 %.0fµs vs baseline %.0fµs (%.1fx)\n",
-				op, cst.P95Micros, bst.P95Micros, cst.P95Micros/bst.P95Micros)
-			warned = true
-		}
-	}
-	if base.Mixed.OpsPerSecond > 0 && cur.Mixed.OpsPerSecond < base.Mixed.OpsPerSecond*2/3 {
-		fmt.Printf("slo-check: WARN throughput %.0f ops/s vs baseline %.0f ops/s\n",
-			cur.Mixed.OpsPerSecond, base.Mixed.OpsPerSecond)
-		warned = true
-	}
-	if !warned {
-		fmt.Println("slo-check: OK — no SLO regressions against the baseline")
-	}
 }

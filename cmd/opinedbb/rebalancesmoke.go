@@ -70,18 +70,10 @@ func runRebalanceSmoke(seed int64) {
 			log.Fatalf("rebalance-smoke: %v", err)
 		}
 		journals = append(journals, j)
+		ingest := server.JournaledIngest(j)
+		ingest.AcceptUnowned = true
 		shards[i] = router.Shard{
-			Backend: router.NewLocalBackend(fmt.Sprintf("shard%d", i), sdb, server.Options{
-				Ingest: &server.IngestOptions{
-					AcceptUnowned: true,
-					JournalDir:    jdir,
-					Append: func(rv core.ReviewData) (uint64, error) {
-						return j.Append(journal.Review{
-							ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-						})
-					},
-				},
-			}),
+			Backend:     router.NewLocalBackend(fmt.Sprintf("shard%d", i), sdb, server.Options{Ingest: ingest}),
 			FirstEntity: manifest.Shard[i].FirstEntity,
 			LastEntity:  manifest.Shard[i].LastEntity,
 		}

@@ -15,10 +15,10 @@
 // Every role supports live incremental enrichment: POST /reviews appends
 // the delta to a durable journal next to the served snapshot
 // (-journal, default auto) and applies it under the server's writer
-// lock. Load order is snapshot → journal replay → serve, so a crash
-// mid-ingest loses at most the unfsynced tail (-journal-sync-every) and
-// never serves corrupt state. `opinedbb -compact` folds a journal back
-// into a fresh snapshot.
+// lock. Load order is snapshot → journal replay → serve, and every
+// acknowledged write was fsynced first, so a crash mid-ingest loses no
+// acknowledged review and never serves corrupt state. `opinedbb
+// -compact` folds a journal back into a fresh snapshot.
 //
 // The fleet control plane (internal/fleet) rides on the journal: every
 // node reports its position (/journal/status, /healthz) and the router
@@ -86,8 +86,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	snapPath := flag.String("snapshot", "", "snapshot artifact to serve (written by opinedbb); falls back to an in-process build when the file does not exist")
 	journalMode := flag.String("journal", "auto", "review journal for live ingestion: 'auto' opens <snapshot>.journal next to the served artifact (replayed on load), 'off' serves read-only, any other value is an explicit journal directory")
-	journalSync := flag.Int("journal-sync-every", 1, "fsync the journal after every Nth ingested review on the serialized write path (1 = every write is durable before it is acknowledged); the group-commit pipeline always fsyncs each batch")
-	noGroupCommit := flag.Bool("no-group-commit", false, "serialize the write path (validate → append → fsync → apply under one lock per request) instead of the group-commit pipeline that shares one fsync across concurrent writers")
 	writeQueueDepth := flag.Int("write-queue-depth", 0, "bound on the group-commit staging queue; writes arriving at a full queue get 503 + Retry-After (0 = default)")
 	shardManifest := flag.String("shard-manifest", "", "shard manifest (written by opinedbb -shards); serve the single shard selected by -shard-index")
 	shardIndex := flag.Int("shard-index", -1, "which shard of -shard-manifest to serve")
@@ -118,29 +116,16 @@ func main() {
 		}()
 	}
 
-	tuning := ingestTuning{
-		syncEvery:     *journalSync,
-		noGroupCommit: *noGroupCommit,
-		queueDepth:    *writeQueueDepth,
-	}
 	var handler http.Handler
 	switch {
 	case *routerManifest != "":
-		handler = routerHandler(*routerManifest, *routerBackends, *topK, *journalMode, tuning, *repairEvery, *replicas, *noHedge, *hedgeDelay)
+		handler = routerHandler(*routerManifest, *routerBackends, *topK, *journalMode, *writeQueueDepth, *repairEvery, *replicas, *noHedge, *hedgeDelay)
 	case *shardManifest != "":
-		handler = shardHandler(*shardManifest, *shardIndex, *shardReplica, *topK, *journalMode, tuning)
+		handler = shardHandler(*shardManifest, *shardIndex, *shardReplica, *topK, *journalMode, *writeQueueDepth)
 	default:
-		handler = monolithHandler(*snapPath, *domain, *small, *seed, *workers, *tagged, *labels, *subindex, *topK, *journalMode, tuning)
+		handler = monolithHandler(*snapPath, *domain, *small, *seed, *workers, *tagged, *labels, *subindex, *topK, *journalMode, *writeQueueDepth)
 	}
 	serve(*addr, handler)
-}
-
-// ingestTuning carries the write-pipeline flags every role threads to
-// attachJournal.
-type ingestTuning struct {
-	syncEvery     int
-	noGroupCommit bool
-	queueDepth    int
 }
 
 // journalDir resolves the -journal flag against the served artifact:
@@ -163,20 +148,16 @@ func journalDir(mode, artifactPath string) string {
 // attachJournal is the serving side of the snapshot+journal lifecycle:
 // open the journal (crash recovery truncates a torn tail), replay every
 // surviving delta into the freshly loaded database, and return ingest
-// options whose Append feeds the same journal — so load order is always
+// options that feed the same journal — so load order is always
 // snapshot → replay → serve. An empty dir enables volatile (unjournaled)
-// ingestion.
-func attachJournal(db *core.DB, dir string, tun ingestTuning, acceptUnowned bool) *server.IngestOptions {
+// ingestion. queueDepth is -write-queue-depth.
+func attachJournal(db *core.DB, dir string, queueDepth int, acceptUnowned bool) *server.IngestOptions {
 	if dir == "" {
 		slog.Warn("ingestion enabled without a journal; reviews ingested live will NOT survive a restart")
-		return &server.IngestOptions{
-			AcceptUnowned:      acceptUnowned,
-			DisableGroupCommit: tun.noGroupCommit,
-			MaxQueueDepth:      tun.queueDepth,
-		}
+		return &server.IngestOptions{AcceptUnowned: acceptUnowned, MaxQueueDepth: queueDepth}
 	}
 	j, err := journal.Open(dir, journal.Options{
-		SyncEvery:    tun.syncEvery,
+		SyncEvery:    1, // an ack means fsynced
 		SyncObserver: server.FsyncObserver(metricsReg),
 	})
 	if err != nil {
@@ -193,40 +174,15 @@ func attachJournal(db *core.DB, dir string, tun ingestTuning, acceptUnowned bool
 		slog.Info("journal replayed", "dir", dir, "records", st.Records,
 			"last_seq", st.LastSeq, "applied", st.Applied, "already_present", st.Skipped)
 	}
-	return &server.IngestOptions{
-		AcceptUnowned: acceptUnowned,
-		// The journal introspection surface (/journal/status, /journal/
-		// records, the /healthz position) is what the fleet's anti-entropy
-		// repair reads.
-		JournalDir:     dir,
-		JournalLastSeq: j.NextSeq() - 1,
-		Append: func(rv core.ReviewData) (uint64, error) {
-			return j.Append(journal.Review{
-				ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer,
-				Day: rv.Day, Text: rv.Text,
-			})
-		},
-		// One fsync per commit batch: the group-commit pipeline's shared
-		// durability point.
-		AppendBatch: func(rvs []core.ReviewData) (uint64, error) {
-			batch := make([]journal.Review, len(rvs))
-			for i, rv := range rvs {
-				batch[i] = journal.Review{
-					ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer,
-					Day: rv.Day, Text: rv.Text,
-				}
-			}
-			return j.AppendBatch(batch)
-		},
-		AppendDurable:      tun.syncEvery <= 1,
-		DisableGroupCommit: tun.noGroupCommit,
-		MaxQueueDepth:      tun.queueDepth,
-	}
+	ingest := server.JournaledIngest(j)
+	ingest.AcceptUnowned = acceptUnowned
+	ingest.MaxQueueDepth = queueDepth
+	return ingest
 }
 
 // monolithHandler is the original single-database role: load a snapshot
 // or build in process.
-func monolithHandler(snapPath, domain string, small bool, seed int64, workers, tagged, labels int, subindex bool, topK int, journalMode string, tun ingestTuning) http.Handler {
+func monolithHandler(snapPath, domain string, small bool, seed int64, workers, tagged, labels int, subindex bool, topK int, journalMode string, queueDepth int) http.Handler {
 	var (
 		db       *core.DB
 		snapInfo *server.SnapshotInfo
@@ -274,7 +230,7 @@ func monolithHandler(snapPath, domain string, small bool, seed int64, workers, t
 	// Load order: snapshot → journal replay → serve. The journal lives
 	// next to the snapshot even when the replica fell back to an
 	// in-process build, so a fleet's ingestion layout is uniform.
-	ingest := attachJournal(db, journalDir(journalMode, snapPath), tun, false)
+	ingest := attachJournal(db, journalDir(journalMode, snapPath), queueDepth, false)
 	return server.New(db, server.Options{
 		DefaultTopK: topK,
 		EntityName:  entityNamer(db),
@@ -288,7 +244,7 @@ func monolithHandler(snapPath, domain string, small bool, seed int64, workers, t
 // shardHandler serves one digest-verified shard of a sharded build.
 // replica > 0 marks this process as the range's Nth replica: it serves
 // the same artifact but keeps its own journal chain.
-func shardHandler(manifestPath string, index, replica, topK int, journalMode string, tun ingestTuning) http.Handler {
+func shardHandler(manifestPath string, index, replica, topK int, journalMode string, queueDepth int) http.Handler {
 	m, err := snapshot.LoadManifest(manifestPath)
 	if err != nil {
 		fatal("shard manifest load failed", "path", manifestPath, "err", err)
@@ -305,7 +261,7 @@ func shardHandler(manifestPath string, index, replica, topK int, journalMode str
 		"load_ms", info.LoadMillis)
 	// AcceptUnowned: a shard journals and absorbs replicated writes for
 	// entities other shards own (corpus-global state must not drift).
-	ingest := attachJournal(db, replicaJournalDir(journalDir(journalMode, shardPath), replica), tun, true)
+	ingest := attachJournal(db, replicaJournalDir(journalDir(journalMode, shardPath), replica), queueDepth, true)
 	return server.New(db, server.Options{
 		DefaultTopK: topK,
 		EntityName:  entityNamer(db),
@@ -331,7 +287,7 @@ func replicaJournalDir(dir string, replica int) string {
 // (a non-empty -replicas spec overrides the manifest's replica shape
 // there).
 // repairEvery > 0 starts a background anti-entropy loop over the fleet.
-func routerHandler(manifestPath, backendList string, topK int, journalMode string, tun ingestTuning, repairEvery time.Duration, replicas string, noHedge bool, hedgeDelay time.Duration) http.Handler {
+func routerHandler(manifestPath, backendList string, topK int, journalMode string, queueDepth int, repairEvery time.Duration, replicas string, noHedge bool, hedgeDelay time.Duration) http.Handler {
 	opts := router.Options{
 		DefaultTopK:    topK,
 		Metrics:        metricsReg,
@@ -366,7 +322,7 @@ func routerHandler(manifestPath, backendList string, topK int, journalMode strin
 					DefaultTopK: topK,
 					EntityName:  entityNamer(db),
 					Snapshot:    snapshotInfo(path, meta),
-					Ingest:      attachJournal(db, replicaJournalDir(dir, replica), tun, true),
+					Ingest:      attachJournal(db, replicaJournalDir(dir, replica), queueDepth, true),
 					Metrics:     metricsReg,
 					Trace:       tracer,
 				}

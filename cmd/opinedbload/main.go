@@ -23,8 +23,9 @@
 // The mix is weights, not percentages: `-mix query=4,topk=3,interpret=2,reviews=1`.
 //
 // Smoke-mode fault injection: `-replicas 2 -slow-replica 25ms` serves
-// every range twice and degrades one backend, making the hedged-scatter
-// tail win reproducible outside benchall (A/B it with `-no-hedge`).
+// every range twice and degrades one backend, so the hedged scatter's
+// answer to a slow replica is reproducible on demand (`make trace-smoke`
+// asserts on it).
 package main
 
 import (
@@ -55,8 +56,6 @@ func main() {
 	shards := flag.Int("shards", 4, "fleet size in -smoke mode")
 	replicas := flag.Int("replicas", 1, "replica-set size per shard range in -smoke mode")
 	slowReplica := flag.Duration("slow-replica", 0, "-smoke mode fault injection: add this per-request delay in front of one backend (the last replica of shard 0), so a degraded replica's tail — and hedging's answer to it — is reproducible on demand")
-	noHedge := flag.Bool("no-hedge", false, "-smoke mode: disable hedged scatter legs (the control arm of the -slow-replica A/B)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "-smoke mode: fixed hedge delay (0 = adapt to each shard's scatter p95)")
 	k := flag.Int("k", 10, "result size for query/topk operations")
 	fingerprint := flag.Bool("fingerprint", false, "-smoke mode: after the run, replay one node's journal into the pre-fleet monolith and require the routed fleet to answer the full query set byte-identically (write-path identity gate)")
 	slowMS := flag.Float64("slow-ms", 0, "after the run, print the retained traces slower than this many milliseconds — from the fleet's /debug/traces in -addr mode, from the in-process collector in -smoke mode (where it also lowers the tail-sampling retention cutoff to match)")
@@ -74,8 +73,8 @@ func main() {
 		if !*smoke {
 			log.Fatal("opinedbload: -trace-smoke requires -smoke")
 		}
-		if *replicas < 2 || *slowReplica <= 0 || *noHedge {
-			log.Fatal("opinedbload: -trace-smoke needs a hedge-win to assert on: use -replicas >= 2 and -slow-replica > 0, without -no-hedge")
+		if *replicas < 2 || *slowReplica <= 0 {
+			log.Fatal("opinedbload: -trace-smoke needs a hedge-win to assert on: use -replicas >= 2 and -slow-replica > 0")
 		}
 	}
 	mix, err := parseMix(*mixSpec)
@@ -117,13 +116,11 @@ func main() {
 			tropts.Capacity = 4096
 		}
 		fl, err = harness.BuildLoadFleet(dir, harness.LoadFleetOptions{
-			Shards:         *shards,
-			Replicas:       *replicas,
-			Seed:           *seed,
-			DisableHedging: *noHedge,
-			HedgeDelay:     *hedgeDelay,
-			SlowReplica:    *slowReplica,
-			Trace:          tropts,
+			Shards:      *shards,
+			Replicas:    *replicas,
+			Seed:        *seed,
+			SlowReplica: *slowReplica,
+			Trace:       tropts,
 		})
 		if err != nil {
 			log.Fatalf("opinedbload: %v", err)

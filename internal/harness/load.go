@@ -6,10 +6,9 @@ package harness
 // SLO percentiles from the exact recorded latencies (no bucketing —
 // the sample counts here are small enough to sort). The same runner
 // backs `opinedbload` (real TCP against a daemon or its own in-process
-// fleet) and benchall's "load" experiment (in-process handler, plus
-// the two hot-path A/Bs: /topk fragment memoization on vs off, and
-// the incremental journal prefix-hash chain vs the per-probe segment
-// rescan it replaced).
+// fleet), the opinedbb smokes and this package's tests (in-process
+// handler). It is a smoke and test fixture; performance is measured by
+// the repository benchmark (`bash bench/run.sh`).
 
 import (
 	"bytes"
@@ -102,16 +101,9 @@ func HTTPLoadTarget(baseURL string, client *http.Client) LoadTarget {
 	}
 	base := strings.TrimRight(baseURL, "/")
 	return func(ctx context.Context, method, target string, body []byte) (int, []byte, error) {
-		var rd *bytes.Reader
-		req, err := http.NewRequestWithContext(ctx, method, base+target, nil)
+		req, err := newLoadRequest(ctx, method, base+target, body)
 		if err != nil {
 			return 0, nil, err
-		}
-		if body != nil {
-			rd = bytes.NewReader(body)
-			req.Body = nopCloser{rd}
-			req.ContentLength = int64(len(body))
-			req.Header.Set("Content-Type", "application/json")
 		}
 		resp, err := client.Do(req)
 		if err != nil {
@@ -126,64 +118,31 @@ func HTTPLoadTarget(baseURL string, client *http.Client) LoadTarget {
 	}
 }
 
-type nopCloser struct{ *bytes.Reader }
-
-func (nopCloser) Close() error { return nil }
+// newLoadRequest builds one load request; a non-nil body is JSON.
+func newLoadRequest(ctx context.Context, method, url string, body []byte) (*http.Request, error) {
+	if body == nil {
+		return http.NewRequestWithContext(ctx, method, url, nil)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return req, nil
+}
 
 // HandlerLoadTarget drives an http.Handler in process — no sockets, so
 // the run measures serving work, not loopback.
 func HandlerLoadTarget(h http.Handler) LoadTarget {
 	return func(ctx context.Context, method, target string, body []byte) (int, []byte, error) {
-		var rd *bytes.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		var req *http.Request
-		var err error
-		if rd != nil {
-			req, err = http.NewRequestWithContext(ctx, method, target, rd)
-		} else {
-			req, err = http.NewRequestWithContext(ctx, method, target, nil)
-		}
+		req, err := newLoadRequest(ctx, method, target, body)
 		if err != nil {
 			return 0, nil, err
 		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		rec := newRecorder()
-		h.ServeHTTP(rec, req)
-		return rec.status(), rec.buf.Bytes(), nil
+		var res server.MemResponse
+		h.ServeHTTP(&res, req)
+		return res.Status(), res.Body(), nil
 	}
-}
-
-// recorder is a minimal in-memory http.ResponseWriter (the harness
-// cannot import httptest outside tests).
-type recorder struct {
-	header http.Header
-	code   int
-	buf    bytes.Buffer
-}
-
-func newRecorder() *recorder { return &recorder{header: http.Header{}} }
-
-func (r *recorder) Header() http.Header { return r.header }
-func (r *recorder) WriteHeader(c int) {
-	if r.code == 0 {
-		r.code = c
-	}
-}
-func (r *recorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return r.buf.Write(b)
-}
-func (r *recorder) status() int {
-	if r.code == 0 {
-		return http.StatusOK
-	}
-	return r.code
 }
 
 // loadVocabulary is the request vocabulary a run draws from.
@@ -388,9 +347,8 @@ func percentile(sorted []float64, q float64) float64 {
 // runs: the router's HTTP front door, the generated dataset behind it
 // (the request vocabulary), the monolithic database the fleet was built
 // from (the byte-identity reference), the shared metrics registry, and
-// each node's journal directory, indexed [shard][replica]. Counts holds
-// each range's replica-set size; a live join grows JournalDirs[shard]
-// past Counts[shard].
+// each node's journal directory, indexed [shard][replica] (a live join
+// appends to JournalDirs[shard]).
 type LoadFleet struct {
 	Router      *router.Router
 	Handler     http.Handler
@@ -399,7 +357,6 @@ type LoadFleet struct {
 	Registry    *obs.Registry
 	JournalDirs [][]string
 	Manifest    *snapshot.Manifest
-	Counts      []int
 	// Trace is the fleet's shared trace collector (nil when the fleet was
 	// built without tracing). In-process fleets share ONE collector across
 	// the router front door and every shard replica, so a routed request's
@@ -456,21 +413,11 @@ type LoadFleetOptions struct {
 	Shards int
 	// Replicas is each shard range's replica-set size. <= 0 means 1.
 	Replicas int
-	// ReplicasPerRange gives each range its own replica-set size
-	// (index-aligned with shards; entries <= 0 mean 1). Takes precedence
-	// over Replicas, so a hot range can run R=3 while cold ranges stay
-	// single-replica.
-	ReplicasPerRange []int
 	// Seed drives corpus generation and the build.
 	Seed int64
-	// DisableTopKMemo turns off per-shard /topk fragment memoization —
-	// the control arm of the memoization A/B.
+	// DisableTopKMemo turns off per-shard /topk fragment memoization — the
+	// reference arm of the memo byte-identity test.
 	DisableTopKMemo bool
-	// DisableHedging turns off hedged scatter legs — the control arm of
-	// the hedging A/B.
-	DisableHedging bool
-	// HedgeDelay fixes the hedge delay (0 = adaptive p95).
-	HedgeDelay time.Duration
 	// SlowReplica injects a fixed per-request delay in front of one
 	// backend — the LAST replica of shard 0 — so a degraded replica's
 	// tail (and hedging's answer to it) is reproducible on demand.
@@ -478,9 +425,6 @@ type LoadFleetOptions struct {
 	// WrapBackend, when non-nil, wraps each node's backend after any
 	// SlowReplica delay — the kill-switch seam the replica smoke uses.
 	WrapBackend func(shard, replica int, b router.Backend) router.Backend
-	// DisableGroupCommit serializes each node's write path — the control
-	// arm of the group-commit A/B.
-	DisableGroupCommit bool
 	// Trace, when non-nil, builds the fleet with request tracing: one
 	// shared collector wired into the router and every shard server. The
 	// collector's sampler RNG is its own (never the router's pick RNG), so
@@ -498,18 +442,9 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 	if shards <= 0 {
 		shards = 4
 	}
-	if n := len(opts.ReplicasPerRange); n > 0 && n != shards {
-		return nil, fmt.Errorf("load fleet: %d replica counts for %d shards", n, shards)
-	}
-	counts := make([]int, shards)
-	for i := range counts {
-		counts[i] = opts.Replicas
-		if i < len(opts.ReplicasPerRange) {
-			counts[i] = opts.ReplicasPerRange[i]
-		}
-		if counts[i] <= 0 {
-			counts[i] = 1
-		}
+	replicas := opts.Replicas
+	if replicas <= 0 {
+		replicas = 1
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("load fleet: %w", err)
@@ -523,12 +458,7 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load fleet: build: %w", err)
 	}
-	var manifestPath string
-	if len(opts.ReplicasPerRange) > 0 {
-		manifestPath, err = WritePerRangeFleet(db, dir, "load", shards, counts, opts.Seed)
-	} else {
-		manifestPath, err = WriteReplicatedFleet(db, dir, "load", shards, counts[0], opts.Seed)
-	}
+	manifestPath, err := WriteReplicatedFleet(db, dir, "load", shards, replicas, opts.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("load fleet: %w", err)
 	}
@@ -538,9 +468,9 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 	if opts.Trace != nil {
 		tracer = trace.New(*opts.Trace)
 	}
-	fl := &LoadFleet{Dataset: d, DB: db, Registry: reg, Trace: tracer, JournalDirs: make([][]string, shards), Counts: counts, manifestPath: manifestPath}
+	fl := &LoadFleet{Dataset: d, DB: db, Registry: reg, Trace: tracer, JournalDirs: make([][]string, shards), manifestPath: manifestPath}
 	for s := range fl.JournalDirs {
-		fl.JournalDirs[s] = make([]string, counts[s])
+		fl.JournalDirs[s] = make([]string, replicas)
 	}
 	fl.shardServer = func(shard, replica int, path string, sdb *core.DB, meta *snapshot.Meta) server.Options {
 		// Replica 0 keeps the pre-replication journal dir name so
@@ -554,7 +484,7 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 			return server.Options{}
 		}
 		j, jerr := journal.Open(jdir, journal.Options{
-			SyncEvery:    1,
+			SyncEvery:    1, // an ack means fsynced
 			SyncObserver: server.FsyncObserver(reg),
 		})
 		if jerr != nil {
@@ -564,37 +494,17 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 			fl.JournalDirs[shard] = append(fl.JournalDirs[shard], "")
 		}
 		fl.JournalDirs[shard][replica] = jdir
+		ingest := server.JournaledIngest(j)
+		ingest.AcceptUnowned = true
 		return server.Options{
 			Metrics:         reg,
 			Trace:           tracer,
 			DisableTopKMemo: opts.DisableTopKMemo,
-			Ingest: &server.IngestOptions{
-				AcceptUnowned:  true,
-				JournalDir:     jdir,
-				JournalLastSeq: j.NextSeq() - 1,
-				Append: func(rv core.ReviewData) (uint64, error) {
-					return j.Append(journal.Review{
-						ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer,
-						Day: rv.Day, Text: rv.Text,
-					})
-				},
-				AppendBatch: func(rvs []core.ReviewData) (uint64, error) {
-					batch := make([]journal.Review, len(rvs))
-					for i, rv := range rvs {
-						batch[i] = journal.Review{
-							ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer,
-							Day: rv.Day, Text: rv.Text,
-						}
-					}
-					return j.AppendBatch(batch)
-				},
-				AppendDurable:      true, // SyncEvery: 1 above
-				DisableGroupCommit: opts.DisableGroupCommit,
-			},
+			Ingest:          ingest,
 		}
 	}
 	fl.wrap = func(shard, replica int, b router.Backend) router.Backend {
-		if opts.SlowReplica > 0 && shard == 0 && replica == counts[0]-1 {
+		if opts.SlowReplica > 0 && shard == 0 && replica == replicas-1 {
 			b = &router.DelayBackend{Inner: b, Delay: opts.SlowReplica}
 		}
 		if opts.WrapBackend != nil {
@@ -603,12 +513,7 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 		return b
 	}
 	rt, m, err := router.FromManifest(manifestPath, router.ManifestOptions{
-		Options: router.Options{
-			Metrics:        reg,
-			Trace:          tracer,
-			DisableHedging: opts.DisableHedging,
-			HedgeDelay:     opts.HedgeDelay,
-		},
+		Options:     router.Options{Metrics: reg, Trace: tracer},
 		ShardServer: fl.shardServer,
 		WrapBackend: fl.wrap,
 	})

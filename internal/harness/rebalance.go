@@ -35,54 +35,18 @@ func WriteReplicatedFleet(db *core.DB, dir, base string, n, replicas int, seed i
 	if replicas == 1 {
 		replicas = 0 // canonical single-replica manifest: field absent
 	}
-	return writeFleetManifest(db, dir, base, n, replicas, nil, seed)
-}
-
-// WritePerRangeFleet is WriteFleet with an explicit replica-set size per
-// shard range (index-aligned; entries <= 0 mean 1), the deployment shape
-// where a hot range runs R=3 while cold ranges stay single-replica. An
-// all-ones assignment canonicalizes to the plain single-replica manifest.
-func WritePerRangeFleet(db *core.DB, dir, base string, n int, perRange []int, seed int64) (string, error) {
-	if len(perRange) != n {
-		return "", fmt.Errorf("fleet: %d replica counts for %d shards", len(perRange), n)
-	}
-	uniform := true
-	counts := make([]int, n)
-	for i, r := range perRange {
-		if r < 0 {
-			return "", fmt.Errorf("fleet: negative replica count %d for range %d", r, i)
-		}
-		if r < 1 {
-			r = 1
-		}
-		counts[i] = r
-		if r != 1 {
-			uniform = false
-		}
-	}
-	if uniform {
-		counts = nil
-	}
-	return writeFleetManifest(db, dir, base, n, 0, counts, seed)
-}
-
-// writeFleetManifest shards db and writes the snapshots plus a manifest
-// carrying the given replica shape (uniform count, per-range counts, or
-// neither for single-replica).
-func writeFleetManifest(db *core.DB, dir, base string, n, replicas int, perRange []int, seed int64) (string, error) {
 	shardDBs, parts, err := db.Shards(n)
 	if err != nil {
 		return "", err
 	}
 	m := &snapshot.Manifest{
-		FormatVersion:    snapshot.FormatVersion,
-		Name:             db.Name,
-		BuildSeed:        seed,
-		Shards:           n,
-		Replicas:         replicas,
-		ReplicasPerRange: perRange,
-		TotalEntities:    len(db.EntityIDs()),
-		CreatedUnix:      time.Now().Unix(),
+		FormatVersion: snapshot.FormatVersion,
+		Name:          db.Name,
+		BuildSeed:     seed,
+		Shards:        n,
+		Replicas:      replicas,
+		TotalEntities: len(db.EntityIDs()),
+		CreatedUnix:   time.Now().Unix(),
 	}
 	for i, sdb := range shardDBs {
 		ids := parts[i]

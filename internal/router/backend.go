@@ -127,9 +127,8 @@ func (b *LocalBackend) Do(ctx context.Context, method, target string, body []byt
 }
 
 // DelayBackend injects a fixed per-request delay in front of an inner
-// backend — the fault-injection seam behind `opinedbload -slow-replica`,
-// the benchall replication experiment's degraded-replica arm, and the
-// hedging tests. The delay honors context cancellation, so a hedge
+// backend — the fault-injection seam behind `opinedbload -slow-replica`
+// (`make trace-smoke`) and the hedging tests. The delay honors context cancellation, so a hedge
 // winner cancels the delayed loser without waiting out the injected
 // latency.
 type DelayBackend struct {

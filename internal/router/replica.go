@@ -431,8 +431,8 @@ func (r *Router) scatterNodes(ctx context.Context, method, target string) (*flee
 }
 
 // HedgeStats reports how many hedge legs the router has fired and how
-// many of them beat the original leg — the observability hook behind
-// the benchall replication experiment and the hedging tests.
+// many of them beat the original leg — what `opinedbload -slow-replica`
+// logs and the hedging tests assert on.
 func (r *Router) HedgeStats() (fired, wins uint64) {
 	return r.metrics.hedgeFired.Value(), r.metrics.hedgeWins.Value()
 }

@@ -98,8 +98,8 @@ type Options struct {
 	Metrics *obs.Registry
 	// DisableHedging turns off hedged scatter legs (replica.go). Load
 	// balancing and failover across replicas stay on; only the
-	// latency-triggered second leg is suppressed — the control arm of
-	// the hedging A/B.
+	// latency-triggered second leg is suppressed — the deterministic arm
+	// the replica tests pin picks with, and `opinedbd -no-hedge`.
 	DisableHedging bool
 	// HedgeDelay fixes the hedge delay instead of adapting it to each
 	// shard's scatter-latency p95. 0 means adaptive.

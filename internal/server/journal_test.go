@@ -10,13 +10,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/server"
-	"repro/internal/snapshot"
 )
 
 // journaledServer clones the shared fixture database (snapshot round
@@ -24,25 +22,11 @@ import (
 // fresh journal.
 func journaledServer(t *testing.T) (*core.DB, string, *httptest.Server) {
 	t.Helper()
-	_, db, _ := testServer(t)
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "clone.snap")
-	if _, err := snapshot.Save(snap, db); err != nil {
-		t.Fatal(err)
-	}
-	clone, _, err := snapshot.Load(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jdir := filepath.Join(dir, "wal")
-	j, err := journal.Open(jdir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { j.Close() })
+	clone, dir := cloneFixture(t)
+	j := openJournal(t, dir)
 	srv := httptest.NewServer(server.New(clone, server.Options{
 		Ingest: &server.IngestOptions{
-			JournalDir: jdir,
+			JournalDir: j.Dir(),
 			Append: func(rv core.ReviewData) (uint64, error) {
 				return j.Append(journal.Review{
 					ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
@@ -51,7 +35,7 @@ func journaledServer(t *testing.T) (*core.DB, string, *httptest.Server) {
 		},
 	}))
 	t.Cleanup(srv.Close)
-	return clone, jdir, srv
+	return clone, j.Dir(), srv
 }
 
 func postReview(t *testing.T, url string, req server.ReviewRequest) server.ReviewResponse {

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/snapshot"
 )
 
 // metricsServer clones the shared fixture (so writes stay local to the
@@ -29,15 +27,7 @@ import (
 // registry.
 func metricsServer(t *testing.T) (*core.DB, *obs.Registry, *httptest.Server) {
 	t.Helper()
-	_, db, _ := testServer(t)
-	snap := filepath.Join(t.TempDir(), "clone.snap")
-	if _, err := snapshot.Save(snap, db); err != nil {
-		t.Fatal(err)
-	}
-	clone, _, err := snapshot.Load(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone, _ := cloneFixture(t)
 	reg := obs.NewRegistry()
 	srv := httptest.NewServer(server.New(clone, server.Options{
 		Ingest:  &server.IngestOptions{},

@@ -26,7 +26,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -97,11 +96,6 @@ type IngestOptions struct {
 	// the Durable field reported to clients on the per-record fallback
 	// path; AppendBatch acks are durable by contract.
 	AppendDurable bool
-	// DisableGroupCommit serializes the write path the pre-group-commit
-	// way: validate → append → fsync → apply under one exclusive lock per
-	// request. It exists as the control arm of the benchall "groupcommit"
-	// experiment and as an operator escape hatch.
-	DisableGroupCommit bool
 	// MaxQueueDepth bounds the staged commit queue; a write arriving at a
 	// full queue is refused with 503 + Retry-After instead of growing the
 	// backlog without bound. <= 0 means DefaultCommitQueueDepth.
@@ -126,6 +120,33 @@ type IngestOptions struct {
 	// the sequence of the final journal record replayed at load. The
 	// server advances it as /reviews appends.
 	JournalLastSeq uint64
+}
+
+// JournaledIngest is the one journal→ingest wiring: ingest options whose
+// Append and AppendBatch feed j and whose introspection surface reads j's
+// directory, seeded with the last sequence j holds (replay the journal
+// into the database before serving). j must fsync every append — opened
+// with journal.Options.SyncEvery <= 1 — which is what AppendDurable
+// declares. Callers set AcceptUnowned and MaxQueueDepth on the result.
+func JournaledIngest(j *journal.Journal) *IngestOptions {
+	return &IngestOptions{
+		Append: func(rv core.ReviewData) (uint64, error) { return j.Append(journalReview(rv)) },
+		AppendBatch: func(rvs []core.ReviewData) (uint64, error) {
+			batch := make([]journal.Review, len(rvs))
+			for i, rv := range rvs {
+				batch[i] = journalReview(rv)
+			}
+			return j.AppendBatch(batch)
+		},
+		AppendDurable:  true,
+		JournalDir:     j.Dir(),
+		JournalLastSeq: j.NextSeq() - 1,
+	}
+}
+
+// journalReview is a review delta in the journal's record type.
+func journalReview(rv core.ReviewData) journal.Review {
+	return journal.Review{ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text}
 }
 
 // Options configure a Server.
@@ -164,8 +185,9 @@ type Options struct {
 //
 // Locking: the engine's read path needs no coordination, but live
 // ingestion mutates the database, so the server holds a stop-the-world
-// RWMutex — every read handler runs under RLock and the /reviews writer
-// takes the exclusive lock for its append-then-apply critical section.
+// RWMutex — every read handler runs under RLock and the /reviews commit
+// leader takes the exclusive lock to fold its already-journaled batch
+// (groupcommit.go).
 // With ingestion disabled the RLocks are uncontended and the server
 // behaves exactly as the lock-free reader it used to be.
 type Server struct {
@@ -887,8 +909,8 @@ type ReviewResponse struct {
 	Seq uint64 `json:"seq"`
 	// Durable is true when the journaled record was fsynced before this
 	// acknowledgement was written — the group-commit contract. False only
-	// on volatile (journal-less) ingestion or a journal configured with a
-	// lazy sync batch (SyncEvery > 1) on the per-record append path.
+	// on volatile (journal-less) ingestion, or when an embedder wired only
+	// Append without declaring AppendDurable.
 	Durable bool `json:"durable"`
 }
 
@@ -909,8 +931,8 @@ func DecodeReviewRequest(r *http.Request) (ReviewRequest, error) {
 	return req, nil
 }
 
-// handleReviews is the live-enrichment write path. The default pipeline
-// is group commit (see groupcommit.go): the handler prepares the delta
+// handleReviews is the live-enrichment write path, and there is one:
+// group commit (see groupcommit.go). The handler prepares the delta
 // outside every lock, stages it on the commit queue, and one staged
 // writer — the leader — journals the whole queue with a single shared
 // fsync before applying it in sequence order, so every 200 response
@@ -934,82 +956,7 @@ func (s *Server) handleReviews(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rv := core.ReviewData{ID: req.ID, EntityID: req.EntityID, Reviewer: req.Reviewer, Day: req.Day, Text: req.Text}
-	if s.opts.Ingest.DisableGroupCommit {
-		s.handleReviewSerialized(w, r.Context(), req, rv)
-		return
-	}
 	s.handleReviewGrouped(w, r.Context(), req, rv)
-}
-
-// handleReviewSerialized is the pre-group-commit write path, kept as the
-// DisableGroupCommit control arm: validate → append → apply, all under
-// one exclusive lock per request.
-func (s *Server) handleReviewSerialized(w http.ResponseWriter, ctx context.Context, req ReviewRequest, rv core.ReviewData) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.db.HasReview(rv.ID) {
-		WriteError(w, http.StatusConflict, "review %q already ingested", rv.ID)
-		return
-	}
-	owned := s.db.ServesEntity(rv.EntityID)
-	if !owned && !(req.Replica && s.opts.Ingest.AcceptUnowned) {
-		WriteError(w, http.StatusNotFound, "no entity %q served here", rv.EntityID)
-		return
-	}
-	var seq uint64
-	var durable bool
-	var err error
-	if s.opts.Ingest.Append != nil || s.opts.Ingest.AppendBatch != nil {
-		t0 := time.Now()
-		if s.opts.Ingest.Append != nil {
-			seq, err = s.opts.Ingest.Append(rv)
-			durable = s.opts.Ingest.AppendDurable
-		} else {
-			seq, err = s.opts.Ingest.AppendBatch([]core.ReviewData{rv})
-			durable = true
-		}
-		s.metrics.journalAppend.ObserveSince(t0)
-		if err != nil {
-			WriteError(w, http.StatusInternalServerError, "journal append: %v", err)
-			return
-		}
-		// Extend the in-memory prefix-hash chain with exactly what was
-		// journaled — the chain mirrors the journal, not the applied
-		// state, so it advances before the apply below.
-		s.extendPrefixChain(seq, rv, trace.ID(ctx))
-	}
-	before := len(s.db.Extractions)
-	t0 := time.Now()
-	err = s.db.ApplyReview(rv)
-	s.metrics.apply.ObserveSince(t0)
-	if err != nil {
-		// The delta is journaled but not applied; the next load replays it.
-		// Surfacing the inconsistency beats hiding it. The apply may have
-		// mutated state before failing, so memoized fragments are
-		// conservatively dropped — a stale fragment would serve wrong bytes.
-		if s.topkMemo != nil {
-			s.topkMemo.invalidate()
-		}
-		WriteError(w, http.StatusInternalServerError, "apply (journaled at seq %d): %v", seq, err)
-		return
-	}
-	if s.topkMemo != nil {
-		// Any applied review can move any score (interpretation state is
-		// corpus-global); drop every memoized fragment.
-		s.topkMemo.invalidate()
-	}
-	if seq > 0 {
-		s.appliedSeq = seq
-		s.metrics.appliedSeq.Set(float64(seq))
-	}
-	WriteJSON(w, http.StatusOK, ReviewResponse{
-		ReviewID:    rv.ID,
-		EntityID:    rv.EntityID,
-		Owned:       owned,
-		Extractions: len(s.db.Extractions) - before,
-		Seq:         seq,
-		Durable:     durable,
-	})
 }
 
 // extendPrefixChain advances the in-memory prefix-hash chain with one
@@ -1022,9 +969,7 @@ func (s *Server) extendPrefixChain(seq uint64, rv core.ReviewData, traceID strin
 	if ph == nil {
 		return
 	}
-	if err := ph.Append(seq, journal.Review{
-		ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-	}); err != nil {
+	if err := ph.Append(seq, journalReview(rv)); err != nil {
 		s.ph.Store(nil)
 		s.metrics.chainDropped.Inc()
 		slog.Warn("server: prefix-hash chain dropped; journal/status probes degrade to segment scans until restart",

@@ -11,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/server"
-	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -32,22 +30,8 @@ type batchFn = func([]core.ReviewData) (uint64, error)
 // everything trace collector.
 func tracedIngestServer(t *testing.T, wrapBatch func(batchFn) batchFn) (*core.DB, *trace.Collector, *httptest.Server) {
 	t.Helper()
-	_, db, _ := testServer(t)
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "clone.snap")
-	if _, err := snapshot.Save(snap, db); err != nil {
-		t.Fatal(err)
-	}
-	clone, _, err := snapshot.Load(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jdir := filepath.Join(dir, "wal")
-	j, err := journal.Open(jdir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { j.Close() })
+	clone, dir := cloneFixture(t)
+	j := openJournal(t, dir)
 	appendBatch := func(rvs []core.ReviewData) (uint64, error) {
 		recs := make([]journal.Review, len(rvs))
 		for i, rv := range rvs {
@@ -64,7 +48,7 @@ func tracedIngestServer(t *testing.T, wrapBatch func(batchFn) batchFn) (*core.DB
 	srv := httptest.NewServer(server.New(clone, server.Options{
 		Trace: col,
 		Ingest: &server.IngestOptions{
-			JournalDir: jdir,
+			JournalDir: j.Dir(),
 			Append: func(rv core.ReviewData) (uint64, error) {
 				return j.Append(journal.Review{
 					ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
