@@ -132,8 +132,8 @@ func (db *DB) ServesEntity(entityID string) bool {
 // production behaviour of the paper's system, where schema and models
 // are rebuilt offline while summaries track new reviews online.
 //
-// Corpus-global state (the Reviews relation, review BM25 index, sentiment
-// and co-occurrence statistics, the extraction relation and its access
+// Corpus-global state (review BM25 index, sentiment, reviewer-count and
+// co-occurrence statistics, the extraction relation and its access
 // paths) is always updated; the per-entity marker summary is materialized
 // only when this instance serves the entity (ServesEntity). On a shard
 // that replicates a write for another shard's entity, the global update

@@ -201,11 +201,10 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 		cfg:                cfg,
 	}
 
-	// ---- Relational layer: Entities and Reviews tables.
+	// ---- Relational layer: the Entities table, the one relation queries
+	// read (reviews and extractions live in the IR index and
+	// db.Extractions).
 	if err := buildEntityTable(db, in.Entities); err != nil {
-		return nil, err
-	}
-	if err := buildReviewTable(db, in.Reviews); err != nil {
 		return nil, err
 	}
 	for _, e := range in.Entities {
@@ -328,10 +327,6 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 	}
 
 	// ---- Materialize the extraction relation + marker summaries (§4.2.2).
-	if err := buildExtractionTable(db); err != nil {
-		return nil, err
-	}
-	extTable, _ := db.Rel.Table("Extractions")
 	for _, a := range db.Attrs {
 		db.Summaries[a.Name] = map[string]*MarkerSummary{}
 	}
@@ -355,13 +350,6 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 			Sentiment: r.sentiment,
 		}
 		db.Extractions = append(db.Extractions, ext)
-		if err := extTable.Insert(relstore.Row{
-			int64(id), ext.EntityID, ext.ReviewID, ext.Reviewer,
-			int64(ext.Day), ext.Attribute, ext.Aspect, ext.Phrase,
-			int64(mi), ext.Sentiment,
-		}); err != nil {
-			return nil, err
-		}
 		addToSummary(db, attr, ext)
 	}
 
@@ -613,47 +601,4 @@ func buildEntityTable(db *DB, entities []EntityData) error {
 		}
 	}
 	return nil
-}
-
-func buildReviewTable(db *DB, reviews []ReviewData) error {
-	t, err := db.Rel.Create(relstore.Schema{
-		Name: "Reviews",
-		Columns: []relstore.Column{
-			{Name: "id", Type: relstore.TString},
-			{Name: "entity", Type: relstore.TString},
-			{Name: "reviewer", Type: relstore.TString},
-			{Name: "day", Type: relstore.TInt},
-			{Name: "text", Type: relstore.TString},
-		},
-		Key: "entity",
-	})
-	if err != nil {
-		return err
-	}
-	for _, rv := range reviews {
-		if err := t.Insert(relstore.Row{rv.ID, rv.EntityID, rv.Reviewer, int64(rv.Day), rv.Text}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func buildExtractionTable(db *DB) error {
-	_, err := db.Rel.Create(relstore.Schema{
-		Name: "Extractions",
-		Columns: []relstore.Column{
-			{Name: "id", Type: relstore.TInt},
-			{Name: "entity", Type: relstore.TString},
-			{Name: "review", Type: relstore.TString},
-			{Name: "reviewer", Type: relstore.TString},
-			{Name: "day", Type: relstore.TInt},
-			{Name: "attribute", Type: relstore.TString},
-			{Name: "aspect", Type: relstore.TString},
-			{Name: "phrase", Type: relstore.TString},
-			{Name: "marker", Type: relstore.TInt},
-			{Name: "sentiment", Type: relstore.TFloat},
-		},
-		Key: "entity",
-	})
-	return err
 }

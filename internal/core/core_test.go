@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -68,11 +69,9 @@ func TestBuildProducesSchema(t *testing.T) {
 			t.Errorf("attribute %s has empty linguistic domain", a.Name)
 		}
 	}
-	// Relational layer present.
-	for _, name := range []string{"Entities", "Reviews", "Extractions"} {
-		if _, err := db.Rel.Table(name); err != nil {
-			t.Errorf("missing relation %s: %v", name, err)
-		}
+	// The relational layer holds only the relation queries read.
+	if got := db.Rel.Names(); !reflect.DeepEqual(got, []string{"Entities"}) {
+		t.Errorf("relations = %v, want [Entities]", got)
 	}
 	if len(db.Extractions) == 0 {
 		t.Fatal("no extractions")

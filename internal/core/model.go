@@ -239,7 +239,8 @@ type ReviewData struct {
 type DB struct {
 	Name string
 
-	// Rel holds the relational layer: Entities, Reviews, Extractions.
+	// Rel holds the relational layer: the objective Entities relation,
+	// the only table query execution reads.
 	Rel *relstore.DB
 
 	// Attrs are the subjective attributes (the user-visible schema).
@@ -249,8 +250,7 @@ type DB struct {
 	// Summaries[attr][entity] is the marker summary view.
 	Summaries map[string]map[string]*MarkerSummary
 
-	// Extractions is the in-memory extraction relation (also mirrored in
-	// Rel for relational access).
+	// Extractions is the extraction relation, indexed by extraction id.
 	Extractions []Extraction
 
 	// Embed is the word2vec model trained on the review corpus.

@@ -5,7 +5,7 @@ package core
 // (tokenization, sentence splitting, perceptron extraction, nearest-
 // domain-variation classification, phrase sentiment) reads only the
 // frozen build-time model, while the cheap half folds the results into
-// the mutable serving state (relations, indexes, marker summaries).
+// the mutable serving state (indexes, marker summaries, review statistics).
 // Splitting them lets a concurrent write pipeline run the linguistic half
 // in parallel request handlers and keep only the fold on the serialized
 // path — the group-commit write path in internal/server is built on
@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/relstore"
 	"repro/internal/sentiment"
 	"repro/internal/textproc"
 )
@@ -96,22 +95,12 @@ func (db *DB) PrepareReview(rv ReviewData) (*PreparedReview, error) {
 // contract: folding the same prepared reviews in the same order yields
 // byte-identical query state. Callers serialize it against every reader
 // and against other folds (the server's write lock); the duplicate check
-// lives here, not in PrepareReview, because it reads mutable state.
+// lives here, not in PrepareReview, because it reads mutable state. It
+// is the fold's only failure: past it, the delta always lands whole.
 func (db *DB) ApplyPrepared(p *PreparedReview) error {
 	rv := p.rv
 	if _, exists := db.ReviewSentiments[rv.ID]; exists {
 		return fmt.Errorf("core: review %s already ingested", rv.ID)
-	}
-	reviews, err := db.Rel.Table("Reviews")
-	if err != nil {
-		return err
-	}
-	extTable, err := db.Rel.Table("Extractions")
-	if err != nil {
-		return err
-	}
-	if err := reviews.Insert(relstore.Row{rv.ID, rv.EntityID, rv.Reviewer, int64(rv.Day), rv.Text}); err != nil {
-		return err
 	}
 
 	owned := db.ServesEntity(rv.EntityID)
@@ -138,13 +127,6 @@ func (db *DB) ApplyPrepared(p *PreparedReview) error {
 			Sentiment: pe.sentiment,
 		}
 		db.Extractions = append(db.Extractions, ext)
-		if err := extTable.Insert(relstore.Row{
-			int64(id), ext.EntityID, ext.ReviewID, ext.Reviewer,
-			int64(ext.Day), ext.Attribute, ext.Aspect, ext.Phrase,
-			int64(pe.marker), ext.Sentiment,
-		}); err != nil {
-			return err
-		}
 		db.addIncremental(pe.attr, ext, owned)
 	}
 	// Interpretations may shift with new evidence. A degree list is a

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
-	"repro/internal/relstore"
 )
 
 // Property: interpretation is deterministic and cached — repeated calls
@@ -124,28 +123,6 @@ func TestExtractionReferentialIntegrity(t *testing.T) {
 			t.Fatalf("extraction %d sentiment %v out of range", ext.ID, ext.Sentiment)
 		}
 	}
-}
-
-// Property: the extraction relation in relstore mirrors db.Extractions.
-func TestExtractionTableMirrorsMemory(t *testing.T) {
-	_, db := testDB(t)
-	tbl, err := db.Rel.Table("Extractions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != len(db.Extractions) {
-		t.Fatalf("table %d rows, memory %d", tbl.Len(), len(db.Extractions))
-	}
-	count := 0
-	tbl.Scan(func(row relstore.Row) bool {
-		id := row[0].(int64)
-		ext := db.Extractions[id]
-		if row[1].(string) != ext.EntityID || row[7].(string) != ext.Phrase {
-			t.Fatalf("row %d mismatch", id)
-		}
-		count++
-		return count < 200 // spot check a prefix
-	})
 }
 
 // Property: QueryOptions.TopK and SQL LIMIT interact correctly.

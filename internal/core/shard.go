@@ -91,13 +91,14 @@ func (db *DB) ShardDB(keep func(entityID string) bool) (*DB, error) {
 
 	st := db.State()
 	shardSt := &DBState{
-		Name:             st.Name,
-		Cfg:              st.Cfg,
-		Attrs:            st.Attrs,
-		Extractions:      st.Extractions,
-		ReviewSentiments: st.ReviewSentiments,
-		Membership:       st.Membership,
-		Summaries:        make(map[string]map[string]*MarkerSummary, len(st.Summaries)),
+		Name:               st.Name,
+		Cfg:                st.Cfg,
+		Attrs:              st.Attrs,
+		Extractions:        st.Extractions,
+		ReviewSentiments:   st.ReviewSentiments,
+		ReviewsPerReviewer: st.ReviewsPerReviewer,
+		Membership:         st.Membership,
+		Summaries:          make(map[string]map[string]*MarkerSummary, len(st.Summaries)),
 	}
 	for attr, byEntity := range st.Summaries {
 		kept := make(map[string]*MarkerSummary)
@@ -160,13 +161,14 @@ func MergeShards(shards []*DB) (*DB, error) {
 	}
 	st := base.State()
 	merged := &DBState{
-		Name:             st.Name,
-		Cfg:              st.Cfg,
-		Attrs:            st.Attrs,
-		Extractions:      st.Extractions,
-		ReviewSentiments: st.ReviewSentiments,
-		Membership:       st.Membership,
-		Summaries:        make(map[string]map[string]*MarkerSummary, len(st.Summaries)),
+		Name:               st.Name,
+		Cfg:                st.Cfg,
+		Attrs:              st.Attrs,
+		Extractions:        st.Extractions,
+		ReviewSentiments:   st.ReviewSentiments,
+		ReviewsPerReviewer: st.ReviewsPerReviewer,
+		Membership:         st.Membership,
+		Summaries:          make(map[string]map[string]*MarkerSummary, len(st.Summaries)),
 	}
 	for attr := range st.Summaries {
 		merged.Summaries[attr] = map[string]*MarkerSummary{}
@@ -229,30 +231,22 @@ func MergeShards(shards []*DB) (*DB, error) {
 	return db, nil
 }
 
-// mergeEntityRows rebuilds the relational layer with the Entities table
-// as the concatenation of every shard's rows in shard order (contiguous
-// ascending ranges, so the result restores the pre-partition row set);
-// every other table comes from shard 0, where it is already complete.
+// mergeEntityRows rebuilds the Entities relation as the concatenation of
+// every shard's rows in shard order (contiguous ascending ranges, so the
+// result restores the pre-partition row set). State copies row slices, so
+// the shard databases' relations stay untouched.
 func mergeEntityRows(shards []*DB) (*relstore.DB, error) {
 	st := shards[0].Rel.State()
 	var rows []relstore.Row
 	for _, sh := range shards {
 		rows = append(rows, sh.Rel.State().Rows["Entities"]...)
 	}
-	// Copy the rows map so the shard databases' relational states stay
-	// untouched.
-	merged := st
-	merged.Rows = make(map[string][]relstore.Row, len(st.Rows))
-	for name, r := range st.Rows {
-		merged.Rows[name] = r
-	}
-	merged.Rows["Entities"] = rows
-	return relstore.FromState(merged)
+	st.Rows["Entities"] = rows
+	return relstore.FromState(st)
 }
 
 // restrictEntities rebuilds the relational layer with the Entities table
-// limited to kept ids; Reviews and Extractions stay complete (reviewer
-// counts and co-occurrence statistics are corpus-global).
+// limited to kept ids.
 func restrictEntities(rel *relstore.DB, keep func(string) bool) (*relstore.DB, error) {
 	st := rel.State()
 	for _, schema := range st.Schemas {

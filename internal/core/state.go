@@ -5,17 +5,17 @@ package core
 // State() exports everything query processing needs that cannot be
 // recomputed cheaply: the subjective schema with its linguistic domains
 // and marker assignments, the marker summaries, the extraction relation,
-// per-review sentiments, the membership model and the configuration.
-// FromState() reconstructs a query-ready DB from that state plus the
-// independently serialized subsystems (relational layer, embedding model,
-// IR indexes, extractor tagger, optional substitution index), rebuilding
-// the derived state — attrByName, entityIDs, reviewsPerReviewer, summary
-// centroids, and through buildDerived (derived.go, the helper Build ends in
-// too) the extraction access paths, co-occurrence statistics, domain tables
-// and review boost table — so a loaded DB answers every query
-// byte-identically to the freshly built one. The query-time
-// memo caches start empty; they are memos of pure functions of the
-// restored state, so warming them changes latency, never results.
+// per-review sentiments, per-reviewer review counts, the membership model
+// and the configuration. FromState() reconstructs a query-ready DB from
+// that state plus the independently serialized subsystems (the Entities
+// relation, embedding model, IR indexes, extractor tagger, optional
+// substitution index), rebuilding the derived state — attrByName,
+// entityIDs, summary centroids, and through buildDerived (derived.go, the
+// helper Build ends in too) the extraction access paths, co-occurrence
+// statistics, domain tables and review boost table — so a loaded DB
+// answers every query byte-identically to the freshly built one. The
+// query-time memo caches start empty; they are memos of pure functions of
+// the restored state, so warming them changes latency, never results.
 
 import (
 	"fmt"
@@ -61,7 +61,10 @@ type DBState struct {
 	Summaries        map[string]map[string]*MarkerSummary
 	Extractions      []Extraction
 	ReviewSentiments map[string]float64
-	Membership       MembershipState
+	// ReviewsPerReviewer counts every ingested review by reviewer,
+	// including reviews that yielded no extraction.
+	ReviewsPerReviewer map[string]int
+	Membership         MembershipState
 }
 
 // State exports the database for serialization. The returned state shares
@@ -69,11 +72,12 @@ type DBState struct {
 // RebuildSummaries, ...) until encoding completes.
 func (db *DB) State() *DBState {
 	st := &DBState{
-		Name:             db.Name,
-		Cfg:              db.cfg,
-		Summaries:        db.Summaries,
-		Extractions:      db.Extractions,
-		ReviewSentiments: db.ReviewSentiments,
+		Name:               db.Name,
+		Cfg:                db.cfg,
+		Summaries:          db.Summaries,
+		Extractions:        db.Extractions,
+		ReviewSentiments:   db.ReviewSentiments,
+		ReviewsPerReviewer: db.reviewsPerReviewer,
 	}
 	for _, a := range db.Attrs {
 		st.Attrs = append(st.Attrs, AttributeState{
@@ -109,7 +113,7 @@ type Components struct {
 
 // FromState reconstructs a query-ready DB from exported state and its
 // subsystem components. It validates referential integrity (marker
-// summary shapes, extraction ids, required relations) and rebuilds every
+// summary shapes, extraction ids, the Entities relation) and rebuilds every
 // derived access path with the helper Build uses (buildDerived), so query
 // results are byte-identical to the freshly built database's.
 func FromState(st *DBState, c Components) (*DB, error) {
@@ -127,10 +131,9 @@ func FromState(st *DBState, c Components) (*DB, error) {
 	case c.Tagger == nil:
 		return nil, fmt.Errorf("core: state needs the extractor tagger")
 	}
-	for _, table := range []string{"Entities", "Reviews", "Extractions"} {
-		if _, err := c.Rel.Table(table); err != nil {
-			return nil, fmt.Errorf("core: state relational layer: %w", err)
-		}
+	entities, err := c.Rel.Table("Entities")
+	if err != nil {
+		return nil, fmt.Errorf("core: state relational layer: %w", err)
 	}
 
 	db := &DB{
@@ -144,7 +147,7 @@ func FromState(st *DBState, c Components) (*DB, error) {
 		EntityIndex:        c.EntityIndex,
 		ReviewSentiments:   st.ReviewSentiments,
 		Extractor:          &extract.Extractor{Tagger: c.Tagger, Pairer: extract.RulePairer{}},
-		reviewsPerReviewer: map[string]int{},
+		reviewsPerReviewer: st.ReviewsPerReviewer,
 		cfg:                st.Cfg,
 	}
 	if db.Summaries == nil {
@@ -152,6 +155,9 @@ func FromState(st *DBState, c Components) (*DB, error) {
 	}
 	if db.ReviewSentiments == nil {
 		db.ReviewSentiments = map[string]float64{}
+	}
+	if db.reviewsPerReviewer == nil {
+		db.reviewsPerReviewer = map[string]int{}
 	}
 	db.Membership = &MembershipModel{
 		markerLR:       st.Membership.MarkerLR,
@@ -219,10 +225,6 @@ func FromState(st *DBState, c Components) (*DB, error) {
 
 	// ---- Entity ids: the Entities relation's sorted keys, matching
 	// Build's sorted input ids.
-	entities, err := db.Rel.Table("Entities")
-	if err != nil {
-		return nil, err
-	}
 	for _, k := range entities.Keys() {
 		id, ok := k.(string)
 		if !ok {
@@ -230,20 +232,6 @@ func FromState(st *DBState, c Components) (*DB, error) {
 		}
 		db.entityIDs = append(db.entityIDs, id)
 	}
-
-	// ---- Reviewer counts from the Reviews relation.
-	reviews, err := db.Rel.Table("Reviews")
-	if err != nil {
-		return nil, err
-	}
-	reviews.Scan(func(r relstore.Row) bool {
-		if reviewer, err := reviews.Get(r, "reviewer"); err == nil {
-			if name, ok := reviewer.(string); ok {
-				db.reviewsPerReviewer[name]++
-			}
-		}
-		return true
-	})
 
 	// ---- Extractions must reference the schema before the derived access
 	// paths index them.

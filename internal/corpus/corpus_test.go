@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,6 +83,19 @@ func TestGenerationDeterministic(t *testing.T) {
 	for i := range a.Reviews {
 		if a.Reviews[i].Text != b.Reviews[i].Text {
 			t.Fatalf("review %d differs", i)
+		}
+	}
+}
+
+// PlatformRatings are drawn in sorted attribute order, so two generations
+// agree on every rating, not just on the reviews.
+func TestPlatformRatingsDeterministic(t *testing.T) {
+	a := GenerateHotels(SmallConfig())
+	b := GenerateHotels(SmallConfig())
+	for i := range a.Entities {
+		if !reflect.DeepEqual(a.Entities[i].PlatformRatings, b.Entities[i].PlatformRatings) {
+			t.Fatalf("entity %s: platform ratings %v then %v",
+				a.Entities[i].ID, a.Entities[i].PlatformRatings, b.Entities[i].PlatformRatings)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package corpus
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/classify"
@@ -117,9 +119,10 @@ func GenerateHotels(cfg GenConfig) *Dataset {
 		// noisy proxies of the latent quality: scraped aggregate ratings
 		// blend many reviewers' disagreements, rating-scale compression
 		// and recency effects, so the attribute-based baseline cannot
-		// read the latent state directly.
-		for attr, aspect := range hotelRatingAttrs {
-			e.PlatformRatings[attr] = clamp(e.Latent[aspect]*10+rng.NormFloat64()*1.6, 0, 10)
+		// read the latent state directly. Sorted order ties each noise
+		// draw to the same rating on every run.
+		for _, attr := range slices.Sorted(maps.Keys(hotelRatingAttrs)) {
+			e.PlatformRatings[attr] = clamp(e.Latent[hotelRatingAttrs[attr]]*10+rng.NormFloat64()*1.6, 0, 10)
 		}
 		d.Entities = append(d.Entities, e)
 	}

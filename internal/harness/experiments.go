@@ -2,7 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -221,16 +223,15 @@ func runTable5Setting(d *corpus.Dataset, db *core.DB, s Setting, cfg Table5Confi
 }
 
 func avgPlatformRating(e *corpus.Entity) float64 {
-	var sum float64
-	var n int
-	for _, v := range e.PlatformRatings {
-		sum += v
-		n++
-	}
-	if n == 0 {
+	if len(e.PlatformRatings) == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	// Sum in key order: float addition is order-sensitive.
+	var sum float64
+	for _, attr := range slices.Sorted(maps.Keys(e.PlatformRatings)) {
+		sum += e.PlatformRatings[attr]
+	}
+	return sum / float64(len(e.PlatformRatings))
 }
 
 // FormatTable5 renders the grids paper-style.

@@ -3,12 +3,13 @@ package relstore
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-// Property: ByKey(k) returns exactly the rows Select(key == k) returns,
-// in insertion order.
+// Property: ByKey(k) returns exactly the rows a full-scan selection of
+// key == k returns, in insertion order.
 func TestByKeyMatchesSelect(t *testing.T) {
 	f := func(keys []uint8) bool {
 		tbl, err := NewTable(Schema{
@@ -28,7 +29,7 @@ func TestByKeyMatchesSelect(t *testing.T) {
 		for kv := 0; kv < 5; kv++ {
 			key := fmt.Sprintf("k%d", kv)
 			byKey := tbl.ByKey(key)
-			scanned := tbl.Select(func(r Row) bool { return r[0] == key })
+			scanned := selectRows(tbl, func(r Row) bool { return r[0] == key })
 			if len(byKey) != len(scanned) {
 				return false
 			}
@@ -46,6 +47,19 @@ func TestByKeyMatchesSelect(t *testing.T) {
 }
 
 func relTString() Type { return TString }
+
+// selectRows is the full-scan reference selection: every row satisfying
+// pred, in insertion order.
+func selectRows(tbl *Table, pred func(Row) bool) []Row {
+	var out []Row
+	tbl.Scan(func(r Row) bool {
+		if pred(r) {
+			out = append(out, r)
+		}
+		return true
+	})
+	return out
+}
 
 // Property: Len equals inserted row count for arbitrary insert sequences.
 func TestLenMatchesInserts(t *testing.T) {
@@ -69,7 +83,9 @@ func TestLenMatchesInserts(t *testing.T) {
 	}
 }
 
-// Property: gob save/load round-trips arbitrary typed rows exactly.
+// Property: saving a DB through State and loading it back through
+// FromState (the seam the snapshot codec persists) round-trips arbitrary
+// typed rows exactly and rebuilds the key index.
 func TestSaveLoadRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
@@ -97,11 +113,7 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		path := t.TempDir() + "/t.gob"
-		if err := db.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(path)
+		loaded, err := FromState(db.State())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,13 +124,14 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 		if lt.Len() != n {
 			t.Fatalf("trial %d: %d rows, want %d", trial, lt.Len(), n)
 		}
-		orig := tbl.Select(nil)
-		got := lt.Select(nil)
+		all := func(Row) bool { return true }
+		orig, got := selectRows(tbl, all), selectRows(lt, all)
 		for i := range orig {
-			for c := range orig[i] {
-				if orig[i][c] != got[i][c] {
-					t.Fatalf("trial %d row %d col %d: %v != %v", trial, i, c, got[i][c], orig[i][c])
-				}
+			if !reflect.DeepEqual(orig[i], got[i]) {
+				t.Fatalf("trial %d row %d: %v != %v", trial, i, got[i], orig[i])
+			}
+			if byKey := lt.ByKey(orig[i][0]); len(byKey) != 1 || !reflect.DeepEqual(byKey[0], orig[i]) {
+				t.Fatalf("trial %d: key index not rebuilt for %v: %v", trial, orig[i][0], byKey)
 			}
 		}
 	}

@@ -2,14 +2,12 @@
 // The paper implements its query engine "on top of PostgreSQL", storing the
 // extraction results in relations and computing subjective predicates as
 // user-defined aggregates; relstore provides the same capabilities in
-// process: typed schemas, tables with a hash index on the key, scans with
-// predicate pushdown, projection, and gob persistence.
+// process: typed schemas, tables with a hash index on the key, scans, and
+// an exported state seam that the snapshot codec persists.
 package relstore
 
 import (
-	"encoding/gob"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 )
@@ -222,18 +220,6 @@ func (t *Table) Scan(fn func(Row) bool) {
 	}
 }
 
-// Select returns all rows satisfying pred. A nil pred selects everything.
-func (t *Table) Select(pred func(Row) bool) []Row {
-	var out []Row
-	t.Scan(func(r Row) bool {
-		if pred == nil || pred(r) {
-			out = append(out, r)
-		}
-		return true
-	})
-	return out
-}
-
 // Keys returns the distinct key values in sorted order (string keys) or
 // insertion order otherwise. It returns nil for keyless tables.
 func (t *Table) Keys() []interface{} {
@@ -295,20 +281,14 @@ func (db *DB) Table(name string) (*Table, error) {
 func (db *DB) Names() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return db.namesLocked()
 }
 
 // DBState is the exported serialization seam for a relational DB: every
 // table's schema (in sorted name order) and rows (in insertion order).
-// Row values are the basic column types (string, int64, float64, bool),
-// which encoding/gob handles without registration. State copies row
-// slices (not the rows themselves), so a state taken under State's locks
-// stays consistent if the live DB keeps inserting.
+// Row values are the basic column types (string, int64, float64, bool).
+// State copies row slices (not the rows themselves), so a state taken
+// under State's locks stays consistent if the live DB keeps inserting.
 type DBState struct {
 	Schemas []Schema
 	Rows    map[string][]Row
@@ -347,20 +327,6 @@ func FromState(st DBState) (*DB, error) {
 	return db, nil
 }
 
-// Save persists the database to path with encoding/gob.
-func (db *DB) Save(path string) error {
-	snap := db.State()
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("relstore: save: %w", err)
-	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(snap); err != nil {
-		return fmt.Errorf("relstore: encode: %w", err)
-	}
-	return f.Close()
-}
-
 func (db *DB) namesLocked() []string {
 	out := make([]string, 0, len(db.tables))
 	for n := range db.tables {
@@ -368,18 +334,4 @@ func (db *DB) namesLocked() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Load reads a database previously written by Save.
-func Load(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("relstore: load: %w", err)
-	}
-	defer f.Close()
-	var snap DBState
-	if err := gob.NewDecoder(f).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("relstore: decode: %w", err)
-	}
-	return FromState(snap)
 }

@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -146,13 +145,14 @@ func TestSelectAndScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cheap := tbl.Select(func(r Row) bool { return r[2].(float64) < 250 })
+	cheap := selectRows(tbl, func(r Row) bool { return r[2].(float64) < 250 })
 	if len(cheap) != 2 {
-		t.Errorf("Select(<250) = %d rows", len(cheap))
+		t.Errorf("selection <250 = %d rows", len(cheap))
 	}
-	all := tbl.Select(nil)
-	if len(all) != 3 {
-		t.Errorf("Select(nil) = %d rows", len(all))
+	all := 0
+	tbl.Scan(func(Row) bool { all++; return true })
+	if all != 3 {
+		t.Errorf("full Scan visited %d rows", all)
 	}
 	// Early termination.
 	count := 0
@@ -199,6 +199,8 @@ func TestDBCreateAndLookup(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip saves a DB through State and loads it back through
+// FromState, the seam the snapshot codec persists.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db := NewDB()
 	tbl, _ := db.Create(hotelSchema())
@@ -211,11 +213,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "db.gob")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
+	loaded, err := FromState(db.State())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +234,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "absent.gob")); err == nil {
-		t.Error("loading a missing file should error")
-	}
-}
-
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	tbl, _ := NewTable(hotelSchema())
 	var wg sync.WaitGroup
@@ -256,7 +248,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			tbl.Select(func(r Row) bool { return r[2].(float64) > 50 })
+			selectRows(tbl, func(r Row) bool { return r[2].(float64) > 50 })
 			tbl.ByKey("A")
 			tbl.Len()
 		}

@@ -556,6 +556,7 @@ func encodeCoreState(st *core.DBState) []byte {
 	}
 
 	e.stringF64Map(st.ReviewSentiments)
+	e.stringIntMap(st.ReviewsPerReviewer)
 
 	e.logReg(st.Membership.MarkerLR)
 	e.logReg(st.Membership.ScanLR)
@@ -615,6 +616,7 @@ func decodeCoreState(payload []byte) (*core.DBState, error) {
 	}
 
 	st.ReviewSentiments = d.stringF64Map()
+	st.ReviewsPerReviewer = d.stringIntMap()
 
 	st.Membership.MarkerLR = d.decodeLogReg()
 	st.Membership.ScanLR = d.decodeLogReg()

@@ -47,8 +47,10 @@ const Magic = "OPDBSNAP"
 // FormatVersion is the container version this package writes and the only
 // one it accepts; bump it on any incompatible layout or state change.
 // Version 2 added the optional "shard" section (horizontal sharding) and
-// the shard manifest format.
-const FormatVersion uint32 = 2
+// the shard manifest format. Version 3 dropped the write-only Reviews and
+// Extractions relations from the "rel" section (it now carries Entities
+// alone) and added per-reviewer review counts to the "core" section.
+const FormatVersion uint32 = 3
 
 // Typed errors for unusable snapshot files. Wrapped with context by the
 // parser; match with errors.Is.

@@ -8,13 +8,18 @@ package snapshot
 // behind recomputed... no: mutated payloads fail CRC, so the interesting
 // seeds below carry VALID CRCs over adversarial payloads, driving the
 // section decoders directly. testdata/fuzz/FuzzSnapshotLoad holds
-// additional checked-in seeds.
+// additional checked-in seeds; every header in them carries FormatVersion
+// (TestCheckedInSeedsAtFormatVersion) so they reach the decoders, except
+// seed-v2, which pins the refusal of the previous format version.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -60,7 +65,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	}))
 	// Header-level adversaries.
 	f.Add([]byte(Magic))
-	f.Add([]byte(Magic + "\x02\x00\x00\x00\xff\xff\xff\xff"))
+	f.Add(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte(Magic), FormatVersion), 0xffffffff))
 	f.Add([]byte("not a snapshot at all"))
 	f.Add([]byte{})
 
@@ -73,5 +78,48 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if err == nil && (db == nil || meta == nil) {
 			t.Fatal("Load returned success without a database")
 		}
+		if v, ok := headerVersion(data); ok && v != FormatVersion && !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d header: got %v, want ErrVersion", v, err)
+		}
 	})
+}
+
+// headerVersion returns the format version of data when it starts with a
+// complete snapshot header (magic, version, section count).
+func headerVersion(data []byte) (uint32, bool) {
+	if len(data) < len(Magic)+8 || string(data[:len(Magic)]) != Magic {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(data[len(Magic):]), true
+}
+
+// TestCheckedInSeedsAtFormatVersion: a checked-in seed whose header
+// carries a stale version stops at the header check and never reaches the
+// section decoders, so every seed must carry FormatVersion — except
+// seed-v2, which must carry version 2 and is refused with ErrVersion.
+func TestCheckedInSeedsAtFormatVersion(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzSnapshotLoad", "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checked-in seeds (%v)", err)
+	}
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+		data, err := strconv.Unquote(lit)
+		if len(lines) != 2 || err != nil {
+			t.Fatalf("%s: not a one-value []byte seed file (%v)", path, err)
+		}
+		v, ok := headerVersion([]byte(data))
+		want := FormatVersion
+		if filepath.Base(path) == "seed-v2" {
+			want = 2
+		}
+		if ok && v != want {
+			t.Errorf("%s: header version %d, want %d", path, v, want)
+		}
+	}
 }

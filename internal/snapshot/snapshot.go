@@ -19,7 +19,7 @@ import (
 	"repro/internal/relstore"
 )
 
-// Section names of format version 2. SectionSubIndex is present only when
+// Section names of format version 3. SectionSubIndex is present only when
 // the database was built with the Appendix B substitution index, and
 // SectionShard only in per-shard snapshots written by a sharded build;
 // every other section is required.

@@ -339,14 +339,17 @@ func TestCorruptionChecksum(t *testing.T) {
 	}
 }
 
-// TestCorruptionVersion: a future format version is refused up front.
+// TestCorruptionVersion: a future format version, and the previous one
+// (whose artifacts must be rebuilt), are refused up front.
 func TestCorruptionVersion(t *testing.T) {
 	_, _, raw := fixtures(t)
-	bad := append([]byte(nil), raw...)
-	bad[8] = 0x63 // version field little-endian low byte → 99
-	_, _, err := snapshot.Load(writeSnap(t, bad))
-	if !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("got %v, want ErrVersion", err)
+	for _, v := range []uint32{snapshot.FormatVersion - 1, 99} {
+		bad := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(bad[len(snapshot.Magic):], v)
+		_, _, err := snapshot.Load(writeSnap(t, bad))
+		if !errors.Is(err, snapshot.ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", v, err)
+		}
 	}
 }
 
