@@ -9,12 +9,13 @@ verify: fmtcheck
 	go test -race ./...
 
 # Coverage floor: internal/core + internal/snapshot + internal/journal +
-# internal/fleet own the correctness contracts (byte-identical serving,
-# typed corruption errors, crash-safe replay, fleet convergence), so
+# internal/fleet + internal/relstore own the correctness contracts
+# (byte-identical serving, typed corruption errors, crash-safe replay,
+# fleet convergence, validation of the snapshot's rel section), so
 # their combined statement coverage must stay at or above 75%.
 COVER_FLOOR := 75
 cover:
-	go test -coverprofile=cover.out ./internal/core ./internal/snapshot ./internal/journal ./internal/fleet
+	go test -coverprofile=cover.out ./internal/core ./internal/snapshot ./internal/journal ./internal/fleet ./internal/relstore
 	@go tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); \
 		if ($$3 + 0 < $(COVER_FLOOR)) { printf "coverage %.1f%% is below the %d%% floor\n", $$3, $(COVER_FLOOR); exit 1 } \
 		else { printf "coverage %.1f%% (floor $(COVER_FLOOR)%%)\n", $$3 } }'

@@ -215,7 +215,7 @@ type Surprise struct {
 // expectation-contradicting evidence worth surfacing. objectiveCol must
 // be numeric; topPct selects the high end (e.g. 0.25 = top quartile).
 func (db *DB) Surprises(objectiveCol string, topPct, minNegativeMass float64) ([]Surprise, error) {
-	entities, err := db.Rel.Table("Entities")
+	col, _, err := db.Rel.Column(objectiveCol)
 	if err != nil {
 		return nil, err
 	}
@@ -224,17 +224,9 @@ func (db *DB) Surprises(objectiveCol string, topPct, minNegativeMass float64) ([
 		val float64
 	}
 	var all []ranked
-	for _, id := range db.entityIDs {
-		row := entities.FirstByKey(id)
-		if len(row) == 0 {
-			continue
-		}
-		v, err := entities.Get(row, objectiveCol)
-		if err != nil {
-			return nil, err
-		}
+	for e, id := range db.entityIDs {
 		var f float64
-		switch x := v.(type) {
+		switch x := db.Rel.Row(e)[col].(type) {
 		case float64:
 			f = x
 		case int64:

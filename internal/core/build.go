@@ -193,7 +193,6 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 
 	db := &DB{
 		Name:               in.Name,
-		Rel:                relstore.NewDB(),
 		attrByName:         map[string]*SubjectiveAttribute{},
 		Summaries:          map[string]map[string]*MarkerSummary{},
 		ReviewSentiments:   map[string]float64{},
@@ -203,14 +202,12 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 
 	// ---- Relational layer: the Entities table, the one relation queries
 	// read (reviews and extractions live in the IR index and
-	// db.Extractions).
-	if err := buildEntityTable(db, in.Entities); err != nil {
+	// db.Extractions). Its sorted ids are the entity ids.
+	rel, err := buildEntityTable(in.Entities)
+	if err != nil {
 		return nil, err
 	}
-	for _, e := range in.Entities {
-		db.entityIDs = append(db.entityIDs, e.ID)
-	}
-	sort.Strings(db.entityIDs)
+	db.Rel, db.entityIDs = rel, rel.IDs()
 
 	// ---- Corpus statistics + word2vec (trained on the review corpus, §3.2).
 	// Tokenization and sentiment scoring are pure per review, so they fan
@@ -562,9 +559,10 @@ func addToSummary(db *DB, attr *SubjectiveAttribute, ext Extraction) {
 }
 
 // buildEntityTable creates the Entities relation from the first entity's
-// objective attribute map.
-func buildEntityTable(db *DB, entities []EntityData) error {
-	cols := []relstore.Column{{Name: "id", Type: relstore.TString}}
+// objective attribute map, one row per entity in ascending id order; a
+// duplicate id is an error.
+func buildEntityTable(entities []EntityData) (*relstore.Table, error) {
+	cols := []relstore.Column{{Name: relstore.EntityKey, Type: relstore.TString}}
 	var objNames []string
 	for name := range entities[0].Objective {
 		objNames = append(objNames, name)
@@ -582,23 +580,23 @@ func buildEntityTable(db *DB, entities []EntityData) error {
 		case bool:
 			ty = relstore.TBool
 		default:
-			return fmt.Errorf("core: objective attribute %s has unsupported type %T",
+			return nil, fmt.Errorf("core: objective attribute %s has unsupported type %T",
 				name, entities[0].Objective[name])
 		}
 		cols = append(cols, relstore.Column{Name: name, Type: ty})
 	}
-	t, err := db.Rel.Create(relstore.Schema{Name: "Entities", Columns: cols, Key: "id"})
-	if err != nil {
-		return err
-	}
+	rows := make([]relstore.Row, 0, len(entities))
 	for _, e := range entities {
 		row := relstore.Row{e.ID}
 		for _, name := range objNames {
 			row = append(row, e.Objective[name])
 		}
-		if err := t.Insert(row); err != nil {
-			return fmt.Errorf("core: entity %s: %w", e.ID, err)
-		}
+		rows = append(rows, row)
 	}
-	return nil
+	sort.Slice(rows, func(i, j int) bool { return rows[i][0].(string) < rows[j][0].(string) })
+	t, err := relstore.NewTable(relstore.Schema{Name: relstore.EntitiesName, Columns: cols, Key: relstore.EntityKey}, rows)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return t, nil
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +54,44 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsDuplicateEntityIDs: an entity listed twice is an input
+// error. Accepting it served the entity twice from the built database but
+// once after a snapshot reload, which keeps distinct ids only.
+func TestBuildRejectsDuplicateEntityIDs(t *testing.T) {
+	d, _ := testDB(t)
+	in := harness.BuildInputFromDataset(d, 50, 0, rand.New(rand.NewSource(1)))
+	in.Entities = append(in.Entities, in.Entities[3])
+	_, err := core.Build(in, core.DefaultConfig())
+	if err == nil || !strings.Contains(err.Error(), `duplicate key "`+in.Entities[3].ID+`"`) {
+		t.Fatalf("Build with %s listed twice: %v, want a duplicate key error", in.Entities[3].ID, err)
+	}
+}
+
+// TestBuildSortsEntities: Build accepts entities in any order and stores
+// row e for EntityIDs()[e].
+func TestBuildSortsEntities(t *testing.T) {
+	d, _ := testDB(t)
+	in := harness.BuildInputFromDataset(d, 50, 0, rand.New(rand.NewSource(1)))
+	reversed := make([]core.EntityData, len(in.Entities))
+	for i, e := range in.Entities {
+		reversed[len(reversed)-1-i] = e
+	}
+	in.Entities = reversed
+	db, err := core.Build(in, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := db.EntityIDs()
+	if !sort.StringsAreSorted(ids) || len(ids) != len(in.Entities) || !reflect.DeepEqual(db.Rel.IDs(), ids) {
+		t.Fatalf("entity ids %v, relation ids %v: want the %d input ids ascending", ids, db.Rel.IDs(), len(in.Entities))
+	}
+	for _, e := range in.Entities {
+		if v, err := db.ObjectiveValue(e.ID, "price_pn"); err != nil || v != e.Objective["price_pn"] {
+			t.Errorf("%s: price_pn %v (%v), want %v", e.ID, v, err, e.Objective["price_pn"])
+		}
+	}
+}
+
 func TestBuildProducesSchema(t *testing.T) {
 	d, db := testDB(t)
 	if len(db.Attrs) != len(d.Aspects) {
@@ -68,10 +107,6 @@ func TestBuildProducesSchema(t *testing.T) {
 		if len(a.DomainPhrases) == 0 {
 			t.Errorf("attribute %s has empty linguistic domain", a.Name)
 		}
-	}
-	// The relational layer holds only the relation queries read.
-	if got := db.Rel.Names(); !reflect.DeepEqual(got, []string{"Entities"}) {
-		t.Errorf("relations = %v, want [Entities]", got)
 	}
 	if len(db.Extractions) == 0 {
 		t.Fatal("no extractions")
@@ -483,6 +518,15 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, err := db.Query(`select * from Hotels where "clean" order by name`); err == nil {
 		t.Error("ORDER BY string column should error")
+	}
+	// An ORDER BY column is checked whether or not any row qualifies.
+	for _, c := range []struct{ sql, want string }{
+		{`select * from Hotels where price_pn < 0 order by nosuch`, "relstore: Entities has no column nosuch"},
+		{`select * from Hotels where price_pn < 0 order by name`, "core: cannot ORDER BY non-numeric column name"},
+	} {
+		if _, err := db.Query(c.sql); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.sql, err, c.want)
+		}
 	}
 }
 

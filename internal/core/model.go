@@ -239,9 +239,9 @@ type ReviewData struct {
 type DB struct {
 	Name string
 
-	// Rel holds the relational layer: the objective Entities relation,
-	// the only table query execution reads.
-	Rel *relstore.DB
+	// Rel is the objective Entities relation, immutable once built; row e
+	// belongs to entity EntityIDs()[e].
+	Rel *relstore.Table
 
 	// Attrs are the subjective attributes (the user-visible schema).
 	Attrs      []*SubjectiveAttribute
@@ -329,15 +329,15 @@ func (db *DB) EntityIDs() []string { return db.entityIDs }
 // ObjectiveValue returns the objective attribute value of an entity from
 // the Entities relation.
 func (db *DB) ObjectiveValue(entityID, column string) (interface{}, error) {
-	t, err := db.Rel.Table("Entities")
+	e, ok := db.Rel.Find(entityID)
+	if !ok {
+		return nil, fmt.Errorf("core: no entity %q", entityID)
+	}
+	col, _, err := db.Rel.Column(column)
 	if err != nil {
 		return nil, err
 	}
-	row := t.FirstByKey(entityID)
-	if len(row) == 0 {
-		return nil, fmt.Errorf("core: no entity %q", entityID)
-	}
-	return t.Get(row, column)
+	return db.Rel.Row(e)[col], nil
 }
 
 // Summary returns the marker summary for (attribute, entity), or nil.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/embedding"
 	"repro/internal/fuzzy"
@@ -141,10 +142,7 @@ func oracleMarkerFeatures(db *DB, attr *SubjectiveAttribute, entityID string, ma
 }
 
 func (db *DB) oracleExecute(q *sqlparse.Query, opts QueryOptions, extraObjective func(string) bool, resolved map[string]Interpretation) (*QueryResult, error) {
-	entities, err := db.Rel.Table("Entities")
-	if err != nil {
-		return nil, err
-	}
+	entities := db.Rel
 	// Interpret every subjective predicate once per query (§3.2). A
 	// fallback predicate is scored from its tokens, every other one from
 	// its Eq. 1 representation; both come from the phrase the interpreter
@@ -178,14 +176,14 @@ func (db *DB) oracleExecute(q *sqlparse.Query, opts QueryOptions, extraObjective
 
 	var rows []ResultRow
 	for _, id := range db.entityIDs {
-		row := entities.ByKey(id)
-		if len(row) == 0 {
+		e, ok := entities.Find(id)
+		if !ok {
 			continue
 		}
 		if extraObjective != nil && !extraObjective(id) {
 			continue
 		}
-		expr, err := db.oracleCompileCond(q.Where, entities, row[0])
+		expr, err := db.oracleCompileCond(q.Where, entities, entities.Row(e))
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +289,7 @@ func (db *DB) oracleCompileCond(c sqlparse.Cond, entities *relstore.Table, row r
 	case sqlparse.SubjCond:
 		return fuzzy.Pred{ID: t.Text}, nil
 	case sqlparse.CmpCond:
-		ok, err := evalCmp(t, entities, row)
+		ok, err := oracleEvalCmp(t, entities, row)
 		if err != nil {
 			return nil, err
 		}
@@ -330,15 +328,75 @@ func (db *DB) oracleCompileCond(c sqlparse.Cond, entities *relstore.Table, row r
 	}
 }
 
+// oracleGet returns the value of the named column in row.
+func oracleGet(entities *relstore.Table, row relstore.Row, col string) (interface{}, error) {
+	i, _, err := entities.Column(col)
+	if err != nil {
+		return nil, err
+	}
+	return row[i], nil
+}
+
+// evalCmp evaluates an objective comparison against an entity row.
+func oracleEvalCmp(c sqlparse.CmpCond, entities *relstore.Table, row relstore.Row) (bool, error) {
+	v, err := oracleGet(entities, row, c.Column)
+	if err != nil {
+		return false, err
+	}
+	if v == nil {
+		return false, nil // SQL NULL semantics: unknown comparisons filter out
+	}
+	switch want := c.Value.(type) {
+	case float64:
+		var have float64
+		switch x := v.(type) {
+		case float64:
+			have = x
+		case int64:
+			have = float64(x)
+		default:
+			return false, fmt.Errorf("core: column %s is not numeric", c.Column)
+		}
+		switch c.Op {
+		case "<":
+			return have < want, nil
+		case "<=":
+			return have <= want, nil
+		case ">":
+			return have > want, nil
+		case ">=":
+			return have >= want, nil
+		case "=":
+			return have == want, nil
+		case "!=":
+			return have != want, nil
+		}
+	case string:
+		have, ok := v.(string)
+		if !ok {
+			return false, fmt.Errorf("core: column %s is not a string", c.Column)
+		}
+		switch c.Op {
+		case "=":
+			return strings.EqualFold(have, want), nil
+		case "!=":
+			return !strings.EqualFold(have, want), nil
+		default:
+			return false, fmt.Errorf("core: operator %s not supported for strings", c.Op)
+		}
+	}
+	return false, fmt.Errorf("core: unsupported comparison %v", c)
+}
+
 // sortByColumn orders result rows by an objective column.
 func oracleSortByColumn(rows []ResultRow, entities *relstore.Table, col string, desc bool) error {
 	key := make(map[string]float64, len(rows))
 	for _, r := range rows {
-		eRows := entities.ByKey(r.EntityID)
-		if len(eRows) == 0 {
+		e, ok := entities.Find(r.EntityID)
+		if !ok {
 			continue
 		}
-		v, err := entities.Get(eRows[0], col)
+		v, err := oracleGet(entities, entities.Row(e), col)
 		if err != nil {
 			return err
 		}

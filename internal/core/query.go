@@ -142,11 +142,13 @@ type queryPlan struct {
 
 // condNode is one compiled WHERE node. Subjective predicates read their
 // degree by index from the entity's slice of the score slab; objective
-// comparisons are evaluated against the entity's row.
+// comparisons read column col of the entity's row, their types already
+// checked against the schema.
 type condNode struct {
 	op       condOp
 	pred     int
 	cmp      sqlparse.CmpCond
+	col      int
 	children []*condNode
 }
 
@@ -161,10 +163,6 @@ const (
 )
 
 func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(string) bool, resolved map[string]Interpretation) (*QueryResult, error) {
-	entities, err := db.Rel.Table("Entities")
-	if err != nil {
-		return nil, err
-	}
 	// Interpret every subjective predicate once per query (§3.2). A
 	// fallback predicate is scored from its tokens, every other one from
 	// its Eq. 1 representation; both come from the phrase the interpreter
@@ -208,6 +206,12 @@ func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(
 	if err != nil {
 		return nil, err
 	}
+	orderBy := -1
+	if q.OrderBy != "" {
+		if orderBy, err = db.orderColumn(q.OrderBy); err != nil {
+			return nil, err
+		}
+	}
 
 	// An explicit LIMIT in the SQL wins; opts.TopK is the default cap for
 	// queries without one.
@@ -227,10 +231,6 @@ func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(
 	var rows []ResultRow
 	var stats QueryStats
 	for e, id := range db.entityIDs {
-		row := entities.FirstByKey(id)
-		if len(row) == 0 {
-			continue
-		}
 		if extraObjective != nil && !extraObjective(id) {
 			continue
 		}
@@ -241,9 +241,7 @@ func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(
 		}
 		score := 1.0
 		if where != nil {
-			if score, err = where.eval(db.fuzzyVariant(), scores, entities, row); err != nil {
-				return nil, err
-			}
+			score = where.eval(db.fuzzyVariant(), scores, db.Rel.Row(e))
 		}
 		if score <= 0 {
 			continue
@@ -256,8 +254,8 @@ func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(
 	}
 	stats.DegreesComputed = stats.EntitiesScanned * degreesPerEntity
 
-	if q.OrderBy != "" {
-		if err := sortByColumn(rows, entities, q.OrderBy, q.OrderDesc); err != nil {
+	if orderBy >= 0 {
+		if err := db.sortByColumn(rows, orderBy, q.OrderDesc); err != nil {
 			return nil, err
 		}
 	} else if !bounded {
@@ -332,7 +330,7 @@ func (p *queryPlan) compile(c sqlparse.Cond) (*condNode, error) {
 		pred := slices.IndexFunc(p.preds, func(pp predicatePlan) bool { return pp.text == t.Text })
 		return &condNode{op: condPred, pred: pred}, nil
 	case sqlparse.CmpCond:
-		return &condNode{op: condCmp, cmp: t}, nil
+		return p.compileCmp(t)
 	case sqlparse.AndCond:
 		return p.compileJunction(condAnd, t.Children)
 	case sqlparse.OrCond:
@@ -370,19 +368,17 @@ func (p *queryPlan) compileJunction(op condOp, children []sqlparse.Cond) (*condN
 // eval returns the node's degree of truth in [0,1] for one entity: scores
 // holds the entity's predicate degrees, row its Entities tuple. Objective
 // comparisons evaluate to exactly 0 or 1 and thus act as hard filters.
-func (n *condNode) eval(v fuzzy.Variant, scores []float64, entities *relstore.Table, row relstore.Row) (float64, error) {
+func (n *condNode) eval(v fuzzy.Variant, scores []float64, row relstore.Row) float64 {
 	switch n.op {
 	case condPred:
-		return clamp01(scores[n.pred]), nil
+		return clamp01(scores[n.pred])
 	case condCmp:
-		ok, err := evalCmp(n.cmp, entities, row)
-		if err != nil || !ok {
-			return 0, err
+		if n.holds(row[n.col]) {
+			return 1
 		}
-		return 1, nil
+		return 0
 	case condNot:
-		x, err := n.children[0].eval(v, scores, entities, row)
-		return v.Not(x), err
+		return v.Not(n.children[0].eval(v, scores, row))
 	}
 	// An empty conjunction is true, an empty disjunction false.
 	acc := 1.0
@@ -390,10 +386,8 @@ func (n *condNode) eval(v fuzzy.Variant, scores []float64, entities *relstore.Ta
 		acc = 0
 	}
 	for i, ch := range n.children {
-		x, err := ch.eval(v, scores, entities, row)
+		x := ch.eval(v, scores, row)
 		switch {
-		case err != nil:
-			return 0, err
 		case i == 0:
 			acc = x
 		case n.op == condOr:
@@ -402,7 +396,7 @@ func (n *condNode) eval(v fuzzy.Variant, scores []float64, entities *relstore.Ta
 			acc = v.And(acc, x)
 		}
 	}
-	return acc, nil
+	return acc
 }
 
 // rankBefore is the engine's result order: fuzzy score descending, entity
@@ -441,76 +435,89 @@ func (s rowSorter) Len() int           { return len(s.rows) }
 func (s rowSorter) Less(i, j int) bool { return s.less(&s.rows[i], &s.rows[j]) }
 func (s rowSorter) Swap(i, j int)      { s.rows[i], s.rows[j] = s.rows[j], s.rows[i] }
 
-// evalCmp evaluates an objective comparison against an entity row.
-func evalCmp(c sqlparse.CmpCond, entities *relstore.Table, row relstore.Row) (bool, error) {
-	v, err := entities.Get(row, c.Column)
+// compileCmp resolves an objective comparison's column and checks its
+// types against the schema, so a bad comparison fails whether or not any
+// row reaches it.
+func (p *queryPlan) compileCmp(c sqlparse.CmpCond) (*condNode, error) {
+	col, ty, err := p.db.Rel.Column(c.Column)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	if v == nil {
-		return false, nil // SQL NULL semantics: unknown comparisons filter out
-	}
-	switch want := c.Value.(type) {
+	switch c.Value.(type) {
 	case float64:
-		var have float64
-		switch x := v.(type) {
-		case float64:
-			have = x
-		case int64:
-			have = float64(x)
-		default:
-			return false, fmt.Errorf("core: column %s is not numeric", c.Column)
+		if ty != relstore.TFloat && ty != relstore.TInt {
+			return nil, fmt.Errorf("core: column %s is not numeric", c.Column)
 		}
 		switch c.Op {
-		case "<":
-			return have < want, nil
-		case "<=":
-			return have <= want, nil
-		case ">":
-			return have > want, nil
-		case ">=":
-			return have >= want, nil
-		case "=":
-			return have == want, nil
-		case "!=":
-			return have != want, nil
+		case "<", "<=", ">", ">=", "=", "!=":
+			return &condNode{op: condCmp, cmp: c, col: col}, nil
 		}
 	case string:
-		have, ok := v.(string)
-		if !ok {
-			return false, fmt.Errorf("core: column %s is not a string", c.Column)
+		if ty != relstore.TString {
+			return nil, fmt.Errorf("core: column %s is not a string", c.Column)
 		}
-		switch c.Op {
-		case "=":
-			return strings.EqualFold(have, want), nil
-		case "!=":
-			return !strings.EqualFold(have, want), nil
-		default:
-			return false, fmt.Errorf("core: operator %s not supported for strings", c.Op)
+		if c.Op != "=" && c.Op != "!=" {
+			return nil, fmt.Errorf("core: operator %s not supported for strings", c.Op)
 		}
+		return &condNode{op: condCmp, cmp: c, col: col}, nil
 	}
-	return false, fmt.Errorf("core: unsupported comparison %v", c)
+	return nil, fmt.Errorf("core: unsupported comparison %v", c)
 }
 
-// sortByColumn orders result rows by an objective column.
-func sortByColumn(rows []ResultRow, entities *relstore.Table, col string, desc bool) error {
+// holds evaluates a compiled comparison on the value v of its column.
+func (n *condNode) holds(v interface{}) bool {
+	var have float64
+	switch x := v.(type) {
+	case nil:
+		return false // SQL NULL semantics: unknown comparisons filter out
+	case string:
+		return strings.EqualFold(x, n.cmp.Value.(string)) == (n.cmp.Op == "=")
+	case float64:
+		have = x
+	case int64:
+		have = float64(x)
+	}
+	want := n.cmp.Value.(float64)
+	switch n.cmp.Op {
+	case "<":
+		return have < want
+	case "<=":
+		return have <= want
+	case ">":
+		return have > want
+	case ">=":
+		return have >= want
+	case "=":
+		return have == want
+	default: // "!="
+		return have != want
+	}
+}
+
+// orderColumn resolves an ORDER BY column, which must be numeric.
+func (db *DB) orderColumn(name string) (int, error) {
+	col, ty, err := db.Rel.Column(name)
+	if err != nil {
+		return 0, err
+	}
+	if ty != relstore.TFloat && ty != relstore.TInt {
+		return 0, fmt.Errorf("core: cannot ORDER BY non-numeric column %s", name)
+	}
+	return col, nil
+}
+
+// sortByColumn orders result rows by the objective column at position col.
+func (db *DB) sortByColumn(rows []ResultRow, col int, desc bool) error {
 	key := make(map[string]float64, len(rows))
 	for _, r := range rows {
-		eRow := entities.FirstByKey(r.EntityID)
-		if len(eRow) == 0 {
-			continue
-		}
-		v, err := entities.Get(eRow, col)
-		if err != nil {
-			return err
-		}
-		switch x := v.(type) {
+		e, _ := db.Rel.Find(r.EntityID)
+		switch x := db.Rel.Row(e)[col].(type) {
 		case float64:
 			key[r.EntityID] = x
 		case int64:
 			key[r.EntityID] = float64(x)
 		default:
-			return fmt.Errorf("core: cannot ORDER BY non-numeric column %s", col)
+			return fmt.Errorf("core: cannot ORDER BY non-numeric column %s", db.Rel.Schema().Columns[col].Name)
 		}
 	}
 	sort.Stable(rowSorter{rows, func(ra, rb *ResultRow) bool {

@@ -233,47 +233,24 @@ func MergeShards(shards []*DB) (*DB, error) {
 
 // mergeEntityRows rebuilds the Entities relation as the concatenation of
 // every shard's rows in shard order (contiguous ascending ranges, so the
-// result restores the pre-partition row set). State copies row slices, so
-// the shard databases' relations stay untouched.
-func mergeEntityRows(shards []*DB) (*relstore.DB, error) {
-	st := shards[0].Rel.State()
+// result restores the pre-partition row set).
+func mergeEntityRows(shards []*DB) (*relstore.Table, error) {
 	var rows []relstore.Row
 	for _, sh := range shards {
-		rows = append(rows, sh.Rel.State().Rows["Entities"]...)
+		for e := 0; e < sh.Rel.Len(); e++ {
+			rows = append(rows, sh.Rel.Row(e))
+		}
 	}
-	st.Rows["Entities"] = rows
-	return relstore.FromState(st)
+	return relstore.NewTable(shards[0].Rel.Schema(), rows)
 }
 
-// restrictEntities rebuilds the relational layer with the Entities table
-// limited to kept ids.
-func restrictEntities(rel *relstore.DB, keep func(string) bool) (*relstore.DB, error) {
-	st := rel.State()
-	for _, schema := range st.Schemas {
-		if schema.Name != "Entities" {
-			continue
+// restrictEntities rebuilds the Entities relation limited to kept ids.
+func restrictEntities(rel *relstore.Table, keep func(string) bool) (*relstore.Table, error) {
+	var rows []relstore.Row
+	for e, id := range rel.IDs() {
+		if keep(id) {
+			rows = append(rows, rel.Row(e))
 		}
-		keyIdx := -1
-		for i, c := range schema.Columns {
-			if c.Name == schema.Key {
-				keyIdx = i
-			}
-		}
-		if keyIdx < 0 {
-			return nil, fmt.Errorf("core: Entities relation has no key column")
-		}
-		rows := st.Rows[schema.Name]
-		kept := make([]relstore.Row, 0, len(rows))
-		for _, r := range rows {
-			id, ok := r[keyIdx].(string)
-			if !ok {
-				return nil, fmt.Errorf("core: Entities key %v is not a string", r[keyIdx])
-			}
-			if keep(id) {
-				kept = append(kept, r)
-			}
-		}
-		st.Rows[schema.Name] = kept
 	}
-	return relstore.FromState(st)
+	return relstore.NewTable(rel.Schema(), rows)
 }

@@ -100,10 +100,12 @@ func (db *DB) State() *DBState {
 }
 
 // Components bundles the independently deserialized subsystems FromState
-// rejoins with a DBState. SubIndex is optional (nil when the database was
-// built without the Appendix B index); everything else is required.
+// rejoins with a DBState. Rel is the Entities relation; its sorted ids
+// become the database's entity ids. SubIndex is optional (nil when the
+// database was built without the Appendix B index); everything else is
+// required.
 type Components struct {
-	Rel         *relstore.DB
+	Rel         *relstore.Table
 	Embed       *embedding.Model
 	ReviewIndex *ir.Index
 	EntityIndex *ir.Index
@@ -130,10 +132,6 @@ func FromState(st *DBState, c Components) (*DB, error) {
 		return nil, fmt.Errorf("core: state needs both IR indexes")
 	case c.Tagger == nil:
 		return nil, fmt.Errorf("core: state needs the extractor tagger")
-	}
-	entities, err := c.Rel.Table("Entities")
-	if err != nil {
-		return nil, fmt.Errorf("core: state relational layer: %w", err)
 	}
 
 	db := &DB{
@@ -223,15 +221,9 @@ func FromState(st *DBState, c Components) (*DB, error) {
 		}
 	}
 
-	// ---- Entity ids: the Entities relation's sorted keys, matching
-	// Build's sorted input ids.
-	for _, k := range entities.Keys() {
-		id, ok := k.(string)
-		if !ok {
-			return nil, fmt.Errorf("core: state Entities key %v is not a string", k)
-		}
-		db.entityIDs = append(db.entityIDs, id)
-	}
+	// ---- Entity ids: the Entities relation's keys, sorted and unique by
+	// construction, exactly as Build sets them.
+	db.entityIDs = c.Rel.IDs()
 
 	// ---- Extractions must reference the schema before the derived access
 	// paths index them.

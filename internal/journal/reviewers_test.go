@@ -103,19 +103,22 @@ func TestReviewerCountsSurviveEveryStatePath(t *testing.T) {
 	// want is tallied from the reviews each state has ingested; the Build
 	// row holds the freshly built monolith to that tally, so every other
 	// row is compared with the monolith's counts.
+	// ids is the entity range each state serves.
+	all := base.EntityIDs()
 	cases := []struct {
 		name    string
 		db      func(t *testing.T) *core.DB
 		reviews [][]core.ReviewData
+		ids     []string
 	}{
-		{"Build", inMemory(base), [][]core.ReviewData{baseReviews}},
-		{"snapshot save and load", loadApply(baseSnap, nil), [][]core.ReviewData{baseReviews}},
-		{"ShardDB shard 0", inMemory(shards[0]), [][]core.ReviewData{baseReviews}},
-		{"ShardDB shard 1", inMemory(shards[1]), [][]core.ReviewData{baseReviews}},
-		{"MergeShards", inMemory(merged), [][]core.ReviewData{baseReviews}},
-		{"ApplyReview owned on a loaded shard", loadApply(shardSnap, owned), [][]core.ReviewData{baseReviews, owned}},
-		{"ApplyReview replicated on a loaded shard", loadApply(shardSnap, replicated), [][]core.ReviewData{baseReviews, replicated}},
-		{"journal.Compact", compacted, [][]core.ReviewData{baseReviews, owned, replicated}},
+		{"Build", inMemory(base), [][]core.ReviewData{baseReviews}, all},
+		{"snapshot save and load", loadApply(baseSnap, nil), [][]core.ReviewData{baseReviews}, all},
+		{"ShardDB shard 0", inMemory(shards[0]), [][]core.ReviewData{baseReviews}, parts[0]},
+		{"ShardDB shard 1", inMemory(shards[1]), [][]core.ReviewData{baseReviews}, parts[1]},
+		{"MergeShards", inMemory(merged), [][]core.ReviewData{baseReviews}, all},
+		{"ApplyReview owned on a loaded shard", loadApply(shardSnap, owned), [][]core.ReviewData{baseReviews, owned}, parts[0]},
+		{"ApplyReview replicated on a loaded shard", loadApply(shardSnap, replicated), [][]core.ReviewData{baseReviews, replicated}, parts[0]},
+		{"journal.Compact", compacted, [][]core.ReviewData{baseReviews, owned, replicated}, all},
 	}
 	reviewers := map[string]bool{}
 	for _, rvs := range [][]core.ReviewData{baseReviews, owned, replicated} {
@@ -143,8 +146,19 @@ func TestReviewerCountsSurviveEveryStatePath(t *testing.T) {
 					t.Fatalf("fixture review %s yields an extraction; pick a text without opinions", x.ReviewID)
 				}
 			}
-			if got := db.Rel.Names(); !reflect.DeepEqual(got, []string{"Entities"}) {
-				t.Errorf("relations = %v, want [Entities]", got)
+			// The Entities relation is row-aligned with the entity ids and
+			// is the monolith's relation restricted to the served range.
+			if !reflect.DeepEqual(db.EntityIDs(), c.ids) || !reflect.DeepEqual(db.Rel.IDs(), c.ids) {
+				t.Errorf("entity ids %v, relation ids %v, want %v", db.EntityIDs(), db.Rel.IDs(), c.ids)
+			}
+			if got, want := db.Rel.Schema(), base.Rel.Schema(); !reflect.DeepEqual(got, want) {
+				t.Errorf("relation schema %+v, want %+v", got, want)
+			}
+			for e, id := range db.EntityIDs() {
+				be, ok := base.Rel.Find(id)
+				if !ok || !reflect.DeepEqual(db.Rel.Row(e), base.Rel.Row(be)) {
+					t.Errorf("entity %s: row %v, want the monolith's %v", id, db.Rel.Row(e), base.Rel.Row(be))
+				}
 			}
 		})
 	}

@@ -8,35 +8,44 @@ import (
 	"testing/quick"
 )
 
-// Property: ByKey(k) returns exactly the rows a full-scan selection of
-// key == k returns, in insertion order.
+// keyedSchema is a two-column relation keyed by its string column k.
+func keyedSchema() Schema {
+	return Schema{
+		Name:    "P",
+		Columns: []Column{{Name: "k", Type: TString}, {Name: "seq", Type: TInt}},
+		Key:     "k",
+	}
+}
+
+// sortedRows returns one row per distinct key of keys, ascending.
+func sortedRows(keys []uint8) []Row {
+	present := map[uint8]bool{}
+	for _, k := range keys {
+		present[k] = true
+	}
+	var rows []Row
+	for k := 0; k < 256; k++ {
+		if present[uint8(k)] {
+			rows = append(rows, Row{fmt.Sprintf("k%03d", k), int64(k)})
+		}
+	}
+	return rows
+}
+
+// Property: Find(k) returns exactly the row a full-scan selection of
+// key == k returns, and reports absent keys as absent.
 func TestByKeyMatchesSelect(t *testing.T) {
 	f := func(keys []uint8) bool {
-		tbl, err := NewTable(Schema{
-			Name:    "P",
-			Columns: []Column{{Name: "k", Type: relTString()}, {Name: "seq", Type: TInt}},
-			Key:     "k",
-		})
+		tbl, err := NewTable(keyedSchema(), sortedRows(keys))
 		if err != nil {
 			return false
 		}
-		for i, k := range keys {
-			key := fmt.Sprintf("k%d", k%5) // force collisions
-			if err := tbl.Insert(Row{key, int64(i)}); err != nil {
-				return false
-			}
-		}
-		for kv := 0; kv < 5; kv++ {
-			key := fmt.Sprintf("k%d", kv)
-			byKey := tbl.ByKey(key)
+		for kv := 0; kv < 256; kv++ {
+			key := fmt.Sprintf("k%03d", kv)
 			scanned := selectRows(tbl, func(r Row) bool { return r[0] == key })
-			if len(byKey) != len(scanned) {
+			i, ok := tbl.Find(key)
+			if ok != (len(scanned) == 1) || ok && !reflect.DeepEqual(tbl.Row(i), scanned[0]) {
 				return false
-			}
-			for i := range byKey {
-				if byKey[i][1] != scanned[i][1] {
-					return false
-				}
 			}
 		}
 		return true
@@ -46,92 +55,81 @@ func TestByKeyMatchesSelect(t *testing.T) {
 	}
 }
 
-func relTString() Type { return TString }
-
 // selectRows is the full-scan reference selection: every row satisfying
-// pred, in insertion order.
+// pred, in key order.
 func selectRows(tbl *Table, pred func(Row) bool) []Row {
 	var out []Row
-	tbl.Scan(func(r Row) bool {
+	for _, r := range allRows(tbl) {
 		if pred(r) {
 			out = append(out, r)
 		}
-		return true
-	})
+	}
 	return out
 }
 
-// Property: Len equals inserted row count for arbitrary insert sequences.
+// allRows returns the table's rows in key order.
+func allRows(tbl *Table) []Row {
+	out := make([]Row, tbl.Len())
+	for i := range out {
+		out[i] = tbl.Row(i)
+	}
+	return out
+}
+
+// Property: Len equals the number of rows the table was built from.
 func TestLenMatchesInserts(t *testing.T) {
-	f := func(n uint8) bool {
-		tbl, err := NewTable(Schema{
-			Name:    "L",
-			Columns: []Column{{Name: "x", Type: TInt}},
-		})
-		if err != nil {
-			return false
-		}
-		for i := 0; i < int(n); i++ {
-			if err := tbl.Insert(Row{int64(i)}); err != nil {
-				return false
-			}
-		}
-		return tbl.Len() == int(n)
+	f := func(keys []uint8) bool {
+		rows := sortedRows(keys)
+		tbl, err := NewTable(keyedSchema(), rows)
+		return err == nil && tbl.Len() == len(rows) && len(tbl.IDs()) == len(rows)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: saving a DB through State and loading it back through
-// FromState (the seam the snapshot codec persists) round-trips arbitrary
-// typed rows exactly and rebuilds the key index.
+// Property: rebuilding a table from its schema and rows (the seam the
+// snapshot codec, shard splits and shard merges use) round-trips
+// arbitrary typed rows exactly, NULLs included.
 func TestSaveLoadRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	schema := Schema{
+		Name: "T",
+		Columns: []Column{
+			{Name: "id", Type: TString},
+			{Name: "n", Type: TInt},
+			{Name: "f", Type: TFloat},
+			{Name: "b", Type: TBool},
+		},
+		Key: "id",
+	}
 	for trial := 0; trial < 10; trial++ {
-		db := NewDB()
-		tbl, err := db.Create(Schema{
-			Name: "T",
-			Columns: []Column{
-				{Name: "id", Type: TString},
-				{Name: "n", Type: TInt},
-				{Name: "f", Type: TFloat},
-				{Name: "b", Type: TBool},
-			},
-			Key: "id",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		n := 1 + rng.Intn(40)
+		rows := make([]Row, 0, n)
 		for i := 0; i < n; i++ {
 			row := Row{fmt.Sprintf("id%03d", i), int64(rng.Intn(1000)), rng.NormFloat64(), rng.Intn(2) == 0}
 			if rng.Intn(10) == 0 {
 				row[2] = nil // NULLs survive too
 			}
-			if err := tbl.Insert(row); err != nil {
-				t.Fatal(err)
-			}
+			rows = append(rows, row)
 		}
-		loaded, err := FromState(db.State())
+		tbl, err := NewTable(schema, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lt, err := loaded.Table("T")
+		loaded, err := NewTable(tbl.Schema(), allRows(tbl))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lt.Len() != n {
-			t.Fatalf("trial %d: %d rows, want %d", trial, lt.Len(), n)
+		if loaded.Len() != n {
+			t.Fatalf("trial %d: %d rows, want %d", trial, loaded.Len(), n)
 		}
-		all := func(Row) bool { return true }
-		orig, got := selectRows(tbl, all), selectRows(lt, all)
-		for i := range orig {
-			if !reflect.DeepEqual(orig[i], got[i]) {
-				t.Fatalf("trial %d row %d: %v != %v", trial, i, got[i], orig[i])
+		for i, want := range rows {
+			if got := loaded.Row(i); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d row %d: %v != %v", trial, i, got, want)
 			}
-			if byKey := lt.ByKey(orig[i][0]); len(byKey) != 1 || !reflect.DeepEqual(byKey[0], orig[i]) {
-				t.Fatalf("trial %d: key index not rebuilt for %v: %v", trial, orig[i][0], byKey)
+			if j, ok := loaded.Find(want[0].(string)); !ok || j != i {
+				t.Fatalf("trial %d: Find(%v) = %d, %v", trial, want[0], j, ok)
 			}
 		}
 	}

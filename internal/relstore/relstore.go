@@ -1,15 +1,18 @@
-// Package relstore is the relational storage substrate underneath OpineDB.
-// The paper implements its query engine "on top of PostgreSQL", storing the
-// extraction results in relations and computing subjective predicates as
-// user-defined aggregates; relstore provides the same capabilities in
-// process: typed schemas, tables with a hash index on the key, scans, and
-// an exported state seam that the snapshot codec persists.
+// Package relstore holds OpineDB's objective relation: one immutable,
+// typed table whose rows are sorted by a unique string key. The paper
+// keeps objective attributes in an ordinary relation next to the
+// subjective ones; here that relation is the only relational state (the
+// subjective data lives in marker summaries and the extraction list), so
+// it is built once — by the construction pipeline, a snapshot decode, a
+// shard split or a shard merge — validated on the way in and never
+// written again. Readers need no lock: row i belongs to the i-th smallest
+// key, columns are resolved to positions once, and a key lookup is a
+// binary search.
 package relstore
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Type enumerates column types.
@@ -80,6 +83,9 @@ func (s *Schema) Validate() error {
 		if seen[c.Name] {
 			return fmt.Errorf("relstore: schema %s has duplicate column %s", s.Name, c.Name)
 		}
+		if c.Type < TString || c.Type > TBool {
+			return fmt.Errorf("relstore: schema %s column %s has unknown type %v", s.Name, c.Name, c.Type)
+		}
 		seen[c.Name] = true
 	}
 	if s.Key != "" && s.colIndex(s.Key) < 0 {
@@ -88,44 +94,70 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
+// EntitiesName and EntityKey name OpineDB's one relation and its key
+// column; the snapshot decoder accepts no other table.
+const (
+	EntitiesName = "Entities"
+	EntityKey    = "id"
+)
+
 // Row is one tuple, ordered as the schema's columns.
 type Row []interface{}
 
-// Table is a relation instance. Access is goroutine-safe for concurrent
-// reads with exclusive writes.
+// Table is an immutable relation: a keyed schema and its rows in
+// ascending key order. Nothing mutates a Table after NewTable returns, so
+// any number of goroutines may read it.
 type Table struct {
-	mu     sync.RWMutex
 	schema Schema
 	rows   []Row
-	// keyIdx maps key value → row positions (non-unique: subjective
-	// relations hold one row per (entity, extraction)).
-	keyIdx map[interface{}][]int
+	ids    []string // ids[i] is rows[i]'s key
 }
 
-// NewTable creates an empty table for the schema.
-func NewTable(schema Schema) (*Table, error) {
+// NewTable validates the schema and every row and returns the table. The
+// schema needs a string key column; every row must match the schema's
+// arity and column types (nil is NULL, allowed except in the key), and
+// the keys must be unique and ascending. The rows are copied, so the
+// caller keeps ownership of its slices.
+func NewTable(schema Schema, rows []Row) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	return &Table{schema: schema, keyIdx: make(map[interface{}][]int)}, nil
-}
-
-// Schema returns a copy of the table's schema.
-func (t *Table) Schema() Schema { return t.schema }
-
-// Len returns the number of rows.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
+	key := schema.colIndex(schema.Key)
+	if key < 0 {
+		return nil, fmt.Errorf("relstore: schema %s has no key", schema.Name)
+	}
+	if ty := schema.Columns[key].Type; ty != TString {
+		return nil, fmt.Errorf("relstore: %s: key %s is %s, want string", schema.Name, schema.Key, ty)
+	}
+	ncols := len(schema.Columns)
+	t := &Table{schema: schema, rows: make([]Row, len(rows)), ids: make([]string, len(rows))}
+	slab := make([]interface{}, len(rows)*ncols)
+	for i, r := range rows {
+		if err := checkRow(&schema, r); err != nil {
+			return nil, err
+		}
+		id, ok := r[key].(string)
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("relstore: %s: row %d has a NULL key", schema.Name, i)
+		case i > 0 && id == t.ids[i-1]:
+			return nil, fmt.Errorf("relstore: %s: duplicate key %q", schema.Name, id)
+		case i > 0 && id < t.ids[i-1]:
+			return nil, fmt.Errorf("relstore: %s: key %q follows %q, want ascending keys", schema.Name, id, t.ids[i-1])
+		}
+		t.rows[i] = slab[i*ncols : (i+1)*ncols : (i+1)*ncols]
+		copy(t.rows[i], r)
+		t.ids[i] = id
+	}
+	return t, nil
 }
 
 // checkRow validates arity and column types.
-func (t *Table) checkRow(r Row) error {
-	if len(r) != len(t.schema.Columns) {
-		return fmt.Errorf("relstore: %s: row arity %d, want %d", t.schema.Name, len(r), len(t.schema.Columns))
+func checkRow(s *Schema, r Row) error {
+	if len(r) != len(s.Columns) {
+		return fmt.Errorf("relstore: %s: row arity %d, want %d", s.Name, len(r), len(s.Columns))
 	}
-	for i, c := range t.schema.Columns {
+	for i, c := range s.Columns {
 		if r[i] == nil {
 			continue // NULL allowed
 		}
@@ -141,197 +173,38 @@ func (t *Table) checkRow(r Row) error {
 			_, ok = r[i].(bool)
 		}
 		if !ok {
-			return fmt.Errorf("relstore: %s: column %s expects %s, got %T",
-				t.schema.Name, c.Name, c.Type, r[i])
+			return fmt.Errorf("relstore: %s: column %s expects %s, got %T", s.Name, c.Name, c.Type, r[i])
 		}
 	}
 	return nil
 }
 
-// Insert appends a row after validating it against the schema.
-func (t *Table) Insert(r Row) error {
-	if err := t.checkRow(r); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	pos := len(t.rows)
-	cp := make(Row, len(r))
-	copy(cp, r)
-	t.rows = append(t.rows, cp)
-	if t.schema.Key != "" {
-		k := cp[t.schema.colIndex(t.schema.Key)]
-		t.keyIdx[k] = append(t.keyIdx[k], pos)
-	}
-	return nil
+// Schema returns the table's schema.
+func (t *Table) Schema() Schema { return t.schema }
+
+// Len returns the number of rows.
+func (t *Table) Len() int { return len(t.rows) }
+
+// Row returns row i, the row of the i-th smallest key. The caller must
+// not modify it.
+func (t *Table) Row(i int) Row { return t.rows[i] }
+
+// IDs returns the keys in ascending order, parallel to the rows. The
+// caller must not modify the returned slice.
+func (t *Table) IDs() []string { return t.ids }
+
+// Find returns the position of the row keyed id, by binary search.
+func (t *Table) Find(id string) (int, bool) {
+	i := sort.SearchStrings(t.ids, id)
+	return i, i < len(t.ids) && t.ids[i] == id
 }
 
-// Get returns the value of column col in row r, or an error for an unknown
-// column.
-func (t *Table) Get(r Row, col string) (interface{}, error) {
-	i := t.schema.colIndex(col)
+// Column returns the position and type of the named column, or an error
+// for an unknown column.
+func (t *Table) Column(name string) (int, Type, error) {
+	i := t.schema.colIndex(name)
 	if i < 0 {
-		return nil, fmt.Errorf("relstore: %s has no column %s", t.schema.Name, col)
+		return 0, 0, fmt.Errorf("relstore: %s has no column %s", t.schema.Name, name)
 	}
-	return r[i], nil
-}
-
-// MustGet is Get for known-valid columns; it panics on unknown columns and
-// is intended for internal query plans compiled against the schema.
-func (t *Table) MustGet(r Row, col string) interface{} {
-	v, err := t.Get(r, col)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// ByKey returns all rows whose key equals k (using the hash index).
-func (t *Table) ByKey(k interface{}) []Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	positions := t.keyIdx[k]
-	out := make([]Row, 0, len(positions))
-	for _, p := range positions {
-		out = append(out, t.rows[p])
-	}
-	return out
-}
-
-// FirstByKey returns the first row whose key equals k, or nil. Unlike ByKey
-// it copies no match list, so a lookup on a unique key does not allocate.
-func (t *Table) FirstByKey(k interface{}) Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if positions := t.keyIdx[k]; len(positions) > 0 {
-		return t.rows[positions[0]]
-	}
-	return nil
-}
-
-// Scan invokes fn on every row; fn returning false stops the scan.
-func (t *Table) Scan(fn func(Row) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, r := range t.rows {
-		if !fn(r) {
-			return
-		}
-	}
-}
-
-// Keys returns the distinct key values in sorted order (string keys) or
-// insertion order otherwise. It returns nil for keyless tables.
-func (t *Table) Keys() []interface{} {
-	if t.schema.Key == "" {
-		return nil
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]interface{}, 0, len(t.keyIdx))
-	allStrings := true
-	for k := range t.keyIdx {
-		if _, ok := k.(string); !ok {
-			allStrings = false
-		}
-		out = append(out, k)
-	}
-	if allStrings {
-		sort.Slice(out, func(i, j int) bool { return out[i].(string) < out[j].(string) })
-	}
-	return out
-}
-
-// DB is a named collection of tables.
-type DB struct {
-	mu     sync.RWMutex
-	tables map[string]*Table
-}
-
-// NewDB returns an empty database.
-func NewDB() *DB { return &DB{tables: make(map[string]*Table)} }
-
-// Create adds a new empty table; it errors if the name exists.
-func (db *DB) Create(schema Schema) (*Table, error) {
-	t, err := NewTable(schema)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.tables[schema.Name]; exists {
-		return nil, fmt.Errorf("relstore: table %s already exists", schema.Name)
-	}
-	db.tables[schema.Name] = t
-	return t, nil
-}
-
-// Table returns the named table or an error.
-func (db *DB) Table(name string) (*Table, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("relstore: no table %s", name)
-	}
-	return t, nil
-}
-
-// Names returns the sorted table names.
-func (db *DB) Names() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.namesLocked()
-}
-
-// DBState is the exported serialization seam for a relational DB: every
-// table's schema (in sorted name order) and rows (in insertion order).
-// Row values are the basic column types (string, int64, float64, bool).
-// State copies row slices (not the rows themselves), so a state taken
-// under State's locks stays consistent if the live DB keeps inserting.
-type DBState struct {
-	Schemas []Schema
-	Rows    map[string][]Row
-}
-
-// State exports the database for serialization.
-func (db *DB) State() DBState {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	st := DBState{Rows: make(map[string][]Row)}
-	for _, name := range db.namesLocked() {
-		t := db.tables[name]
-		t.mu.RLock()
-		st.Schemas = append(st.Schemas, t.schema)
-		st.Rows[name] = append([]Row(nil), t.rows...)
-		t.mu.RUnlock()
-	}
-	return st
-}
-
-// FromState reconstructs a database from exported state, re-validating
-// every schema and row exactly as the original inserts did.
-func FromState(st DBState) (*DB, error) {
-	db := NewDB()
-	for _, schema := range st.Schemas {
-		t, err := db.Create(schema)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range st.Rows[schema.Name] {
-			if err := t.Insert(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return db, nil
-}
-
-func (db *DB) namesLocked() []string {
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return i, t.schema.Columns[i].Type, nil
 }

@@ -2,7 +2,7 @@ package relstore
 
 import (
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
 )
 
@@ -40,227 +40,136 @@ func TestSchemaValidate(t *testing.T) {
 	if err := empty.Validate(); err == nil {
 		t.Error("columnless schema should fail")
 	}
+	badType := Schema{Name: "X", Columns: []Column{{Name: "a", Type: TBool + 1}}}
+	if err := badType.Validate(); err == nil {
+		t.Error("unknown column type should fail")
+	}
 }
 
+// TestInsertAndTypeChecking: NewTable checks every row's arity and
+// column types, and the key column's type.
 func TestInsertAndTypeChecking(t *testing.T) {
-	tbl, err := NewTable(hotelSchema())
+	good := Row{"Ritz", int64(200), 450.0, true}
+	tbl, err := NewTable(hotelSchema(), []Row{good})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Insert(Row{"Ritz", int64(200), 450.0, true}); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Len() != 1 {
 		t.Errorf("Len = %d", tbl.Len())
 	}
-	// Wrong arity.
-	if err := tbl.Insert(Row{"Ritz"}); err == nil {
-		t.Error("short row should fail")
+	for name, r := range map[string]Row{
+		"short row":      {"Ritz"},
+		"type mismatch":  {"Ritz", "not-an-int", 450.0, true},
+		"plain int":      {"Ritz", 200, 450.0, true}, // the codec round-trips int64
+		"non-string key": {int64(7), int64(200), 450.0, true},
+		"NULL key":       {nil, int64(200), 450.0, true},
+	} {
+		if _, err := NewTable(hotelSchema(), []Row{r}); err == nil {
+			t.Errorf("%s should fail", name)
+		}
 	}
-	// Wrong type.
-	if err := tbl.Insert(Row{"Ritz", "not-an-int", 450.0, true}); err == nil {
-		t.Error("type mismatch should fail")
-	}
-	// int (not int64) must be rejected: gob round-trips int64.
-	if err := tbl.Insert(Row{"Ritz", 200, 450.0, true}); err == nil {
-		t.Error("plain int should fail (require int64)")
-	}
-	// NULLs allowed.
-	if err := tbl.Insert(Row{"Savoy", nil, nil, nil}); err != nil {
+	// NULLs are allowed outside the key.
+	if _, err := NewTable(hotelSchema(), []Row{{"Savoy", nil, nil, nil}}); err != nil {
 		t.Errorf("nil values should be allowed: %v", err)
+	}
+	intKey := hotelSchema()
+	intKey.Columns[0].Type = TInt
+	if _, err := NewTable(intKey, nil); err == nil {
+		t.Error("a non-string key column should fail")
+	}
+	keyless := hotelSchema()
+	keyless.Key = ""
+	if _, err := NewTable(keyless, nil); err == nil {
+		t.Error("a keyless schema should fail")
 	}
 }
 
+// TestInsertCopiesRow: the table owns copies of its rows, so a caller
+// reusing its row slices cannot change the table.
 func TestInsertCopiesRow(t *testing.T) {
-	tbl, _ := NewTable(hotelSchema())
 	r := Row{"Ritz", int64(1), 1.0, true}
-	if err := tbl.Insert(r); err != nil {
+	tbl, err := NewTable(hotelSchema(), []Row{r})
+	if err != nil {
 		t.Fatal(err)
 	}
 	r[0] = "Mutated"
-	got := tbl.ByKey("Ritz")
-	if len(got) != 1 {
-		t.Fatal("row lost after caller mutation")
+	if i, ok := tbl.Find("Ritz"); !ok || tbl.Row(i)[0] != "Ritz" {
+		t.Fatal("row changed by caller mutation")
 	}
 }
 
-func TestByKeyNonUnique(t *testing.T) {
-	schema := Schema{
-		Name:    "HRoomCleanliness",
-		Columns: []Column{{Name: "hotelname", Type: TString}, {Name: "phrase", Type: TString}},
-		Key:     "hotelname",
-	}
-	tbl, _ := NewTable(schema)
-	for _, p := range []string{"very clean", "spotless", "dirty"} {
-		if err := tbl.Insert(Row{"Ritz", p}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.Insert(Row{"Savoy", "average"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.ByKey("Ritz"); len(got) != 3 {
-		t.Errorf("ByKey(Ritz) = %d rows, want 3", len(got))
-	}
-	if got := tbl.ByKey("Unknown"); len(got) != 0 {
-		t.Errorf("ByKey(Unknown) = %d rows", len(got))
-	}
-	// FirstByKey is ByKey(k)[0] without the copied match list.
-	if got := tbl.FirstByKey("Ritz"); !reflect.DeepEqual(got, tbl.ByKey("Ritz")[0]) {
-		t.Errorf("FirstByKey(Ritz) = %v, want the first inserted row", got)
-	}
-	if got := tbl.FirstByKey("Unknown"); got != nil {
-		t.Errorf("FirstByKey(Unknown) = %v, want nil", got)
-	}
-	key := "Savoy"
-	if allocs := testing.AllocsPerRun(100, func() { tbl.FirstByKey(key) }); allocs != 0 {
-		t.Errorf("FirstByKey allocates %.0f times per lookup", allocs)
-	}
-}
-
-func TestGetAndMustGet(t *testing.T) {
-	tbl, _ := NewTable(hotelSchema())
-	r := Row{"Ritz", int64(200), 450.0, true}
-	v, err := tbl.Get(r, "price_pn")
-	if err != nil || v != 450.0 {
-		t.Errorf("Get = %v, %v", v, err)
-	}
-	if _, err := tbl.Get(r, "nope"); err == nil {
-		t.Error("unknown column should error")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustGet should panic on unknown column")
-		}
-	}()
-	tbl.MustGet(r, "nope")
-}
-
-func TestSelectAndScan(t *testing.T) {
-	tbl, _ := NewTable(hotelSchema())
-	prices := []float64{100, 200, 300}
-	for i, p := range prices {
-		name := string(rune('A' + i))
-		if err := tbl.Insert(Row{name, int64(10), p, true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cheap := selectRows(tbl, func(r Row) bool { return r[2].(float64) < 250 })
-	if len(cheap) != 2 {
-		t.Errorf("selection <250 = %d rows", len(cheap))
-	}
-	all := 0
-	tbl.Scan(func(Row) bool { all++; return true })
-	if all != 3 {
-		t.Errorf("full Scan visited %d rows", all)
-	}
-	// Early termination.
-	count := 0
-	tbl.Scan(func(Row) bool { count++; return count < 2 })
-	if count != 2 {
-		t.Errorf("Scan stopped after %d rows, want 2", count)
-	}
-}
-
+// TestKeys: the ids are the key column, ascending; NewTable refuses
+// keys out of order and duplicates.
 func TestKeys(t *testing.T) {
-	tbl, _ := NewTable(hotelSchema())
-	for _, n := range []string{"zeta", "alpha", "mid", "alpha"} {
-		if err := tbl.Insert(Row{n, int64(1), 1.0, true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := tbl.Keys()
-	want := []interface{}{"alpha", "mid", "zeta"}
-	if !reflect.DeepEqual(keys, want) {
-		t.Errorf("Keys = %v, want %v", keys, want)
-	}
-	noKey, _ := NewTable(Schema{Name: "K", Columns: []Column{{Name: "x", Type: TInt}}})
-	if noKey.Keys() != nil {
-		t.Error("keyless table should return nil Keys")
-	}
-}
-
-func TestDBCreateAndLookup(t *testing.T) {
-	db := NewDB()
-	if _, err := db.Create(hotelSchema()); err != nil {
+	row := func(id string) Row { return Row{id, int64(1), 1.0, true} }
+	tbl, err := NewTable(hotelSchema(), []Row{row("alpha"), row("mid"), row("zeta")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Create(hotelSchema()); err == nil {
-		t.Error("duplicate table should fail")
+	if got, want := tbl.IDs(), []string{"alpha", "mid", "zeta"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("IDs = %v, want %v", got, want)
 	}
-	if _, err := db.Table("Hotels"); err != nil {
-		t.Error(err)
+	for i, id := range tbl.IDs() {
+		if tbl.Row(i)[0] != id {
+			t.Errorf("row %d is %v, want id %s", i, tbl.Row(i), id)
+		}
 	}
-	if _, err := db.Table("Nope"); err == nil {
-		t.Error("missing table should error")
+	for name, c := range map[string]struct {
+		rows []Row
+		want string
+	}{
+		"unsorted":  {[]Row{row("zeta"), row("alpha")}, `key "alpha" follows "zeta"`},
+		"duplicate": {[]Row{row("alpha"), row("mid"), row("mid")}, `duplicate key "mid"`},
+	} {
+		if _, err := NewTable(hotelSchema(), c.rows); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %s", name, err, c.want)
+		}
 	}
-	if got := db.Names(); !reflect.DeepEqual(got, []string{"Hotels"}) {
-		t.Errorf("Names = %v", got)
+	empty, err := NewTable(hotelSchema(), nil)
+	if err != nil || empty.Len() != 0 || len(empty.IDs()) != 0 {
+		t.Errorf("empty table: %v, %d rows", err, empty.Len())
 	}
 }
 
-// TestSaveLoadRoundTrip saves a DB through State and loads it back through
-// FromState, the seam the snapshot codec persists.
+// TestColumn: a column name resolves to its position and type once; an
+// unknown one is an error.
+func TestColumn(t *testing.T) {
+	tbl, _ := NewTable(hotelSchema(), []Row{{"Ritz", int64(200), 450.0, true}})
+	i, ty, err := tbl.Column("price_pn")
+	if err != nil || i != 2 || ty != TFloat || tbl.Row(0)[i] != 450.0 {
+		t.Errorf("Column(price_pn) = %d, %v, %v", i, ty, err)
+	}
+	if _, _, err := tbl.Column("nope"); err == nil || err.Error() != "relstore: Hotels has no column nope" {
+		t.Errorf("unknown column: %v", err)
+	}
+}
+
+// TestSaveLoadRoundTrip: a table rebuilt from another's schema and rows —
+// what a snapshot decode, a shard split and a shard merge do — is equal
+// to it.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	db := NewDB()
-	tbl, _ := db.Create(hotelSchema())
 	rows := []Row{
 		{"Ritz", int64(200), 450.0, true},
 		{"Savoy", int64(150), 380.5, false},
 	}
-	for _, r := range rows {
-		if err := tbl.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	loaded, err := FromState(db.State())
+	tbl, err := NewTable(hotelSchema(), rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt, err := loaded.Table("Hotels")
+	loaded, err := NewTable(tbl.Schema(), allRows(tbl))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lt.Len() != 2 {
-		t.Fatalf("loaded %d rows", lt.Len())
+	if !reflect.DeepEqual(loaded, tbl) {
+		t.Errorf("round trip mismatch: %+v, want %+v", loaded, tbl)
 	}
-	got := lt.ByKey("Savoy")
-	if len(got) != 1 || !reflect.DeepEqual(got[0], rows[1]) {
-		t.Errorf("round trip mismatch: %v", got)
-	}
-	// Index must be rebuilt.
-	if len(lt.ByKey("Ritz")) != 1 {
-		t.Error("key index not rebuilt on load")
-	}
-}
-
-func TestConcurrentReadersWithWriter(t *testing.T) {
-	tbl, _ := NewTable(hotelSchema())
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			name := string(rune('A' + i%26))
-			_ = tbl.Insert(Row{name, int64(i), float64(i), true})
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			selectRows(tbl, func(r Row) bool { return r[2].(float64) > 50 })
-			tbl.ByKey("A")
-			tbl.Len()
-		}
-	}()
-	wg.Wait() // run with -race to validate locking
-	if tbl.Len() != 100 {
-		t.Errorf("Len = %d", tbl.Len())
+	if i, ok := loaded.Find("Savoy"); !ok || !reflect.DeepEqual(loaded.Row(i), rows[1]) {
+		t.Errorf("Find(Savoy) = %d, %v", i, ok)
 	}
 }
 
 func TestTypeString(t *testing.T) {
-	for ty, want := range map[Type]string{TString: "string", TInt: "int", TFloat: "float", TBool: "bool"} {
+	for ty, want := range map[Type]string{TString: "string", TInt: "int", TFloat: "float", TBool: "bool", TBool + 1: "Type(4)"} {
 		if ty.String() != want {
 			t.Errorf("%v.String() = %q", int(ty), ty.String())
 		}

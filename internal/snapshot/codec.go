@@ -239,106 +239,98 @@ func (d *dec) stringF64Map() map[string]float64 {
 	return m
 }
 
-// ---- relstore.DBState ----
+// ---- relstore.Table ----
 
-func encodeRelState(st relstore.DBState) ([]byte, error) {
+// encodeRel writes the Entities relation as a list of one table: the
+// table count, then its name, key, columns and rows (the layout dates
+// from when the section held several relations). NewTable checked every
+// value against its column's type, so the value's own type picks the
+// encoding.
+func encodeRel(t *relstore.Table) []byte {
 	e := &enc{}
-	e.uvarint(uint64(len(st.Schemas)))
-	for _, schema := range st.Schemas {
-		e.str(schema.Name)
-		e.str(schema.Key)
-		e.uvarint(uint64(len(schema.Columns)))
-		for _, col := range schema.Columns {
-			e.str(col.Name)
-			e.uvarint(uint64(col.Type))
-		}
-		rows := st.Rows[schema.Name]
-		e.uvarint(uint64(len(rows)))
-		for _, row := range rows {
-			if len(row) != len(schema.Columns) {
-				return nil, fmt.Errorf("snapshot: encode rel: %s row arity %d, want %d",
-					schema.Name, len(row), len(schema.Columns))
+	schema := t.Schema()
+	e.uvarint(1)
+	e.str(schema.Name)
+	e.str(schema.Key)
+	e.uvarint(uint64(len(schema.Columns)))
+	for _, col := range schema.Columns {
+		e.str(col.Name)
+		e.uvarint(uint64(col.Type))
+	}
+	e.uvarint(uint64(t.Len()))
+	for i := 0; i < t.Len(); i++ {
+		for _, v := range t.Row(i) {
+			if v == nil {
+				e.u8(0)
+				continue
 			}
-			for ci, v := range row {
-				if v == nil {
-					e.u8(0)
-					continue
-				}
-				e.u8(1)
-				switch schema.Columns[ci].Type {
-				case relstore.TString:
-					s, ok := v.(string)
-					if !ok {
-						return nil, fmt.Errorf("snapshot: encode rel: %s.%s holds %T", schema.Name, schema.Columns[ci].Name, v)
-					}
-					e.str(s)
-				case relstore.TInt:
-					x, ok := v.(int64)
-					if !ok {
-						return nil, fmt.Errorf("snapshot: encode rel: %s.%s holds %T", schema.Name, schema.Columns[ci].Name, v)
-					}
-					e.varint(x)
-				case relstore.TFloat:
-					f, ok := v.(float64)
-					if !ok {
-						return nil, fmt.Errorf("snapshot: encode rel: %s.%s holds %T", schema.Name, schema.Columns[ci].Name, v)
-					}
-					e.f64(f)
-				case relstore.TBool:
-					bv, ok := v.(bool)
-					if !ok {
-						return nil, fmt.Errorf("snapshot: encode rel: %s.%s holds %T", schema.Name, schema.Columns[ci].Name, v)
-					}
-					e.boolean(bv)
-				default:
-					return nil, fmt.Errorf("snapshot: encode rel: unknown column type %v", schema.Columns[ci].Type)
-				}
+			e.u8(1)
+			switch x := v.(type) {
+			case string:
+				e.str(x)
+			case int64:
+				e.varint(x)
+			case float64:
+				e.f64(x)
+			case bool:
+				e.boolean(x)
 			}
 		}
 	}
-	return e.b, nil
+	return e.b
 }
 
-func decodeRelState(payload []byte) (relstore.DBState, error) {
+// decodeRel accepts exactly what encodeRel writes: one table, named
+// Entities and keyed by id, whose rows relstore.NewTable validates
+// (arity, column types, unique ascending string ids).
+func decodeRel(payload []byte) (*relstore.Table, error) {
 	d := &dec{b: payload, section: SectionRel}
-	st := relstore.DBState{Rows: map[string][]relstore.Row{}}
-	nschemas := d.count("schema")
-	for i := 0; i < nschemas && d.err == nil; i++ {
-		schema := relstore.Schema{Name: d.str(), Key: d.str()}
-		ncols := d.count("column")
-		for c := 0; c < ncols && d.err == nil; c++ {
-			schema.Columns = append(schema.Columns, relstore.Column{
-				Name: d.str(),
-				Type: relstore.Type(d.uvarint()),
-			})
-		}
-		nrows := d.count("row")
-		rows := make([]relstore.Row, 0, nrows)
-		for r := 0; r < nrows && d.err == nil; r++ {
-			row := make(relstore.Row, len(schema.Columns))
-			for ci := range schema.Columns {
-				if d.u8() == 0 {
-					continue // NULL
-				}
-				switch schema.Columns[ci].Type {
-				case relstore.TString:
-					row[ci] = d.str()
-				case relstore.TInt:
-					row[ci] = d.varint()
-				case relstore.TFloat:
-					row[ci] = d.f64()
-				case relstore.TBool:
-					row[ci] = d.boolean()
-				default:
-					d.fail("column type")
-				}
-			}
-			rows = append(rows, row)
-		}
-		st.Schemas = append(st.Schemas, schema)
-		st.Rows[schema.Name] = rows
+	if n := d.uvarint(); d.err == nil && n != 1 {
+		return nil, fmt.Errorf("snapshot: %s: %d tables, want 1", SectionRel, n)
 	}
-	return st, d.finish()
+	schema := relstore.Schema{Name: d.str(), Key: d.str()}
+	if d.err == nil && (schema.Name != relstore.EntitiesName || schema.Key != relstore.EntityKey) {
+		return nil, fmt.Errorf("snapshot: %s: table %s keyed by %q, want %s keyed by %q",
+			SectionRel, schema.Name, schema.Key, relstore.EntitiesName, relstore.EntityKey)
+	}
+	ncols := d.count("column")
+	for c := 0; c < ncols && d.err == nil; c++ {
+		schema.Columns = append(schema.Columns, relstore.Column{
+			Name: d.str(),
+			Type: relstore.Type(d.uvarint()),
+		})
+	}
+	nrows := d.count("row")
+	rows := make([]relstore.Row, 0, nrows)
+	for r := 0; r < nrows && d.err == nil; r++ {
+		row := make(relstore.Row, len(schema.Columns))
+		for ci := range schema.Columns {
+			if d.u8() == 0 {
+				continue // NULL
+			}
+			switch schema.Columns[ci].Type {
+			case relstore.TString:
+				row[ci] = d.str()
+			case relstore.TInt:
+				row[ci] = d.varint()
+			case relstore.TFloat:
+				row[ci] = d.f64()
+			case relstore.TBool:
+				row[ci] = d.boolean()
+			default:
+				d.fail("column type")
+			}
+		}
+		rows = append(rows, row)
+	}
+	if err := d.finish(); err != nil {
+		return nil, err
+	}
+	t, err := relstore.NewTable(schema, rows)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %s: %w", SectionRel, err)
+	}
+	return t, nil
 }
 
 // ---- embedding.ModelState ----

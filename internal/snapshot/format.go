@@ -19,11 +19,12 @@
 //
 // Section payloads are the hand-rolled length-prefixed encodings of
 // codec.go over the exported state structs each subsystem package
-// provides (core.DBState, relstore.DBState, embedding.ModelState,
-// ir.IndexState, extract.PerceptronState, kdtree.SubstitutionIndexState);
-// only the tiny meta section uses encoding/gob. New sections should use
-// the codec.go primitives too — sorted-map, fixed-float encoding is what
-// keeps artifacts byte-stable across identical builds and decoding fast.
+// provides (core.DBState, the relstore.Table schema and rows,
+// embedding.ModelState, ir.IndexState, extract.PerceptronState,
+// kdtree.SubstitutionIndexState); only the tiny meta section uses
+// encoding/gob. New sections should use the codec.go primitives too —
+// sorted-map, fixed-float encoding is what keeps artifacts byte-stable
+// across identical builds and decoding fast.
 // The container does framing, versioning and integrity only; the owning
 // packages define what state means.
 //

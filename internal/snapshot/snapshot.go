@@ -16,7 +16,6 @@ import (
 	"repro/internal/extract"
 	"repro/internal/ir"
 	"repro/internal/kdtree"
-	"repro/internal/relstore"
 )
 
 // Section names of format version 3. SectionSubIndex is present only when
@@ -171,15 +170,11 @@ func WriteShard(w io.Writer, db *core.DB, shard *ShardMeta) (*Meta, error) {
 	if err != nil {
 		return nil, err
 	}
-	relPayload, err := encodeRelState(db.Rel.State())
-	if err != nil {
-		return nil, err
-	}
 	// Every section except the tiny gob-encoded meta uses the hand-rolled
 	// codecs of codec.go (fast, byte-stable).
 	sections := []Section{
 		metaSec,
-		{Name: SectionRel, Payload: relPayload},
+		{Name: SectionRel, Payload: encodeRel(db.Rel)},
 		{Name: SectionCore, Payload: encodeCoreState(st)},
 		{Name: SectionEmbedding, Payload: encodeEmbeddingState(db.Embed.State())},
 		{Name: SectionReviewIndex, Payload: encodeIndexState(db.ReviewIndex.State())},
@@ -324,7 +319,7 @@ func LoadVerified(path, wantSHA256 string) (*core.DB, *Meta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	relState, err := decodeRelState(s.Payload)
+	rel, err := decodeRel(s.Payload)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -380,10 +375,6 @@ func LoadVerified(path, wantSHA256 string) (*core.DB, *Meta, error) {
 		shard = &sm
 	}
 
-	rel, err := relstore.FromState(relState)
-	if err != nil {
-		return nil, nil, fmt.Errorf("snapshot: %s: %w", SectionRel, err)
-	}
 	embed, err := embedding.NewModelFromState(embedState)
 	if err != nil {
 		return nil, nil, fmt.Errorf("snapshot: %s: %w", SectionEmbedding, err)

@@ -11,10 +11,14 @@ package snapshot_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -25,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/harness"
+	"repro/internal/relstore"
 	"repro/internal/snapshot"
 )
 
@@ -408,6 +413,170 @@ func TestRandomMutationsReturnTypedErrors(t *testing.T) {
 		}
 		if !isTyped {
 			t.Fatalf("mutation at offset %d (^%02x): untyped error %v", pos, flip, err)
+		}
+	}
+}
+
+// relPayloadSHA256 is the SHA-256 of the fixture's rel section payload,
+// computed when the section still came from the multi-table store; the
+// single-table encoder must write the same bytes.
+const relPayloadSHA256 = "c7b9914d5102349c7772d4aaba6401c5157c831124536e9d080c8ed373a10edb"
+
+// TestRelPayloadPinned: the rel section's bytes for the fixture build do
+// not move.
+func TestRelPayloadPinned(t *testing.T) {
+	_, _, raw := fixtures(t)
+	sum := sha256.Sum256(parseLayout(t, raw)[snapshot.SectionRel].payload)
+	if got := hex.EncodeToString(sum[:]); got != relPayloadSHA256 {
+		t.Fatalf("rel payload SHA-256 %s, want %s", got, relPayloadSHA256)
+	}
+}
+
+// relTable is one table of a hand-built rel section payload.
+type relTable struct {
+	name, key string
+	cols      []relstore.Column
+	rows      []relstore.Row
+}
+
+// encodeRelPayload writes tables in the rel section's layout: a table
+// count, then per table its name, key, columns (name, type) and rows. A
+// value is a presence byte followed by the value encoded by its own Go
+// type, so a test can put a value in a column of another type.
+func encodeRelPayload(tables ...relTable) []byte {
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	b := binary.AppendUvarint(nil, uint64(len(tables)))
+	for _, tb := range tables {
+		b = str(str(b, tb.name), tb.key)
+		b = binary.AppendUvarint(b, uint64(len(tb.cols)))
+		for _, c := range tb.cols {
+			b = binary.AppendUvarint(str(b, c.Name), uint64(c.Type))
+		}
+		b = binary.AppendUvarint(b, uint64(len(tb.rows)))
+		for _, row := range tb.rows {
+			for _, v := range row {
+				if v == nil {
+					b = append(b, 0)
+					continue
+				}
+				b = append(b, 1)
+				switch x := v.(type) {
+				case string:
+					b = str(b, x)
+				case int64:
+					b = binary.AppendVarint(b, x)
+				case float64:
+					b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+				case bool:
+					if x {
+						b = append(b, 1)
+					} else {
+						b = append(b, 0)
+					}
+				}
+			}
+		}
+	}
+	return b
+}
+
+// withSection returns the snapshot data with the named section's payload
+// replaced and its table entry (size, CRC) rewritten to match.
+func withSection(data []byte, name string, payload []byte) []byte {
+	count := int(binary.LittleEndian.Uint32(data[12:]))
+	names, sizes := make([]string, count), make([]int, count)
+	off := 16
+	for i := range names {
+		n := int(binary.LittleEndian.Uint16(data[off:]))
+		names[i] = string(data[off+2 : off+2+n])
+		sizes[i] = int(binary.LittleEndian.Uint64(data[off+2+n:]))
+		off += 14 + n
+	}
+	out := append([]byte(nil), data[:16]...)
+	var body []byte
+	for i, n := range names {
+		p := data[off : off+sizes[i]]
+		off += sizes[i]
+		if n == name {
+			p = payload
+		}
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(n)))
+		out = append(out, n...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(p)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(p))
+		body = append(body, p...)
+	}
+	return append(out, body...)
+}
+
+// TestRelSectionAcceptsOnlyWhatTheWriterProduces: the rel section must
+// hold exactly one table, Entities keyed by id, with well-typed rows in
+// ascending unique id order. Every other payload — each with a valid CRC,
+// so it reaches the decoder — fails Load with an error naming the
+// section, never a panic.
+func TestRelSectionAcceptsOnlyWhatTheWriterProduces(t *testing.T) {
+	_, db, raw := fixtures(t)
+	schema := db.Rel.Schema()
+	base := relTable{name: schema.Name, key: schema.Key, cols: schema.Columns}
+	for i := 0; i < db.Rel.Len(); i++ {
+		base.rows = append(base.rows, db.Rel.Row(i))
+	}
+	if got := encodeRelPayload(base); !bytes.Equal(got, parseLayout(t, raw)[snapshot.SectionRel].payload) {
+		t.Fatal("the hand-built payload differs from the writer's; the layout has drifted")
+	}
+	if _, _, err := snapshot.Load(writeSnap(t, withSection(raw, snapshot.SectionRel, encodeRelPayload(base)))); err != nil {
+		t.Fatalf("the rewritten container no longer loads: %v", err)
+	}
+	price := -1
+	for i, c := range schema.Columns {
+		if c.Name == "price_pn" {
+			price = i
+		}
+	}
+	// edit returns a copy of base changed by fn; rows are copied on write.
+	edit := func(fn func(tb *relTable)) relTable {
+		tb := base
+		tb.cols = append([]relstore.Column(nil), base.cols...)
+		tb.rows = append([]relstore.Row(nil), base.rows...)
+		fn(&tb)
+		return tb
+	}
+	setRow := func(tb *relTable, i int, fn func(relstore.Row)) {
+		r := append(relstore.Row(nil), tb.rows[i]...)
+		fn(r)
+		tb.rows[i] = r
+	}
+	cases := map[string][]byte{
+		"two tables":   encodeRelPayload(base, base),
+		"no tables":    encodeRelPayload(),
+		"wrong name":   encodeRelPayload(edit(func(tb *relTable) { tb.name = "Hotels" })),
+		"wrong key":    encodeRelPayload(edit(func(tb *relTable) { tb.key = "name" })),
+		"short row":    encodeRelPayload(edit(func(tb *relTable) { tb.rows[1] = tb.rows[1][:len(tb.rows[1])-1] })),
+		"long row":     encodeRelPayload(edit(func(tb *relTable) { tb.rows[1] = append(tb.rows[1][:len(tb.rows[1]):len(tb.rows[1])], 1.0) })),
+		"string price": encodeRelPayload(edit(func(tb *relTable) { setRow(tb, 1, func(r relstore.Row) { r[price] = "cheap" }) })),
+		"unknown type": encodeRelPayload(edit(func(tb *relTable) { tb.cols[price].Type = relstore.TBool + 5 })),
+		"unknown type, no rows": encodeRelPayload(edit(func(tb *relTable) {
+			tb.cols[price].Type = relstore.TBool + 5
+			tb.rows = nil
+		})),
+		"int ids": encodeRelPayload(edit(func(tb *relTable) {
+			tb.cols[0].Type = relstore.TInt
+			for i := range tb.rows {
+				setRow(tb, i, func(r relstore.Row) { r[0] = int64(i) })
+			}
+		})),
+		"NULL id":       encodeRelPayload(edit(func(tb *relTable) { setRow(tb, 0, func(r relstore.Row) { r[0] = nil }) })),
+		"duplicate id":  encodeRelPayload(edit(func(tb *relTable) { tb.rows[2] = tb.rows[1] })),
+		"unsorted ids":  encodeRelPayload(edit(func(tb *relTable) { tb.rows[1], tb.rows[2] = tb.rows[2], tb.rows[1] })),
+		"trailing byte": append(encodeRelPayload(base), 0),
+	}
+	for name, payload := range cases {
+		db, _, err := snapshot.Load(writeSnap(t, withSection(raw, snapshot.SectionRel, payload)))
+		switch {
+		case err == nil:
+			t.Errorf("%s: loaded a database of %d entities", name, len(db.EntityIDs()))
+		case !strings.Contains(err.Error(), "snapshot: rel: ") && !strings.Contains(err.Error(), "snapshot: decode rel: "):
+			t.Errorf("%s: error %q does not name the %s section", name, err, snapshot.SectionRel)
 		}
 	}
 }
