@@ -1,7 +1,7 @@
 # Tier-1 verification gate (referenced from ROADMAP.md): gofmt
 # cleanliness, vet, build, and the full test suite under the race
 # detector. CI and pre-merge checks run `make verify`.
-.PHONY: verify fmtcheck build test race bench bench-check cover fuzz-smoke serve snapshot snapshot-smoke shard-smoke journal-smoke rebalance-smoke load-smoke write-smoke replica-smoke trace-smoke loc compact rebalance
+.PHONY: verify fmtcheck build test race bench bench-check cover fuzz-smoke serve snapshot snapshot-smoke shard-smoke journal-smoke rebalance-smoke load-smoke write-smoke replica-smoke trace-smoke loc flags compact rebalance
 
 verify: fmtcheck
 	go vet ./...
@@ -68,9 +68,11 @@ bench-check:
 	bash bench/run.sh --workload read_hot --seconds 3 --trace 0
 	bash bench/run.sh --workload mixed --seconds 3 --trace 0
 
-# Run the HTTP serving daemon on a small corpus (in-process build).
+# Run the HTTP serving daemon on a small corpus: build its snapshot, then
+# serve it (a node only ever serves a snapshot a builder wrote).
 serve:
-	go run ./cmd/opinedbd -small -addr :8080
+	go run ./cmd/opinedbb -small -o opinedb-small.snap
+	go run ./cmd/opinedbd -snapshot opinedb-small.snap -addr :8080
 
 # Build-once / serve-many: write a snapshot artifact, then serve it.
 #   make snapshot && go run ./cmd/opinedbd -snapshot opinedb.snap
@@ -143,6 +145,11 @@ trace-smoke:
 # of non-test Go outside the benchmark module.
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
+
+# The knobs, counted the way loc counts lines: flag definitions in the
+# non-test files of the commands.
+flags:
+	@git ls-files 'cmd/*.go' | grep -v '_test\.go$$' | xargs grep -oE 'flag\.[A-Za-z0-9]+\("' | wc -l
 
 # Fold a served snapshot's review journal back into a fresh artifact:
 #   make compact SNAP=opinedb.snap     (or SNAP=hotel.manifest.json)

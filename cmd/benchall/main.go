@@ -28,10 +28,9 @@ import (
 // databases most of them read — generated on first use, so a run that
 // skips every reader never pays for them.
 type suite struct {
-	seed     int64
-	start    time.Time
-	genCfg   corpus.GenConfig
-	subindex bool // build the Appendix B substitution index
+	seed   int64
+	start  time.Time
+	genCfg corpus.GenConfig
 
 	t5               harness.Table5Config
 	t7               harness.Table7Config
@@ -65,7 +64,6 @@ func (s *suite) build() {
 	buildStart := time.Now()
 	cfg := core.DefaultConfig()
 	cfg.Seed = s.seed
-	cfg.UseSubstitutionIndex = s.subindex
 	var err error
 	if s.hotelDB, err = harness.BuildDB(s.hotels, cfg, s.taggedN, s.labelsN); err != nil {
 		log.Fatalf("hotel build: %v", err)
@@ -188,7 +186,6 @@ func main() {
 		seed:         *seed,
 		start:        time.Now(),
 		genCfg:       corpus.DefaultConfig(),
-		subindex:     !skipped["appendixb"],
 		t5:           harness.DefaultTable5Config(),
 		t7:           harness.DefaultTable7Config(),
 		table6Trials: 3,

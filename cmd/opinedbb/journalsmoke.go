@@ -87,7 +87,7 @@ func journalSmokeChild() {
 // runJournalSmoke is the parent drill; see the file comment.
 func runJournalSmoke(domain string, seed int64, out string) {
 	log.Printf("journal-smoke: building small %s corpus...", domain)
-	d, db, err := harness.BuildDomain(domain, true, seed, 0, 400, 300, true)
+	d, db, err := harness.BuildDomain(domain, true, seed, 0, 400, 300)
 	if err != nil {
 		log.Fatalf("journal-smoke: build: %v", err)
 	}

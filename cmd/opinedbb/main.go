@@ -51,7 +51,6 @@ func main() {
 	workers := flag.Int("workers", 0, "build worker pool size (0 = GOMAXPROCS)")
 	tagged := flag.Int("tagged", 800, "gold sentences for extractor training")
 	labels := flag.Int("labels", 800, "membership-function training labels")
-	subindex := flag.Bool("subindex", true, "build the Appendix B substitution index into the snapshot")
 	shards := flag.Int("shards", 1, "partition the entity space into N per-shard snapshots plus a manifest (1 = monolithic)")
 	replicas := flag.String("replicas", "", `with -shards > 1: record the replica-set shape in the manifest — "3" for a uniform R, or "0=3,1=1" per-range pairs (unlisted ranges default to 1) so a hot range runs R=3 while cold ranges stay single-replica (opinedbd -router serves each range accordingly)`)
 	verify := flag.Bool("verify", false, "after writing, reload the artifact(s) and check query equivalence against the in-memory build")
@@ -106,7 +105,7 @@ func main() {
 
 	log.Printf("generating %s corpus and building subjective database...", *domain)
 	start := time.Now()
-	d, db, err := harness.BuildDomain(*domain, *small, *seed, *workers, *tagged, *labels, *subindex)
+	d, db, err := harness.BuildDomain(*domain, *small, *seed, *workers, *tagged, *labels)
 	if err != nil {
 		log.Fatalf("build: %v", err)
 	}

@@ -34,7 +34,7 @@ const rebalanceSmokeDeltas = 24
 
 func runRebalanceSmoke(seed int64) {
 	log.Printf("rebalance-smoke: building small hotel corpus...")
-	d, db, err := harness.BuildDomain("hotel", true, seed, 0, 400, 300, true)
+	d, db, err := harness.BuildDomain("hotel", true, seed, 0, 400, 300)
 	if err != nil {
 		log.Fatalf("rebalance-smoke: build: %v", err)
 	}

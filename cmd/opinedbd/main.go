@@ -2,8 +2,9 @@
 // three roles:
 //
 //   - Monolith: -snapshot loads a snapshot artifact written by opinedbb
-//     (mmap-or-read) and serves immediately; when the file does not exist
-//     (or no -snapshot is given) it falls back to the in-process build.
+//     (mmap-or-read) and serves immediately. A missing or unusable file
+//     is fatal: a serving node never builds its database, it loads the
+//     one a builder verified.
 //   - Shard replica: -shard-manifest + -shard-index load one shard of a
 //     sharded build (digest-verified against the manifest) and serve just
 //     that entity range.
@@ -27,6 +28,8 @@
 // -repair-interval. `opinedbb -rebalance M -manifest f.manifest.json`
 // re-partitions a stopped fleet to M shards without a rebuild.
 //
+// Exactly one role must be chosen; starting with none is a usage error.
+//
 // Examples:
 //
 //	opinedbb -domain hotel -o hotel.snap && opinedbd -snapshot hotel.snap
@@ -43,7 +46,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"net/http"
 	"os"
@@ -54,7 +56,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/router"
@@ -84,7 +85,7 @@ func fatal(msg string, args ...any) {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	snapPath := flag.String("snapshot", "", "snapshot artifact to serve (written by opinedbb); falls back to an in-process build when the file does not exist")
+	snapPath := flag.String("snapshot", "", "snapshot artifact to serve (written by opinedbb); a missing or unusable file is fatal")
 	journalMode := flag.String("journal", "auto", "review journal for live ingestion: 'auto' opens <snapshot>.journal next to the served artifact (replayed on load), 'off' serves read-only, any other value is an explicit journal directory")
 	writeQueueDepth := flag.Int("write-queue-depth", 0, "bound on the group-commit staging queue; writes arriving at a full queue get 503 + Retry-After (0 = default)")
 	shardManifest := flag.String("shard-manifest", "", "shard manifest (written by opinedbb -shards); serve the single shard selected by -shard-index")
@@ -96,16 +97,14 @@ func main() {
 	noHedge := flag.Bool("no-hedge", false, "router role: disable hedged scatter legs (load balancing across replicas stays on)")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "router role: fixed hedge delay (0 = adapt to each shard's scatter p95)")
 	repairEvery := flag.Duration("repair-interval", 0, "router role: run a fleet-wide anti-entropy write-repair pass on this interval (0 disables; POST /repair triggers one on demand, and partial writes always heal automatically)")
-	domain := flag.String("domain", "hotel", "corpus domain for the in-process build: hotel or restaurant")
-	seed := flag.Int64("seed", 1, "corpus and build seed (in-process build)")
-	small := flag.Bool("small", false, "build a small corpus (faster startup; in-process build)")
-	workers := flag.Int("workers", 0, "build worker pool size (0 = GOMAXPROCS; in-process build)")
-	subindex := flag.Bool("subindex", true, "build the Appendix B substitution index (in-process build; match opinedbb's flag so a fallen-back replica serves identically to its snapshot-loaded peers)")
-	tagged := flag.Int("tagged", 800, "gold sentences for extractor training (in-process build; match opinedbb's flag)")
-	labels := flag.Int("labels", 800, "membership-function training labels (in-process build; match opinedbb's flag)")
 	topK := flag.Int("k", 10, "default result size")
 	debugAddr := flag.String("debug-addr", "", "serve the debug surface (net/http/pprof under /debug/pprof/, traces under /debug/traces) on this extra address; empty disables (the main mux always serves /debug/traces)")
 	flag.Parse()
+	if *snapPath == "" && *shardManifest == "" && *routerManifest == "" {
+		fmt.Fprintln(flag.CommandLine.Output(), "opinedbd: choose a role: -snapshot, -shard-manifest with -shard-index, or -router")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *debugAddr != "" {
 		go func() {
@@ -123,7 +122,7 @@ func main() {
 	case *shardManifest != "":
 		handler = shardHandler(*shardManifest, *shardIndex, *shardReplica, *topK, *journalMode, *writeQueueDepth)
 	default:
-		handler = monolithHandler(*snapPath, *domain, *small, *seed, *workers, *tagged, *labels, *subindex, *topK, *journalMode, *writeQueueDepth)
+		handler = monolithHandler(*snapPath, *topK, *journalMode, *writeQueueDepth)
 	}
 	serve(*addr, handler)
 }
@@ -136,9 +135,6 @@ func journalDir(mode, artifactPath string) string {
 	case "off":
 		return ""
 	case "auto":
-		if artifactPath == "" {
-			return ""
-		}
 		return journal.Dir(artifactPath)
 	default:
 		return mode
@@ -180,61 +176,29 @@ func attachJournal(db *core.DB, dir string, queueDepth int, acceptUnowned bool) 
 	return ingest
 }
 
-// monolithHandler is the original single-database role: load a snapshot
-// or build in process.
-func monolithHandler(snapPath, domain string, small bool, seed int64, workers, tagged, labels int, subindex bool, topK int, journalMode string, queueDepth int) http.Handler {
-	var (
-		db       *core.DB
-		snapInfo *server.SnapshotInfo
-	)
-	if snapPath != "" {
-		loaded, meta, err := snapshot.Load(snapPath)
-		switch {
-		case err == nil:
-			if meta.Shard != nil {
-				// A shard artifact silently serving as "the database" would
-				// answer with a fraction of the entity space.
-				fatal("snapshot is one shard of a sharded build; serve it with -shard-manifest/-shard-index",
-					"path", snapPath, "shard", meta.Shard.Index, "shards", meta.Shard.Count)
-			}
-			db = loaded
-			snapInfo = snapshotInfo(snapPath, meta)
-			slog.Info("loaded snapshot", "path", snapPath, "name", meta.Name,
-				"entities", meta.Entities, "reviews", meta.Reviews, "extractions", meta.Extractions,
-				"seed", meta.BuildSeed, "load_ms", snapInfo.LoadMillis)
-		case errors.Is(err, fs.ErrNotExist):
-			slog.Warn("snapshot not found; falling back to in-process build", "path", snapPath)
-		default:
-			// A present-but-unusable artifact is an operator problem;
-			// silently rebuilding would mask it across a fleet.
-			fatal("snapshot load failed", "path", snapPath, "err", err)
-		}
+// monolithHandler serves one whole-database snapshot.
+func monolithHandler(snapPath string, topK int, journalMode string, queueDepth int) http.Handler {
+	db, meta, err := snapshot.Load(snapPath)
+	if err != nil {
+		fatal("snapshot load failed", "path", snapPath, "err", err)
 	}
-
-	if db == nil {
-		// Build through the same helper as opinedbb with matching flags, so
-		// a replica that fell back serves the same database its peers
-		// loaded from a snapshot of the same domain/size/seed.
-		slog.Info("generating corpus and building subjective database", "domain", domain)
-		start := time.Now()
-		d, built, err := harness.BuildDomain(domain, small, seed, workers, tagged, labels, subindex)
-		if err != nil {
-			fatal("build failed", "err", err)
-		}
-		db = built
-		slog.Info("build ready", "entities", len(d.Entities), "reviews", len(d.Reviews),
-			"extractions", len(db.Extractions), "attrs", len(db.Attrs),
-			"seconds", time.Since(start).Seconds())
+	if meta.Shard != nil {
+		// A shard artifact silently serving as "the database" would
+		// answer with a fraction of the entity space.
+		fatal("snapshot is one shard of a sharded build; serve it with -shard-manifest/-shard-index",
+			"path", snapPath, "shard", meta.Shard.Index, "shards", meta.Shard.Count)
 	}
+	info := snapshotInfo(snapPath, meta)
+	slog.Info("loaded snapshot", "path", snapPath, "name", meta.Name,
+		"entities", meta.Entities, "reviews", meta.Reviews, "extractions", meta.Extractions,
+		"seed", meta.BuildSeed, "load_ms", info.LoadMillis)
 
-	// Load order: snapshot → journal replay → serve. The journal lives
-	// next to the snapshot even when the replica fell back to an
-	// in-process build, so a fleet's ingestion layout is uniform.
+	// Load order: snapshot → journal replay → serve.
 	ingest := attachJournal(db, journalDir(journalMode, snapPath), queueDepth, false)
 	return server.New(db, server.Options{
 		DefaultTopK: topK,
 		EntityName:  entityNamer(db),
-		Snapshot:    snapInfo,
+		Snapshot:    info,
 		Ingest:      ingest,
 		Metrics:     metricsReg,
 		Trace:       tracer,
@@ -462,8 +426,7 @@ func serve(addr string, handler http.Handler) {
 }
 
 // entityNamer resolves display names from the Entities relation's "name"
-// column, which works identically whether the database was built in
-// process or loaded from a snapshot.
+// column.
 func entityNamer(db *core.DB) func(id string) string {
 	return func(id string) string {
 		v, err := db.ObjectiveValue(id, "name")

@@ -14,7 +14,6 @@ import (
 	"repro/internal/extract"
 	"repro/internal/fuzzy"
 	"repro/internal/ir"
-	"repro/internal/kdtree"
 	"repro/internal/relstore"
 	"repro/internal/sentiment"
 	"repro/internal/textproc"
@@ -61,8 +60,6 @@ type Config struct {
 	FuzzyVariant fuzzy.Variant
 	// MinPhraseCount prunes linguistic-domain phrases seen fewer times.
 	MinPhraseCount int
-	// UseSubstitutionIndex enables the Appendix B index.
-	UseSubstitutionIndex bool
 	// Embedding is the word2vec training configuration.
 	Embedding embedding.TrainConfig
 	// TaggerEpochs is the perceptron training epoch count.
@@ -101,7 +98,6 @@ func DefaultConfig() Config {
 		MinPhraseCoverage:       0.6,
 		FuzzyVariant:            fuzzy.Product,
 		MinPhraseCount:          1,
-		UseSubstitutionIndex:    false,
 		Embedding:               embedding.DefaultTrainConfig(),
 		TaggerEpochs:            6,
 		Seed:                    1,
@@ -374,19 +370,6 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 
 	// ---- Membership functions (§3.3).
 	db.Membership = newMembershipModel(db, in.MembershipLabels, rng)
-
-	// ---- Optional Appendix B substitution index over the full linguistic
-	// domain.
-	if cfg.UseSubstitutionIndex {
-		var phrases []string
-		for _, a := range db.Attrs {
-			for p := range a.DomainPhrases {
-				phrases = append(phrases, p)
-			}
-		}
-		sort.Strings(phrases)
-		db.SubIndex = kdtree.NewSubstitutionIndex(phrases, model)
-	}
 	return db, nil
 }
 

@@ -242,20 +242,6 @@ func (db *DB) interpretW2V(p *phrase, threshold float64) (Interpretation, bool) 
 	if threshold >= 0 && db.queryKnownFraction(p.tokens()) <= 0.5 {
 		return Interpretation{}, false
 	}
-	// Appendix B fast path when the substitution index is enabled.
-	if db.SubIndex != nil {
-		if match, fast := db.SubIndex.Lookup(predicate); fast && match != "" {
-			if am, sim, ok := db.phraseToAttrMarker(match, p); ok && sim >= threshold {
-				return Interpretation{
-					Predicate:     predicate,
-					Method:        MethodW2V,
-					Terms:         []AttrMarker{am},
-					MatchedPhrase: match,
-					Similarity:    sim,
-				}, true
-			}
-		}
-	}
 	attr, best := p.bestVariation(db)
 	if attr == nil || best.sim < threshold {
 		return Interpretation{}, false
@@ -361,19 +347,6 @@ func (db *DB) scanDomainMatch(attr *SubjectiveAttribute, query *phrase) domainMa
 		return domainMatch{marker: -1, sim: -1}
 	}
 	return domainMatch{phrase: t.phrases[bestRow[marker]], marker: marker, sim: sim}
-}
-
-// phraseToAttrMarker resolves a known domain phrase to its attribute and
-// marker, returning the similarity to the original predicate.
-func (db *DB) phraseToAttrMarker(match string, predicate *phrase) (AttrMarker, float64, bool) {
-	for _, attr := range db.Attrs {
-		t := attr.domain
-		if i, ok := slices.BinarySearch(t.phrases, match); ok {
-			sim := t.cosine(i, predicate.repIn(db.Embed), predicate.norm)
-			return AttrMarker{Attr: attr.Name, Marker: t.markers[i]}, sim, true
-		}
-	}
-	return AttrMarker{}, 0, false
 }
 
 // cooccurStage is the co-occurrence method over one predicate: search the

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/snapshot"
 )
@@ -94,37 +93,6 @@ func TestInterpretEqualsOracle(t *testing.T) {
 	if methods[core.MethodW2V] < 100 || methods[core.MethodCooccur] < 100 || methods[core.MethodFallback] < 100 {
 		t.Fatalf("the texts do not exercise every stage: %v", methods)
 	}
-}
-
-func TestInterpretEqualsOracleWithSubstitutionIndex(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a second database")
-	}
-	d := corpus.GenerateHotels(corpus.SmallConfig())
-	cfg := core.DefaultConfig()
-	cfg.UseSubstitutionIndex = true
-	db, err := harness.BuildDB(d, cfg, 300, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.SubIndex == nil {
-		t.Fatal("no substitution index was built")
-	}
-	texts := coldTexts(d, 400)
-	for _, p := range d.Predicates {
-		texts = append(texts, p.Text)
-	}
-	// Domain phrases themselves take the index's fast path.
-	for _, attr := range db.Attrs {
-		n := 0
-		for p := range attr.DomainPhrases {
-			texts = append(texts, p)
-			if n++; n > 5 {
-				break
-			}
-		}
-	}
-	checkAgainstOracle(t, db, texts)
 }
 
 // TestInterpreterKeepsClientTextOutOfDomainMatches: cold predicates leave

@@ -127,20 +127,6 @@ func (o *InterpretOracle) oracleInterpretW2V(p *phrase, threshold float64) (Inte
 	if threshold >= 0 && db.queryKnownFraction(p.tokens()) <= 0.5 {
 		return Interpretation{}, false
 	}
-	// Appendix B fast path when the substitution index is enabled.
-	if db.SubIndex != nil {
-		if match, fast := db.SubIndex.Lookup(predicate); fast && match != "" {
-			if am, sim, ok := o.oraclePhraseToAttrMarker(match, p); ok && sim >= threshold {
-				return Interpretation{
-					Predicate:     predicate,
-					Method:        MethodW2V,
-					Terms:         []AttrMarker{am},
-					MatchedPhrase: match,
-					Similarity:    sim,
-				}, true
-			}
-		}
-	}
 	var best struct {
 		attr   *SubjectiveAttribute
 		phrase string
@@ -226,16 +212,6 @@ func (o *InterpretOracle) oraclePhraseSentiment(phrase string) float64 {
 		o.sentis[phrase] = s
 	}
 	return s
-}
-
-func (o *InterpretOracle) oraclePhraseToAttrMarker(phrase string, predicate *phrase) (AttrMarker, float64, bool) {
-	for _, attr := range o.db.Attrs {
-		if m, ok := attr.MarkerOf(phrase); ok {
-			sim := embedding.Cosine(predicate.repIn(o.db.Embed), o.oraclePhraseRep(phrase))
-			return AttrMarker{Attr: attr.Name, Marker: m}, sim, true
-		}
-	}
-	return AttrMarker{}, 0, false
 }
 
 func (o *InterpretOracle) oracleDomainPhraseList(attr *SubjectiveAttribute) []string {

@@ -34,7 +34,6 @@ import (
 	"repro/internal/extract"
 	"repro/internal/fuzzy"
 	"repro/internal/ir"
-	"repro/internal/kdtree"
 	"repro/internal/relstore"
 )
 
@@ -271,10 +270,6 @@ type DB struct {
 
 	// Membership scores marker summaries against interpreted predicates.
 	Membership *MembershipModel
-
-	// SubIndex is the optional Appendix B substitution index accelerating
-	// the w2v interpreter; nil when disabled.
-	SubIndex *kdtree.SubstitutionIndex
 
 	// entityIDs is the sorted list of entity ids.
 	entityIDs []string

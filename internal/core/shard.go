@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"repro/internal/extract"
-	"repro/internal/kdtree"
 	"repro/internal/relstore"
 )
 
@@ -74,12 +73,12 @@ func (db *DB) Shards(n int) ([]*DB, [][]string, error) {
 // ShardDB derives a new query-ready database restricted to the entities
 // where keep(id) is true. Global model state (schema, embedding, IR
 // indexes, extractor, membership model, extraction relation, review
-// statistics, substitution index) is shared or rebuilt identically, so
-// the shard's answers for its entities carry the exact float bits the
-// monolith produces; only the Entities relation and the marker summaries
-// are restricted. The receiver must not be mutated while ShardDB runs,
-// and the shard shares read-only structures with it afterwards — treat
-// both as frozen once serving starts (the same rule as snapshot.Write).
+// statistics) is shared or rebuilt identically, so the shard's answers
+// for its entities carry the exact float bits the monolith produces;
+// only the Entities relation and the marker summaries are restricted.
+// The receiver must not be mutated while ShardDB runs, and the shard
+// shares read-only structures with it afterwards — treat both as frozen
+// once serving starts (the same rule as snapshot.Write).
 func (db *DB) ShardDB(keep func(entityID string) bool) (*DB, error) {
 	if keep == nil {
 		return nil, fmt.Errorf("core: ShardDB needs a keep predicate")
@@ -115,18 +114,12 @@ func (db *DB) ShardDB(keep func(entityID string) bool) (*DB, error) {
 		return nil, err
 	}
 
-	var subState *kdtree.SubstitutionIndexState
-	if db.SubIndex != nil {
-		s := db.SubIndex.State()
-		subState = &s
-	}
 	shard, err := FromState(shardSt, Components{
 		Rel:         rel,
 		Embed:       db.Embed,
 		ReviewIndex: db.ReviewIndex,
 		EntityIndex: db.EntityIndex,
 		Tagger:      tagger,
-		SubIndex:    subState,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: shard reconstruction: %w", err)
@@ -212,18 +205,12 @@ func MergeShards(shards []*DB) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	var subState *kdtree.SubstitutionIndexState
-	if base.SubIndex != nil {
-		s := base.SubIndex.State()
-		subState = &s
-	}
 	db, err := FromState(merged, Components{
 		Rel:         rel,
 		Embed:       base.Embed,
 		ReviewIndex: base.ReviewIndex,
 		EntityIndex: base.EntityIndex,
 		Tagger:      tagger,
-		SubIndex:    subState,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: merge reconstruction: %w", err)

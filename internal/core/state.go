@@ -8,14 +8,14 @@ package core
 // per-review sentiments, per-reviewer review counts, the membership model
 // and the configuration. FromState() reconstructs a query-ready DB from
 // that state plus the independently serialized subsystems (the Entities
-// relation, embedding model, IR indexes, extractor tagger, optional
-// substitution index), rebuilding the derived state — attrByName,
-// entityIDs, summary centroids, and through buildDerived (derived.go, the
-// helper Build ends in too) the extraction access paths, co-occurrence
-// statistics, domain tables and review boost table — so a loaded DB
-// answers every query byte-identically to the freshly built one. The
-// query-time memo caches start empty; they are memos of pure functions of
-// the restored state, so warming them changes latency, never results.
+// relation, embedding model, IR indexes, extractor tagger), rebuilding
+// the derived state — attrByName, entityIDs, summary centroids, and
+// through buildDerived (derived.go, the helper Build ends in too) the
+// extraction access paths, co-occurrence statistics, domain tables and
+// review boost table — so a loaded DB answers every query
+// byte-identically to the freshly built one. The query-time memo caches
+// start empty; they are memos of pure functions of the restored state, so
+// warming them changes latency, never results.
 
 import (
 	"fmt"
@@ -24,7 +24,6 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/extract"
 	"repro/internal/ir"
-	"repro/internal/kdtree"
 	"repro/internal/relstore"
 )
 
@@ -52,8 +51,8 @@ type MembershipState struct {
 
 // DBState is the exported core-database state: everything owned by this
 // package that a snapshot must persist. The relational layer, embedding
-// model, IR indexes, extractor tagger and substitution index are
-// serialized through their own packages' seams and rejoined in FromState.
+// model, IR indexes and extractor tagger are serialized through their
+// own packages' seams and rejoined in FromState.
 type DBState struct {
 	Name             string
 	Cfg              Config
@@ -101,23 +100,21 @@ func (db *DB) State() *DBState {
 
 // Components bundles the independently deserialized subsystems FromState
 // rejoins with a DBState. Rel is the Entities relation; its sorted ids
-// become the database's entity ids. SubIndex is optional (nil when the
-// database was built without the Appendix B index); everything else is
-// required.
+// become the database's entity ids. Every field is required.
 type Components struct {
 	Rel         *relstore.Table
 	Embed       *embedding.Model
 	ReviewIndex *ir.Index
 	EntityIndex *ir.Index
 	Tagger      *extract.PerceptronTagger
-	SubIndex    *kdtree.SubstitutionIndexState
 }
 
 // FromState reconstructs a query-ready DB from exported state and its
 // subsystem components. It validates referential integrity (marker
-// summary shapes, extraction ids, the Entities relation) and rebuilds every
-// derived access path with the helper Build uses (buildDerived), so query
-// results are byte-identical to the freshly built database's.
+// summary shapes, provenance ids, extraction ids, the Entities relation)
+// and rebuilds every derived access path with the helper Build uses
+// (buildDerived), so query results are byte-identical to the freshly
+// built database's.
 func FromState(st *DBState, c Components) (*DB, error) {
 	switch {
 	case st == nil:
@@ -212,6 +209,18 @@ func FromState(st *DBState, c Components) (*DB, error) {
 				return nil, fmt.Errorf("core: state summary %s/%s has %d/%d/%d/%d marker slots, want %d",
 					attrName, entityID, len(s.Counts), len(s.SentSum), len(s.VecSum), len(s.Provenance), k)
 			}
+			for m, ids := range s.Provenance {
+				for _, id := range ids {
+					if id < 0 || id >= len(db.Extractions) {
+						return nil, fmt.Errorf("core: state summary %s/%s marker %d cites extraction %d of %d",
+							attrName, entityID, m, id, len(db.Extractions))
+					}
+					if ext := &db.Extractions[id]; ext.Attribute != attrName || ext.EntityID != entityID || ext.Marker != m {
+						return nil, fmt.Errorf("core: state summary %s/%s marker %d cites extraction %d of %s/%s marker %d",
+							attrName, entityID, m, id, ext.Attribute, ext.EntityID, ext.Marker)
+					}
+				}
+			}
 			s.finalize()
 		}
 	}
@@ -242,11 +251,5 @@ func FromState(st *DBState, c Components) (*DB, error) {
 		}
 	}
 	db.buildDerived()
-
-	// ---- Optional Appendix B substitution index, rebuilt against the
-	// restored embedding model.
-	if c.SubIndex != nil {
-		db.SubIndex = kdtree.NewSubstitutionIndexFromState(*c.SubIndex, db.Embed)
-	}
 	return db, nil
 }

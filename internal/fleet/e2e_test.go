@@ -69,7 +69,6 @@ func buildFixture() error {
 	fixData = corpus.GenerateHotels(genCfg)
 	cfg := core.DefaultConfig()
 	cfg.Seed = 1
-	cfg.UseSubstitutionIndex = true
 	rng := rand.New(rand.NewSource(cfg.Seed + 13))
 	in := harness.BuildInputFromDataset(fixData, 400, 300, rng)
 	split := len(in.Reviews) - fleetDeltas

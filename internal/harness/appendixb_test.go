@@ -8,10 +8,10 @@ import (
 	"repro/internal/corpus"
 )
 
-// TestRunAppendixB builds a small substitution-indexed database and
-// verifies the Appendix B experiment's invariants: a meaningful fraction
-// of predicate lookups avoid the similarity scan, and the indexed pass is
-// not slower than the full pass by more than noise.
+// TestRunAppendixB builds a small database and verifies the Appendix B
+// experiment's invariants: it indexes the linguistic domain beside the
+// database, bank predicates that are domain phrases take the fast path,
+// and both sets report timings and an agreement rate with the exact scan.
 func TestRunAppendixB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("appendix B needs a DB build")
@@ -20,37 +20,31 @@ func TestRunAppendixB(t *testing.T) {
 	cfg.HotelsLondon, cfg.HotelsAmsterdam = 50, 20
 	cfg.ReviewsPerHotel = 16
 	d := corpus.GenerateHotels(cfg)
-	c := core.DefaultConfig()
-	c.UseSubstitutionIndex = true
-	db, err := BuildDB(d, c, 500, 300)
+	db, err := BuildDB(d, core.DefaultConfig(), 500, 300)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if db.SubIndex == nil {
-		t.Fatal("substitution index not built")
 	}
 	res := RunAppendixB(d, db)
-	if res.Predicates != len(d.Predicates) {
-		t.Errorf("predicates = %d", res.Predicates)
+	if res.Phrases == 0 {
+		t.Fatal("no domain phrases indexed")
 	}
-	if res.FastFraction <= 0.1 {
-		t.Errorf("fast-path fraction %.2f too low; index ineffective", res.FastFraction)
+	if res.Bank.Predicates != len(d.Predicates) || res.Cold.Predicates != appendixBPhrasings*len(d.Predicates) {
+		t.Errorf("predicates = %d bank, %d cold", res.Bank.Predicates, res.Cold.Predicates)
 	}
-	if res.TimeIndexed <= 0 || res.TimeFull <= 0 {
-		t.Error("timings not collected")
+	if res.Bank.FastFraction <= 0.1 || res.Bank.Exact == 0 {
+		t.Errorf("bank fast-path fraction %.2f (%d exact) too low; index ineffective", res.Bank.FastFraction, res.Bank.Exact)
+	}
+	for name, s := range map[string]AppendixBSet{"bank": res.Bank, "cold": res.Cold} {
+		if s.TimeIndexed <= 0 || s.TimeFull <= 0 {
+			t.Errorf("%s: timings not collected", name)
+		}
+		if s.Agreement <= 0 || s.Agreement > 1 {
+			t.Errorf("%s: agreement %.3f outside (0, 1]", name, s.Agreement)
+		}
 	}
 	out := FormatAppendixB(res)
-	if !strings.Contains(out, "substitution index") {
-		t.Error("FormatAppendixB malformed")
-	}
-	// A DB without the index reports zeros gracefully.
-	plain, err := BuildDB(d, core.DefaultConfig(), 300, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty := RunAppendixB(d, plain)
-	if empty.FastFraction != 0 || empty.TimeFull != 0 {
-		t.Errorf("index-less run should be zeroed: %+v", empty)
+	if !strings.Contains(out, "substitution index") || !strings.Contains(out, "bank (") || !strings.Contains(out, "cold (") {
+		t.Errorf("FormatAppendixB malformed:\n%s", out)
 	}
 }
 

@@ -90,13 +90,11 @@ func BuildDB(d *corpus.Dataset, cfg core.Config, taggedN, labelsN int) (*core.DB
 }
 
 // BuildDomain generates the named domain's corpus and builds its database
-// with the serving defaults. It is the single construction path shared by
-// cmd/opinedbb and cmd/opinedbd's build-in-process fallback: a replica
-// that cannot find its snapshot builds exactly the corpus shape and
-// config a snapshot-writing builder uses, so (by the build-determinism
-// guarantee) it serves the same answers as its snapshot-loaded peers for
-// the same seed.
-func BuildDomain(domain string, small bool, seed int64, workers, taggedN, labelsN int, subindex bool) (*corpus.Dataset, *core.DB, error) {
+// with the serving defaults (core.DefaultConfig with the given seed and
+// worker count). cmd/opinedbb and the smokes that start from a builder's
+// corpus call it; a serving node never builds, it loads the snapshot
+// opinedbb wrote from this database.
+func BuildDomain(domain string, small bool, seed int64, workers, taggedN, labelsN int) (*corpus.Dataset, *core.DB, error) {
 	genCfg := corpus.DefaultConfig()
 	if small {
 		genCfg = corpus.SmallConfig()
@@ -114,7 +112,6 @@ func BuildDomain(domain string, small bool, seed int64, workers, taggedN, labels
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	cfg.BuildWorkers = workers
-	cfg.UseSubstitutionIndex = subindex
 	db, err := BuildDB(d, cfg, taggedN, labelsN)
 	if err != nil {
 		return nil, nil, err

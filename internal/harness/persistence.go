@@ -49,7 +49,6 @@ func RunPersistence(seed int64) PersistenceResult {
 
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
-	cfg.UseSubstitutionIndex = true // exercise every snapshot section
 
 	t0 := time.Now()
 	db, err := BuildDB(d, cfg, 400, 300)

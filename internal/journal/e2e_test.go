@@ -50,7 +50,6 @@ func e2eFixture(t *testing.T) (*corpus.Dataset, []core.ReviewData, string) {
 		e2eData = corpus.GenerateHotels(genCfg)
 		cfg := core.DefaultConfig()
 		cfg.Seed = 1
-		cfg.UseSubstitutionIndex = true // exercise every snapshot section
 		// Same derivation as harness.BuildDB, minus the held-out tail.
 		rng := rand.New(rand.NewSource(cfg.Seed + 13))
 		in := harness.BuildInputFromDataset(e2eData, 400, 300, rng)

@@ -10,6 +10,12 @@
 // precomputed substitute and the result is looked up in a phrase
 // dictionary. Only when no substitution hits does the engine pay for a
 // full k-d tree similarity search.
+//
+// The package is an experiment-only structure: the serving engine's stage
+// 1 is always the exact Eq. 2 scan over the linguistic domain
+// (internal/core), and only the Appendix B experiment in internal/harness
+// builds a SubstitutionIndex, to measure how often it would avoid that
+// scan and how often its answer agrees with it. Nothing persists an index.
 package kdtree
 
 import (
@@ -150,15 +156,11 @@ type SubstitutionIndex struct {
 	// phrases maps normalized phrase → original phrase.
 	phrases map[string]string
 	tree    *Tree
-	// treeLabels records the tree's phrase labels in construction order;
-	// the tree's points are model.Rep of these labels, which is what lets
-	// the serialization seam skip the tree itself.
-	treeLabels []string
-	model      *embedding.Model
+	model   *embedding.Model
 
 	// Stats counts fast-path vs slow-path lookups, reported in the
-	// Appendix B experiment. Updated atomically: Lookup is called from
-	// concurrent query-serving goroutines. Read via the *Hits accessors
+	// Appendix B experiment. Updated atomically: Lookup is safe to call from
+	// concurrent goroutines. Read via the *Hits accessors
 	// (or FastFraction) for a consistent snapshot.
 	fastHits  atomic.Int64
 	slowHits  atomic.Int64
@@ -197,7 +199,6 @@ func NewSubstitutionIndex(phrases []string, model *embedding.Model) *Substitutio
 		}
 	}
 	ix.tree = Build(labels, points)
-	ix.treeLabels = labels
 
 	// Precompute, for every vocabulary word w, the closest domain word w'
 	// by |w2v(w)·idf(w) − w2v(w')·idf(w')| (Appendix B's metric). Query
@@ -339,52 +340,6 @@ func joinReplaceSorted(toks []string, i int, sub string) string {
 func joinDropSorted(toks []string, i int) string {
 	out := append(append([]string{}, toks[:i]...), toks[i+1:]...)
 	return strings.Join(out, " ")
-}
-
-// SubstitutionIndexState is the exported serialization seam for
-// SubstitutionIndex: the precomputed word-substitution table, the
-// normalized-phrase dictionary, and the original phrase labels. The k-d
-// tree itself is not serialized — its points are model.Rep of the labels,
-// so NewSubstitutionIndexFromState rebuilds it deterministically, which is
-// far cheaper than the nearest-word precomputation the stored Substitute
-// table avoids. Maps/slices are shared with the live index, not copied —
-// treat a state taken from a live index as read-only. The fast/slow hit
-// counters are runtime telemetry and reset to zero on reconstruction.
-type SubstitutionIndexState struct {
-	Substitute map[string]string
-	Phrases    map[string]string
-	Labels     []string
-}
-
-// State exports the index for serialization.
-func (ix *SubstitutionIndex) State() SubstitutionIndexState {
-	return SubstitutionIndexState{Substitute: ix.substitute, Phrases: ix.phrases, Labels: ix.treeLabels}
-}
-
-// NewSubstitutionIndexFromState reconstructs a substitution index from
-// exported state plus the embedding model that supplies phrase vectors.
-// Lookup results are identical to the original index's: the substitution
-// table and phrase dictionary are restored verbatim and the k-d tree is
-// rebuilt over the same labeled points.
-func NewSubstitutionIndexFromState(st SubstitutionIndexState, model *embedding.Model) *SubstitutionIndex {
-	ix := &SubstitutionIndex{
-		substitute: st.Substitute,
-		phrases:    st.Phrases,
-		treeLabels: st.Labels,
-		model:      model,
-	}
-	if ix.substitute == nil {
-		ix.substitute = map[string]string{}
-	}
-	if ix.phrases == nil {
-		ix.phrases = map[string]string{}
-	}
-	points := make([]embedding.Vector, len(st.Labels))
-	for i, p := range st.Labels {
-		points[i] = model.Rep(p)
-	}
-	ix.tree = Build(st.Labels, points)
-	return ix
 }
 
 // FastFraction returns the fraction of non-exact lookups resolved without

@@ -63,7 +63,6 @@ func buildE2EFleet() error {
 	e2eData = corpus.GenerateHotels(genCfg)
 	cfg := core.DefaultConfig()
 	cfg.Seed = 1
-	cfg.UseSubstitutionIndex = true // exercise every snapshot section
 	var err error
 	e2eDB, err = harness.BuildDB(e2eData, cfg, 400, 300)
 	if err != nil {

@@ -71,7 +71,6 @@ func buildIngestFleet() error {
 	ingestData = corpus.GenerateHotels(genCfg)
 	cfg := core.DefaultConfig()
 	cfg.Seed = 1
-	cfg.UseSubstitutionIndex = true
 	rng := rand.New(rand.NewSource(cfg.Seed + 13))
 	in := harness.BuildInputFromDataset(ingestData, 400, 300, rng)
 	split := len(in.Reviews) - ingestDeltas

@@ -15,8 +15,8 @@ package server
 //
 //   - It is stage 1 (method "w2v"). Stage 1 reads only what is frozen at
 //     build time — the embedding model, the marker schema, the domain
-//     phrases, the substitution index — and it runs first, so whether it
-//     answers, and what, never changes while the process lives. (The same
+//     phrases — and it runs first, so whether it answers, and what,
+//     never changes while the process lives. (The same
 //     argument makes core's domain-match memo never-invalidated.)
 //   - Its gen equals this node's applied journal sequence. Stages 2–3
 //     read the review index and co-occurrence statistics, which every

@@ -29,7 +29,6 @@ import (
 	"repro/internal/extract"
 	"repro/internal/fuzzy"
 	"repro/internal/ir"
-	"repro/internal/kdtree"
 	"repro/internal/relstore"
 )
 
@@ -421,7 +420,6 @@ func (e *enc) config(cfg core.Config) {
 	e.f64(cfg.MinPhraseCoverage)
 	e.varint(int64(cfg.FuzzyVariant))
 	e.varint(int64(cfg.MinPhraseCount))
-	e.boolean(cfg.UseSubstitutionIndex)
 	e.varint(int64(cfg.Embedding.Dim))
 	e.varint(int64(cfg.Embedding.Window))
 	e.varint(int64(cfg.Embedding.Negatives))
@@ -446,7 +444,6 @@ func (d *dec) config() core.Config {
 	cfg.MinPhraseCoverage = d.f64()
 	cfg.FuzzyVariant = fuzzy.Variant(d.varint())
 	cfg.MinPhraseCount = int(d.varint())
-	cfg.UseSubstitutionIndex = d.boolean()
 	cfg.Embedding.Dim = int(d.varint())
 	cfg.Embedding.Window = int(d.varint())
 	cfg.Embedding.Negatives = int(d.varint())
@@ -667,42 +664,5 @@ func decodeExtractorState(payload []byte) (extract.PerceptronState, error) {
 			st.Trans[i][j] = d.f64()
 		}
 	}
-	return st, d.finish()
-}
-
-// ---- kdtree.SubstitutionIndexState ----
-
-func encodeSubIndexState(st kdtree.SubstitutionIndexState) []byte {
-	e := &enc{}
-	e.uvarint(uint64(len(st.Substitute)))
-	for _, w := range sortedKeys(st.Substitute) {
-		e.str(w)
-		e.str(st.Substitute[w])
-	}
-	e.uvarint(uint64(len(st.Phrases)))
-	for _, norm := range sortedKeys(st.Phrases) {
-		e.str(norm)
-		e.str(st.Phrases[norm])
-	}
-	e.strs(st.Labels)
-	return e.b
-}
-
-func decodeSubIndexState(payload []byte) (kdtree.SubstitutionIndexState, error) {
-	d := &dec{b: payload, section: SectionSubIndex}
-	var st kdtree.SubstitutionIndexState
-	nsub := d.count("substitute")
-	st.Substitute = make(map[string]string, nsub)
-	for i := 0; i < nsub && d.err == nil; i++ {
-		w := d.str()
-		st.Substitute[w] = d.str()
-	}
-	nphr := d.count("phrase")
-	st.Phrases = make(map[string]string, nphr)
-	for i := 0; i < nphr && d.err == nil; i++ {
-		norm := d.str()
-		st.Phrases[norm] = d.str()
-	}
-	st.Labels = d.strs()
 	return st, d.finish()
 }

@@ -20,9 +20,9 @@
 // Section payloads are the hand-rolled length-prefixed encodings of
 // codec.go over the exported state structs each subsystem package
 // provides (core.DBState, the relstore.Table schema and rows,
-// embedding.ModelState, ir.IndexState, extract.PerceptronState,
-// kdtree.SubstitutionIndexState); only the tiny meta section uses
-// encoding/gob. New sections should use the codec.go primitives too —
+// embedding.ModelState, ir.IndexState, extract.PerceptronState); only the
+// tiny meta and shard sections use encoding/gob. New sections should use
+// the codec.go primitives too —
 // sorted-map, fixed-float encoding is what keeps artifacts byte-stable
 // across identical builds and decoding fast.
 // The container does framing, versioning and integrity only; the owning
@@ -30,8 +30,8 @@
 //
 // Corrupt or incompatible files yield typed errors — ErrBadMagic,
 // ErrVersion, ErrTruncated, ErrChecksum, ErrMissingSection,
-// ErrTrailingData — never panics, so a serving fleet can fall back to an
-// in-process build when a snapshot is unusable.
+// ErrUnknownSection, ErrTrailingData — never panics, so a serving process
+// refuses an unusable snapshot with a reason instead of crashing on it.
 package snapshot
 
 import (
@@ -51,7 +51,9 @@ const Magic = "OPDBSNAP"
 // the shard manifest format. Version 3 dropped the write-only Reviews and
 // Extractions relations from the "rel" section (it now carries Entities
 // alone) and added per-reviewer review counts to the "core" section.
-const FormatVersion uint32 = 3
+// Version 4 dropped the Appendix B "subindex" section and the
+// configuration's substitution-index byte from the "core" section.
+const FormatVersion uint32 = 4
 
 // Typed errors for unusable snapshot files. Wrapped with context by the
 // parser; match with errors.Is.
@@ -66,6 +68,9 @@ var (
 	ErrChecksum = errors.New("snapshot: section checksum mismatch")
 	// ErrMissingSection: a required section is absent.
 	ErrMissingSection = errors.New("snapshot: missing section")
+	// ErrUnknownSection: the file carries a section this version never
+	// writes.
+	ErrUnknownSection = errors.New("snapshot: unknown section")
 	// ErrTrailingData: the file continues past the last declared section.
 	ErrTrailingData = errors.New("snapshot: trailing data after the last section")
 )

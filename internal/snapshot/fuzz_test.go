@@ -10,7 +10,7 @@ package snapshot
 // section decoders directly. testdata/fuzz/FuzzSnapshotLoad holds
 // additional checked-in seeds; every header in them carries FormatVersion
 // (TestCheckedInSeedsAtFormatVersion) so they reach the decoders, except
-// seed-v2, which pins the refusal of the previous format version.
+// seed-v2 and seed-v3, which pin the refusal of earlier format versions.
 
 import (
 	"bytes"
@@ -60,7 +60,6 @@ func FuzzSnapshotLoad(f *testing.F) {
 		{Name: SectionReviewIndex, Payload: bomb},
 		{Name: SectionEntityIndex, Payload: bomb},
 		{Name: SectionExtractor, Payload: bomb},
-		{Name: SectionSubIndex, Payload: bomb},
 		{Name: SectionShard, Payload: bomb},
 	}))
 	// Header-level adversaries.
@@ -68,6 +67,18 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte(Magic), FormatVersion), 0xffffffff))
 	f.Add([]byte("not a snapshot at all"))
 	f.Add([]byte{})
+	// Every required section plus one this version never writes (version
+	// 3's "subindex"): refused with ErrUnknownSection before any decoding.
+	f.Add(containerBytes([]Section{
+		{Name: SectionMeta, Payload: bomb},
+		{Name: SectionRel, Payload: bomb},
+		{Name: SectionCore, Payload: bomb},
+		{Name: SectionEmbedding, Payload: bomb},
+		{Name: SectionReviewIndex, Payload: bomb},
+		{Name: SectionEntityIndex, Payload: bomb},
+		{Name: SectionExtractor, Payload: bomb},
+		{Name: "subindex", Payload: bomb},
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.snap")
@@ -80,6 +91,13 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 		if v, ok := headerVersion(data); ok && v != FormatVersion && !errors.Is(err, ErrVersion) {
 			t.Fatalf("version %d header: got %v, want ErrVersion", v, err)
+		}
+		if secs, perr := parseContainer(data); perr == nil {
+			for _, s := range secs {
+				if !knownSection(s.Name) && !errors.Is(err, ErrUnknownSection) {
+					t.Fatalf("section %q: got %v, want ErrUnknownSection", s.Name, err)
+				}
+			}
 		}
 	})
 }
@@ -96,7 +114,7 @@ func headerVersion(data []byte) (uint32, bool) {
 // TestCheckedInSeedsAtFormatVersion: a checked-in seed whose header
 // carries a stale version stops at the header check and never reaches the
 // section decoders, so every seed must carry FormatVersion — except
-// seed-v2, which must carry version 2 and is refused with ErrVersion.
+// seed-vN, which must carry version N and is refused with ErrVersion.
 func TestCheckedInSeedsAtFormatVersion(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzSnapshotLoad", "*"))
 	if err != nil || len(paths) == 0 {
@@ -115,8 +133,11 @@ func TestCheckedInSeedsAtFormatVersion(t *testing.T) {
 		}
 		v, ok := headerVersion([]byte(data))
 		want := FormatVersion
-		if filepath.Base(path) == "seed-v2" {
+		switch filepath.Base(path) {
+		case "seed-v2":
 			want = 2
+		case "seed-v3":
+			want = 3
 		}
 		if ok && v != want {
 			t.Errorf("%s: header version %d, want %d", path, v, want)

@@ -177,7 +177,7 @@ func (m *Manifest) checksum() (string, error) {
 // indices, entity accounting, and per-shard fields.
 func (m *Manifest) validate() error {
 	if m.FormatVersion != FormatVersion {
-		return fmt.Errorf("%w: format version %d, this build reads %d", ErrManifest, m.FormatVersion, FormatVersion)
+		return fmt.Errorf("%w: %w: format version %d, this build reads %d", ErrManifest, ErrVersion, m.FormatVersion, FormatVersion)
 	}
 	if m.Shards <= 0 || len(m.Shard) != m.Shards {
 		return fmt.Errorf("%w: declares %d shards but lists %d", ErrManifest, m.Shards, len(m.Shard))

@@ -76,6 +76,7 @@ func TestManifestValidation(t *testing.T) {
 	dir := t.TempDir()
 	for name, mutate := range map[string]func(*snapshot.Manifest){
 		"wrong version":     func(m *snapshot.Manifest) { m.FormatVersion = 99 },
+		"previous version":  func(m *snapshot.Manifest) { m.FormatVersion = snapshot.FormatVersion - 1 },
 		"count mismatch":    func(m *snapshot.Manifest) { m.Shards = 3 },
 		"bad index":         func(m *snapshot.Manifest) { m.Shard[1].Index = 5 },
 		"missing path":      func(m *snapshot.Manifest) { m.Shard[0].Path = "" },
@@ -88,10 +89,13 @@ func TestManifestValidation(t *testing.T) {
 		m := validManifest()
 		mutate(m)
 		path := filepath.Join(dir, "bad.json")
-		if err := snapshot.WriteManifest(path, m); err == nil {
+		switch err := snapshot.WriteManifest(path, m); {
+		case err == nil:
 			t.Errorf("%s: write accepted an invalid manifest", name)
-		} else if !errors.Is(err, snapshot.ErrManifest) {
+		case !errors.Is(err, snapshot.ErrManifest):
 			t.Errorf("%s: got %v, want ErrManifest", name, err)
+		case strings.HasSuffix(name, "version") && !errors.Is(err, snapshot.ErrVersion):
+			t.Errorf("%s: got %v, want ErrVersion", name, err)
 		}
 	}
 }

@@ -15,13 +15,11 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/extract"
 	"repro/internal/ir"
-	"repro/internal/kdtree"
 )
 
-// Section names of format version 3. SectionSubIndex is present only when
-// the database was built with the Appendix B substitution index, and
-// SectionShard only in per-shard snapshots written by a sharded build;
-// every other section is required.
+// Section names of format version 4. SectionShard is present only in
+// per-shard snapshots written by a sharded build; every other section is
+// required, and Load refuses any name not listed here (ErrUnknownSection).
 const (
 	SectionMeta        = "meta"
 	SectionRel         = "rel"
@@ -30,9 +28,18 @@ const (
 	SectionReviewIndex = "reviewindex"
 	SectionEntityIndex = "entityindex"
 	SectionExtractor   = "extractor"
-	SectionSubIndex    = "subindex"
 	SectionShard       = "shard"
 )
+
+// knownSection reports whether name is a section this version writes.
+func knownSection(name string) bool {
+	switch name {
+	case SectionMeta, SectionRel, SectionCore, SectionEmbedding, SectionReviewIndex,
+		SectionEntityIndex, SectionExtractor, SectionShard:
+		return true
+	}
+	return false
+}
 
 // ShardMeta identifies one shard of a horizontally partitioned build: its
 // position in the fleet and the contiguous entity range it owns. It is
@@ -181,9 +188,6 @@ func WriteShard(w io.Writer, db *core.DB, shard *ShardMeta) (*Meta, error) {
 		{Name: SectionEntityIndex, Payload: encodeIndexState(db.EntityIndex.State())},
 	}
 	sections = append(sections, Section{Name: SectionExtractor, Payload: encodeExtractorState(tagger.State())})
-	if db.SubIndex != nil {
-		sections = append(sections, Section{Name: SectionSubIndex, Payload: encodeSubIndexState(db.SubIndex.State())})
-	}
 	if shard != nil {
 		shardSec, err := encodeSection(SectionShard, *shard)
 		if err != nil {
@@ -298,6 +302,9 @@ func LoadVerified(path, wantSHA256 string) (*core.DB, *Meta, error) {
 	byName := make(map[string]Section, len(sections))
 	infos := make([]SectionInfo, 0, len(sections))
 	for _, s := range sections {
+		if !knownSection(s.Name) {
+			return nil, nil, fmt.Errorf("%w: %q", ErrUnknownSection, s.Name)
+		}
 		byName[s.Name] = s
 		infos = append(infos, SectionInfo{Name: s.Name, Bytes: len(s.Payload)})
 	}
@@ -358,14 +365,6 @@ func LoadVerified(path, wantSHA256 string) (*core.DB, *Meta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var subState *kdtree.SubstitutionIndexState
-	if s, ok := byName[SectionSubIndex]; ok {
-		decoded, err := decodeSubIndexState(s.Payload)
-		if err != nil {
-			return nil, nil, err
-		}
-		subState = &decoded
-	}
 	var shard *ShardMeta
 	if s, ok := byName[SectionShard]; ok {
 		var sm ShardMeta
@@ -393,7 +392,6 @@ func LoadVerified(path, wantSHA256 string) (*core.DB, *Meta, error) {
 		ReviewIndex: reviewIdx,
 		EntityIndex: entityIdx,
 		Tagger:      extract.NewPerceptronFromState(taggerState),
-		SubIndex:    subState,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("snapshot: %s: %w", SectionCore, err)

@@ -50,7 +50,6 @@ func fixtures(t *testing.T) (*corpus.Dataset, *core.DB, []byte) {
 		fixData = corpus.GenerateHotels(genCfg)
 		cfg := core.DefaultConfig()
 		cfg.MarkersPerAttr = 6
-		cfg.UseSubstitutionIndex = true // exercise the optional section
 		fixDB, fixErr = harness.BuildDB(fixData, cfg, 400, 300)
 		if fixErr != nil {
 			fixErrCtx = "build"
@@ -145,7 +144,6 @@ func TestRoundTripMeta(t *testing.T) {
 		snapshot.SectionMeta: true, snapshot.SectionRel: true, snapshot.SectionCore: true,
 		snapshot.SectionEmbedding: true, snapshot.SectionReviewIndex: true,
 		snapshot.SectionEntityIndex: true, snapshot.SectionExtractor: true,
-		snapshot.SectionSubIndex: true,
 	}
 	for _, s := range meta.Sections {
 		if !want[s.Name] {
@@ -581,13 +579,57 @@ func TestRelSectionAcceptsOnlyWhatTheWriterProduces(t *testing.T) {
 	}
 }
 
-// TestMissingFile: a nonexistent path surfaces fs.ErrNotExist so the
-// daemon can distinguish "no snapshot yet" (fall back to building) from
-// "snapshot corrupt" (operator error).
+// TestMissingFile: a nonexistent path surfaces fs.ErrNotExist, so a
+// refusal says the file is missing rather than corrupt.
 func TestMissingFile(t *testing.T) {
 	_, _, err := snapshot.Load(filepath.Join(t.TempDir(), "nope.snap"))
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("got %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestLoadRefusesBadProvenance: a CRC-valid snapshot whose marker
+// summary cites an extraction that does not exist, or one of another
+// entity, attribute or marker, is refused at load with an error naming the
+// summary — not loaded and left to panic or mislead in /evidence.
+func TestLoadRefusesBadProvenance(t *testing.T) {
+	db, _ := loadFixture(t)
+	attr, entity, marker := "", "", -1
+	for _, a := range db.Attrs {
+		for _, id := range db.EntityIDs() {
+			if s := db.Summary(a.Name, id); s != nil {
+				for m, ids := range s.Provenance {
+					if len(ids) > 0 && marker < 0 {
+						attr, entity, marker = a.Name, id, m
+					}
+				}
+			}
+		}
+	}
+	if marker < 0 {
+		t.Fatal("fixture has no provenance")
+	}
+	foreign := -1 // an extraction of another entity
+	for i, ext := range db.Extractions {
+		if ext.EntityID != entity {
+			foreign = i
+			break
+		}
+	}
+	for name, id := range map[string]int{"out of range": 1 << 30, "foreign extraction": foreign} {
+		loaded, _ := loadFixture(t)
+		loaded.Summary(attr, entity).Provenance[marker][0] = id
+		path := filepath.Join(t.TempDir(), "bad.snap")
+		if _, err := snapshot.Save(path, loaded); err != nil {
+			t.Fatalf("%s: save: %v", name, err)
+		}
+		_, _, err := snapshot.Load(path)
+		if err == nil {
+			t.Fatalf("%s: a summary citing extraction %d loaded", name, id)
+		}
+		if msg := err.Error(); !strings.Contains(msg, snapshot.SectionCore+":") || !strings.Contains(msg, attr+"/"+entity) {
+			t.Errorf("%s: error %q does not name the core section and summary %s/%s", name, msg, attr, entity)
+		}
 	}
 }
 
