@@ -72,7 +72,7 @@ func (s *suite) build() {
 		log.Fatalf("restaurant build: %v", err)
 	}
 	fmt.Printf("  built in %.1fs (hotel: %d extractions, restaurant: %d)\n\n",
-		time.Since(buildStart).Seconds(), len(s.hotelDB.Extractions), len(s.restDB.Extractions))
+		time.Since(buildStart).Seconds(), s.hotelDB.ExtractionCount(), s.restDB.ExtractionCount())
 }
 
 // experiments is the suite in run order. It is also the vocabulary of

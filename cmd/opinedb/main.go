@@ -61,7 +61,7 @@ func main() {
 		log.Fatalf("build: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "ready: %d entities, %d reviews, %d extractions, %d subjective attributes (%.1fs)\n\n",
-		len(d.Entities), len(d.Reviews), len(db.Extractions), len(db.Attrs), time.Since(start).Seconds())
+		len(d.Entities), len(d.Reviews), db.ExtractionCount(), len(db.Attrs), time.Since(start).Seconds())
 
 	if *query != "" {
 		if err := runQuery(db, d, *query, *topK); err != nil {

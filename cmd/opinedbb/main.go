@@ -103,6 +103,9 @@ func main() {
 		return
 	}
 
+	if err := makeOutputDir(*out); err != nil {
+		log.Fatalf("output: %v", err)
+	}
 	log.Printf("generating %s corpus and building subjective database...", *domain)
 	start := time.Now()
 	d, db, err := harness.BuildDomain(*domain, *small, *seed, *workers, *tagged, *labels)
@@ -111,7 +114,7 @@ func main() {
 	}
 	buildSecs := time.Since(start).Seconds()
 	log.Printf("built: %d entities, %d reviews, %d extractions, %d subjective attributes (%.1fs)",
-		len(d.Entities), len(d.Reviews), len(db.Extractions), len(db.Attrs), buildSecs)
+		len(d.Entities), len(d.Reviews), db.ExtractionCount(), len(db.Attrs), buildSecs)
 
 	if *shards > 1 {
 		writeSharded(d, db, *out, *shards, *replicas, *seed, buildSecs, *verify)
@@ -241,4 +244,11 @@ func writeSharded(d *corpus.Dataset, db *core.DB, out string, shards int, replic
 		log.Printf("verify: %d-shard fleet (%d nodes) byte-identical to the monolith over %d query-set entries", shards, rt.NumNodes(), n)
 		fmt.Printf("shard-smoke OK: %d shards, %d query-set entries identical (build %.1fs)\n", shards, n, buildSecs)
 	}
+}
+
+// makeOutputDir creates the directory the artifacts at out go to. It runs
+// before the build, because snapshot.Save creates its temp file there and
+// would otherwise fail only after the whole corpus is built.
+func makeOutputDir(out string) error {
+	return os.MkdirAll(filepath.Dir(out), 0o755)
 }

@@ -32,7 +32,7 @@ func main() {
 		log.Fatalf("build: %v", err)
 	}
 	fmt.Printf("built in %.1fs: %d hotels, %d reviews, %d extractions\n\n",
-		time.Since(start).Seconds(), len(d.Entities), len(d.Reviews), len(db.Extractions))
+		time.Since(start).Seconds(), len(d.Entities), len(d.Reviews), db.ExtractionCount())
 
 	// The paper's schema (Figure 2): objective attributes plus subjective
 	// attributes with markers.

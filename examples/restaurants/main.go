@@ -26,7 +26,7 @@ func main() {
 		log.Fatalf("build: %v", err)
 	}
 	fmt.Printf("built in %.1fs: %d restaurants, %d reviews, %d extractions\n\n",
-		time.Since(start).Seconds(), len(d.Entities), len(d.Reviews), len(db.Extractions))
+		time.Since(start).Seconds(), len(d.Entities), len(d.Reviews), db.ExtractionCount())
 
 	// Japanese restaurants with delicious food and a quiet room for
 	// conversation — Table 1's "quiet Thai restaurant" pattern.

@@ -41,11 +41,12 @@ func ProlificReviewerWeight(db *DB, minReviews int, boost float64) WeightFn {
 	}
 }
 
-// RebuildSummaries recomputes every marker summary under a new weighting
-// and installs the result, returning the previous summaries so callers
-// can restore them. Weights scale each extraction's contribution to the
-// histogram, sentiment sums and centroids; provenance is unchanged
-// (weight 0 extractions still trace, they just stop counting).
+// RebuildSummaries recomputes the marker summary of every served entity
+// from its extraction rows under a new weighting and installs the result,
+// returning the previous summaries so callers can restore them. Weights
+// scale each extraction's contribution to the histogram, sentiment sums
+// and centroids; provenance is unchanged (weight 0 extractions still
+// trace, they just stop counting).
 func (db *DB) RebuildSummaries(weight WeightFn) map[string]map[string]*MarkerSummary {
 	if weight == nil {
 		weight = UniformWeight
@@ -55,8 +56,8 @@ func (db *DB) RebuildSummaries(weight WeightFn) map[string]map[string]*MarkerSum
 	for _, attr := range db.Attrs {
 		next[attr.Name] = map[string]*MarkerSummary{}
 	}
-	for i := range db.Extractions {
-		ext := &db.Extractions[i]
+	for i := range db.extractions {
+		ext := &db.extractions[i]
 		attr := db.attrByName[ext.Attribute]
 		if attr == nil {
 			continue
@@ -133,13 +134,13 @@ func (db *DB) ServesEntity(entityID string) bool {
 // are rebuilt offline while summaries track new reviews online.
 //
 // Corpus-global state (review BM25 index, sentiment, reviewer-count and
-// co-occurrence statistics, the extraction relation and its access
-// paths) is always updated; the per-entity marker summary is materialized
-// only when this instance serves the entity (ServesEntity). On a shard
-// that replicates a write for another shard's entity, the global update
-// keeps interpretations byte-identical fleet-wide while the owner alone
-// carries the summary — mirroring the replicated/partitioned split of
-// ShardDB.
+// co-occurrence statistics, the review → opinion table) is always
+// updated; the extraction rows and the per-entity marker summary are
+// materialized only when this instance serves the entity (ServesEntity).
+// On a shard that replicates a write for another shard's entity, the
+// global update keeps interpretations byte-identical fleet-wide while the
+// owner alone carries the rows and the summary — mirroring the
+// replicated/partitioned split of ShardDB.
 // ApplyReview is PrepareReview followed by ApplyPrepared (see
 // prepare.go); concurrent write pipelines call the halves separately so
 // the linguistic work runs outside the serialized fold.
@@ -171,26 +172,24 @@ func (db *DB) nearestDomainVariation(text string) (*SubjectiveAttribute, int, fl
 	return bestAttr, bestMarker, bestSim
 }
 
-// addIncremental folds one new extraction into the live summary (when
-// this instance serves the entity), maintaining the finalized centroids
-// in place, and into the corpus-global extraction access paths (always).
-func (db *DB) addIncremental(attr *SubjectiveAttribute, ext Extraction, owned bool) {
-	if owned {
-		byEntity := db.Summaries[attr.Name]
-		s, ok := byEntity[ext.EntityID]
-		if !ok {
-			s = newMarkerSummary(len(attr.Markers), db.Embed.Dim())
-			s.finalize()
-			byEntity[ext.EntityID] = s
-		}
-		vec := db.Embed.Rep(ext.Phrase)
-		s.add(ext.Marker, ext.Sentiment, vec, ext.ID)
-		// Refresh the finalized centroid of the touched marker only.
-		if s.centroids != nil {
-			s.refreshCentroid(ext.Marker)
-		}
+// addOwned folds served row i, just appended to db.extractions, into its
+// entity's live summary, maintaining the finalized centroid in place, and
+// into extIndex.
+func (db *DB) addOwned(attr *SubjectiveAttribute, i int) {
+	ext := &db.extractions[i]
+	byEntity := db.Summaries[attr.Name]
+	s, ok := byEntity[ext.EntityID]
+	if !ok {
+		s = newMarkerSummary(len(attr.Markers), db.Embed.Dim())
+		s.finalize()
+		byEntity[ext.EntityID] = s
 	}
-	db.indexExtraction(&ext)
+	s.add(ext.Marker, ext.Sentiment, db.Embed.Rep(ext.Phrase), ext.ID)
+	// Refresh the finalized centroid of the touched marker only.
+	if s.centroids != nil {
+		s.refreshCentroid(ext.Marker)
+	}
+	db.indexExtraction(i)
 }
 
 // Surprise is an entity whose subjective evidence contradicts its

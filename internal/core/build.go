@@ -197,13 +197,22 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 	}
 
 	// ---- Relational layer: the Entities table, the one relation queries
-	// read (reviews and extractions live in the IR index and
-	// db.Extractions). Its sorted ids are the entity ids.
+	// read (reviews live in the IR index, extractions in db.extractions
+	// and the review → opinion table). Its sorted ids are the entity ids.
 	rel, err := buildEntityTable(in.Entities)
 	if err != nil {
 		return nil, err
 	}
 	db.Rel, db.entityIDs = rel, rel.IDs()
+	// Each review is one ReviewIndex document with one sentiment, as
+	// FromState requires.
+	reviewIDs := make(map[string]bool, len(in.Reviews))
+	for _, rv := range in.Reviews {
+		if reviewIDs[rv.ID] {
+			return nil, fmt.Errorf("core: duplicate review id %q", rv.ID)
+		}
+		reviewIDs[rv.ID] = true
+	}
 
 	// ---- Corpus statistics + word2vec (trained on the review corpus, §3.2).
 	// Tokenization and sentiment scoring are pure per review, so they fan
@@ -254,18 +263,18 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 	parallelFor(len(in.Reviews), workers, func(i int) {
 		perReview[i] = extractReview(db.Extractor, attrClf, in.Reviews[i], cfg)
 	})
-	var raw []rawExtraction
 	phraseCounts := map[string]map[string]int{} // attr → phrase → count
 	for _, a := range in.Attributes {
 		phraseCounts[a.Name] = map[string]int{}
 	}
+	extracted := 0
 	for _, exts := range perReview {
 		for _, r := range exts {
-			raw = append(raw, r)
 			phraseCounts[r.attribute][r.phrase]++
 		}
+		extracted += len(exts)
 	}
-	if len(raw) == 0 {
+	if extracted == 0 {
 		return nil, fmt.Errorf("core: extraction produced no opinions")
 	}
 
@@ -315,35 +324,45 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 		}
 	}
 	for _, attr := range attrs {
-		db.Attrs = append(db.Attrs, attr)
-		db.attrByName[attr.Name] = attr
+		db.addAttr(attr)
 	}
 
-	// ---- Materialize the extraction relation + marker summaries (§4.2.2).
+	// ---- Materialize the extraction relation + marker summaries (§4.2.2),
+	// review by review: extraction ids follow ReviewIndex document order,
+	// which is what lets the review → opinion table double as the id map.
+	// A review of an entity outside the Entities relation enters the table
+	// only, as a write for an entity no node serves does (ApplyPrepared).
 	for _, a := range db.Attrs {
 		db.Summaries[a.Name] = map[string]*MarkerSummary{}
 	}
-	for _, r := range raw {
-		attr := db.attrByName[r.attribute]
-		mi, ok := attr.MarkerOf(r.phrase)
-		if !ok {
-			continue // pruned from the linguistic domain
+	db.opStart = make([]int32, 1, len(in.Reviews)+1)
+	for i, exts := range perReview {
+		owned := db.ServesEntity(in.Reviews[i].EntityID)
+		for _, r := range exts {
+			attr := db.attrByName[r.attribute]
+			mi, ok := attr.MarkerOf(r.phrase)
+			if !ok {
+				continue // pruned from the linguistic domain
+			}
+			ext := Extraction{
+				ID:        len(db.ops),
+				EntityID:  r.review.EntityID,
+				ReviewID:  r.review.ID,
+				Reviewer:  r.review.Reviewer,
+				Day:       r.review.Day,
+				Attribute: r.attribute,
+				Aspect:    r.aspect,
+				Phrase:    r.phrase,
+				Marker:    mi,
+				Sentiment: r.sentiment,
+			}
+			db.ops = append(db.ops, ReviewOpinion{Attr: int32(attr.ord), Marker: int32(mi)})
+			if owned {
+				db.extractions = append(db.extractions, ext)
+				addToSummary(db, attr, ext)
+			}
 		}
-		id := len(db.Extractions)
-		ext := Extraction{
-			ID:        id,
-			EntityID:  r.review.EntityID,
-			ReviewID:  r.review.ID,
-			Reviewer:  r.review.Reviewer,
-			Day:       r.review.Day,
-			Attribute: r.attribute,
-			Aspect:    r.aspect,
-			Phrase:    r.phrase,
-			Marker:    mi,
-			Sentiment: r.sentiment,
-		}
-		db.Extractions = append(db.Extractions, ext)
-		addToSummary(db, attr, ext)
+		db.opStart = append(db.opStart, int32(len(db.ops)))
 	}
 
 	// Finalize summaries: precompute per-marker centroids.

@@ -108,7 +108,7 @@ func TestBuildProducesSchema(t *testing.T) {
 			t.Errorf("attribute %s has empty linguistic domain", a.Name)
 		}
 	}
-	if len(db.Extractions) == 0 {
+	if db.ExtractionCount() == 0 {
 		t.Fatal("no extractions")
 	}
 }
@@ -143,7 +143,7 @@ func TestSummaryCountsConsistent(t *testing.T) {
 	_, db := testDB(t)
 	// The summary histogram totals must equal the extraction counts.
 	perAttrEntity := map[string]map[string]float64{}
-	for _, ext := range db.Extractions {
+	for _, ext := range db.State().Extractions {
 		if perAttrEntity[ext.Attribute] == nil {
 			perAttrEntity[ext.Attribute] = map[string]float64{}
 		}

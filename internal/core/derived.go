@@ -1,11 +1,12 @@
 package core
 
 // Derived state: what query processing reads that is a pure function of the
-// persisted state (schema, extractions, review sentiments, embedding model,
-// review index) and is therefore never serialized. buildDerived is the one
-// place it is built — Build and FromState both end in it, so ShardDB,
-// MergeShards and snapshot load get every structure here for free — and
-// ApplyPrepared is the one place it is maintained.
+// persisted state (schema, served extraction rows, the review → opinion
+// table, review sentiments, embedding model, review index) and is
+// therefore never serialized. buildDerived is the one place it is built —
+// Build and FromState both end in it, so ShardDB, MergeShards and snapshot
+// load get every structure here for free — and ApplyPrepared is the one
+// place it is maintained.
 
 import (
 	"slices"
@@ -71,19 +72,16 @@ func reviewBoostOf(senti float64) float64 {
 }
 
 // buildDerived rebuilds every derived structure from the state db already
-// holds: attribute ordinals and domain tables, the extraction access paths
-// and co-occurrence statistics (in extraction-id order), and the review
-// boost table beside ReviewIndex.
+// holds: attribute domain tables, the served rows' access path
+// (extIndex), and, per ReviewIndex document, the review boost table and the
+// idf(A) denominators read off the review → opinion table.
 func (db *DB) buildDerived() {
-	for i, attr := range db.Attrs {
-		attr.ord = i
+	for _, attr := range db.Attrs {
 		attr.domain = newDomainTable(attr, db.Embed)
 	}
 	db.extIndex = map[string]map[string][]int{}
-	db.extByReview = map[string][]reviewOpinion{}
-	db.reviewsWithAttrCount = make([]int, len(db.Attrs))
-	for i := range db.Extractions {
-		db.indexExtraction(&db.Extractions[i])
+	for i := range db.extractions {
+		db.indexExtraction(i)
 	}
 	db.positiveReviews = 0
 	for _, s := range db.ReviewSentiments {
@@ -93,32 +91,43 @@ func (db *DB) buildDerived() {
 	}
 	docIDs := db.ReviewIndex.State().DocIDs
 	db.reviewBoost = make([]float64, len(docIDs))
+	db.reviewsWithAttrCount = make([]int, len(db.Attrs))
 	for doc, id := range docIDs {
 		db.reviewBoost[doc] = reviewBoostOf(db.ReviewSentiments[id])
+		db.countReviewAttrs(doc)
 	}
 }
 
-// indexExtraction enters one extraction, whose review's sentiment is
-// already recorded, into the access paths: extIndex, extByReview and — for
-// the first extraction of its attribute in a positive review — the idf(A)
-// denominator.
-func (db *DB) indexExtraction(ext *Extraction) {
+// indexExtraction enters served row i (a position in db.extractions) into
+// extIndex.
+func (db *DB) indexExtraction(i int) {
+	ext := &db.extractions[i]
 	byEntity := db.extIndex[ext.Attribute]
 	if byEntity == nil {
 		byEntity = map[string][]int{}
 		db.extIndex[ext.Attribute] = byEntity
 	}
-	byEntity[ext.EntityID] = append(byEntity[ext.EntityID], ext.ID)
-	a := db.attrByName[ext.Attribute].ord
-	inReview := db.extByReview[ext.ReviewID]
-	db.extByReview[ext.ReviewID] = append(inReview, reviewOpinion{attr: int32(a), marker: int32(ext.Marker)})
-	if db.ReviewSentiments[ext.ReviewID] <= 0 {
+	byEntity[ext.EntityID] = append(byEntity[ext.EntityID], i)
+}
+
+// countReviewAttrs enters ReviewIndex document doc, whose boost and
+// opinions are already recorded, into the idf(A) denominators: once for
+// each attribute it mentions, if its boost is non-zero (the review is
+// positive).
+func (db *DB) countReviewAttrs(doc int) {
+	if db.reviewBoost[doc] == 0 {
 		return
 	}
-	for _, other := range inReview {
-		if int(other.attr) == a {
-			return
+	ops := db.reviewOpinions(doc)
+	for i, op := range ops {
+		if !slices.ContainsFunc(ops[:i], func(o ReviewOpinion) bool { return o.Attr == op.Attr }) {
+			db.reviewsWithAttrCount[op.Attr]++
 		}
 	}
-	db.reviewsWithAttrCount[a]++
+}
+
+// reviewOpinions returns ReviewIndex document doc's extractions, in id
+// order.
+func (db *DB) reviewOpinions(doc int) []ReviewOpinion {
+	return db.ops[db.opStart[doc]:db.opStart[doc+1]]
 }

@@ -59,7 +59,7 @@ func fingerprint(d *corpus.Dataset, db *core.DB) string {
 			b.WriteByte('\n')
 		}
 	}
-	fmt.Fprintf(&b, "extractions %d\n", len(db.Extractions))
+	fmt.Fprintf(&b, "extractions %d\n", db.ExtractionCount())
 	for _, p := range d.Predicates {
 		in := db.Interpret(p.Text)
 		fmt.Fprintf(&b, "interp %q method=%s terms=%v disj=%v sim=%s\n",

@@ -84,7 +84,7 @@ func TestAddReviewUpdatesSummary(t *testing.T) {
 	_, db := testDB(t)
 	entity := firstSummarizedEntity(t, db, "room_cleanliness")
 	before := db.Summary("room_cleanliness", entity).Total
-	beforeExt := len(db.Extractions)
+	beforeExt := db.ExtractionCount()
 	err := db.AddReview(core.ReviewData{
 		ID:       "new-review-1",
 		EntityID: entity,
@@ -95,7 +95,7 @@ func TestAddReviewUpdatesSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(db.Extractions) <= beforeExt {
+	if db.ExtractionCount() <= beforeExt {
 		t.Fatal("no extractions ingested from the new review")
 	}
 	after := db.Summary("room_cleanliness", entity).Total
@@ -103,7 +103,8 @@ func TestAddReviewUpdatesSummary(t *testing.T) {
 		t.Errorf("summary total %v did not grow from %v", after, before)
 	}
 	// Provenance for the new extraction resolves.
-	last := db.Extractions[len(db.Extractions)-1]
+	rows := db.State().Extractions
+	last := rows[len(rows)-1]
 	if last.ReviewID != "new-review-1" {
 		t.Errorf("last extraction from %s", last.ReviewID)
 	}

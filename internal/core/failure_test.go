@@ -123,10 +123,25 @@ func TestBuildRejectsUnsupportedObjectiveType(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsDuplicateReviewIDs: a review id names one review-index
+// document and one sentiment, so a corpus that repeats one is refused
+// rather than built into a state its own snapshot would not reload.
+func TestBuildRejectsDuplicateReviewIDs(t *testing.T) {
+	in := minimalInput(t)
+	in.Reviews = append(in.Reviews, in.Reviews[3])
+	cfg := core.DefaultConfig()
+	cfg.MarkersPerAttr = 2
+	if _, err := core.Build(in, cfg); err == nil || !strings.Contains(err.Error(), in.Reviews[3].ID) {
+		t.Fatalf("got %v, want an error naming review %s", err, in.Reviews[3].ID)
+	}
+}
+
 func TestBuildWithReviewsForUnknownEntities(t *testing.T) {
 	// Reviews for entities not in the Entities relation are tolerated at
-	// build time (they index and summarize under the unknown id) but the
-	// unknown id never appears in query results.
+	// build time (they enter the review index and the review → opinion
+	// table, but keep no extraction rows or summary, as a write for an
+	// entity no node serves does) and the unknown id never appears in
+	// query results.
 	in := minimalInput(t)
 	in.Reviews = append(in.Reviews, core.ReviewData{
 		ID: "ghost", EntityID: "nonexistent", Reviewer: "x", Text: "The room was clean.",
@@ -145,6 +160,11 @@ func TestBuildWithReviewsForUnknownEntities(t *testing.T) {
 		if r.EntityID == "nonexistent" {
 			t.Error("unknown entity leaked into results")
 		}
+	}
+	// The built state is one FromState accepts (ShardDB rebuilds through
+	// it), so a snapshot of this database reloads.
+	if _, err := db.ShardDB(func(string) bool { return true }); err != nil {
+		t.Errorf("the built state does not reload: %v", err)
 	}
 }
 

@@ -454,19 +454,19 @@ func (db *DB) mineCooccur(toks []string) *cooccurMined {
 	words := (nA + 63) / 64
 	mined := make([]uint64, 0, len(top)*words)
 	for _, r := range top {
-		exts := db.extByReview[r.ID]
+		exts := db.reviewOpinions(r.Doc)
 		if len(exts) == 0 {
 			continue
 		}
 		set := mined[len(mined) : len(mined)+words]
 		mined = mined[:len(mined)+words]
 		for _, ext := range exts {
-			a := int(ext.attr)
+			a := int(ext.Attr)
 			freq[a]++
 			if markerFreq[a] == nil {
 				markerFreq[a] = make([]int, len(db.Attrs[a].Markers))
 			}
-			markerFreq[a][ext.marker]++
+			markerFreq[a][ext.Marker]++
 			if set[a/64]&(1<<(a%64)) == 0 {
 				set[a/64] |= 1 << (a % 64)
 				obs[a]++
@@ -583,7 +583,8 @@ func (db *DB) queryKnownFraction(toks []string) float64 {
 	return known / total
 }
 
-// extractionsFor returns extraction ids for (attribute, entity).
+// extractionsFor returns the positions in db.extractions of (attribute,
+// entity)'s rows, in id order.
 func (db *DB) extractionsFor(attr, entityID string) []int {
 	byEntity, ok := db.extIndex[attr]
 	if !ok {

@@ -4,8 +4,9 @@ package core
 // search and the array tallies replaced its loops, kept verbatim (names
 // prefixed, the interpretation and domain-match memos bypassed) as the
 // reference interpret_kernel_test.go compares the kernel against bit for
-// bit. It reads only persisted state — schema, extractions, review
-// sentiments, the review index's exported state, the embedding model — and
+// bit. It reads only persisted state — schema, the review → opinion table,
+// review sentiments, the review index's exported state, the embedding
+// model — and
 // derives its own statistics with the loops Build used to carry, so it also
 // checks what buildDerived and ApplyPrepared maintain. Test-only, single
 // goroutine.
@@ -32,7 +33,7 @@ type InterpretOracle struct {
 	sentis map[string]float64
 	// Derived statistics, by the old Build loops.
 	index                ir.IndexState
-	extByReview          map[string][]int
+	extByReview          map[string][]Extraction
 	reviewsWithAttrCount map[string]int
 	positiveReviews      int
 }
@@ -44,11 +45,20 @@ func NewInterpretOracle(db *DB) *InterpretOracle {
 		reps:                 map[string]embedding.Vector{},
 		sentis:               map[string]float64{},
 		index:                db.ReviewIndex.State(),
-		extByReview:          map[string][]int{},
+		extByReview:          map[string][]Extraction{},
 		reviewsWithAttrCount: map[string]int{},
 	}
-	for _, ext := range db.Extractions {
-		o.extByReview[ext.ReviewID] = append(o.extByReview[ext.ReviewID], ext.ID)
+	// The review → opinion table as the rows it abbreviates: the review,
+	// attribute and marker of every extraction, served or not.
+	var exts []Extraction
+	for d, id := range o.index.DocIDs {
+		for i := db.opStart[d]; i < db.opStart[d+1]; i++ {
+			op := db.ops[i]
+			exts = append(exts, Extraction{ID: int(i), ReviewID: id, Attribute: db.Attrs[op.Attr].Name, Marker: int(op.Marker)})
+		}
+	}
+	for _, ext := range exts {
+		o.extByReview[ext.ReviewID] = append(o.extByReview[ext.ReviewID], ext)
 	}
 	for _, s := range db.ReviewSentiments {
 		if s > 0 {
@@ -56,7 +66,7 @@ func NewInterpretOracle(db *DB) *InterpretOracle {
 		}
 	}
 	seenAttrReview := map[string]map[string]bool{}
-	for _, ext := range db.Extractions {
+	for _, ext := range exts {
 		if db.ReviewSentiments[ext.ReviewID] <= 0 {
 			continue
 		}
@@ -286,8 +296,7 @@ func (o *InterpretOracle) oracleMineCooccur(toks []string) *cooccurMined {
 	markerFreq := map[string]map[int]float64{}
 	reviewsWithAttr := map[string]map[string]bool{}
 	for _, r := range top {
-		for _, extID := range o.extByReview[r.ID] {
-			ext := &db.Extractions[extID]
+		for _, ext := range o.extByReview[r.ID] {
 			freq[ext.Attribute]++
 			if markerFreq[ext.Attribute] == nil {
 				markerFreq[ext.Attribute] = map[int]float64{}

@@ -227,13 +227,13 @@ func (mm *MembershipModel) DegreeScan(db *DB, entityID string, attr *SubjectiveA
 // marker summary precomputes away (Table 7's speedup).
 func scanFeatures(db *DB, attr *SubjectiveAttribute, entityID string, queryRep embedding.Vector, filter func(*Extraction) bool) (feats []float64, support int) {
 	feats = make([]float64, scanFeatureCount)
-	ids := db.extractionsFor(attr.Name, entityID)
-	if len(ids) == 0 {
+	rows := db.extractionsFor(attr.Name, entityID)
+	if len(rows) == 0 {
 		return feats, 0
 	}
 	var n, simSum, hits, sentiSimilar, sentiAll float64
-	for _, id := range ids {
-		ext := &db.Extractions[id]
+	for _, i := range rows {
+		ext := &db.extractions[i]
 		if filter != nil && !filter(ext) {
 			continue
 		}

@@ -26,7 +26,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -63,8 +65,8 @@ type SubjectiveAttribute struct {
 	DomainPhrases map[string]int
 	// phraseMarker caches each domain phrase's marker assignment.
 	phraseMarker map[string]int
-	// ord is the attribute's position in DB.Attrs and domain its compiled
-	// linguistic domain; both derived (buildDerived).
+	// ord is the attribute's position in DB.Attrs (addAttr) and domain its
+	// compiled linguistic domain (buildDerived).
 	ord    int
 	domain *domainTable
 	// markerIdx lazily indexes marker name → position for MarkerIndex;
@@ -249,8 +251,19 @@ type DB struct {
 	// Summaries[attr][entity] is the marker summary view.
 	Summaries map[string]map[string]*MarkerSummary
 
-	// Extractions is the extraction relation, indexed by extraction id.
-	Extractions []Extraction
+	// extractions holds the full rows of the extraction relation for the
+	// entities this database serves, ascending by extraction id (extraction
+	// resolves an id). Ids are global: ops[id] describes every extraction,
+	// served or not.
+	extractions []Extraction
+	// opStart and ops are the review → (attribute, marker) table that
+	// co-occurrence mining and idf(A) read, kept for every review whatever
+	// entity it is about: ReviewIndex document d carries the extractions
+	// ops[opStart[d]:opStart[d+1]], and extraction id i is ops[i], because
+	// ids are assigned in document order. len(opStart) is one more than the
+	// document count.
+	opStart []int32
+	ops     []ReviewOpinion
 
 	// Embed is the word2vec model trained on the review corpus.
 	Embed *embedding.Model
@@ -277,13 +290,9 @@ type DB struct {
 	// reviewsPerReviewer supports review-qualification predicates.
 	reviewsPerReviewer map[string]int
 
-	// extIndex[attr][entity] lists extraction ids — the access path of the
-	// no-marker scan membership and of review qualification.
+	// extIndex[attr][entity] lists positions in extractions — the access
+	// path of the no-marker scan membership and of review qualification.
 	extIndex map[string]map[string][]int
-	// extByReview[reviewID] lists the review's extractions, in extraction-id
-	// order, as the co-occurrence interpreter reads them: attribute ordinal
-	// and marker.
-	extByReview map[string][]reviewOpinion
 	// reviewsWithAttrCount[attribute ordinal] counts positive-sentiment
 	// reviews containing at least one extraction of the attribute (the
 	// idf(A) denominator of §3.2). Positive-only because the co-occurrence
@@ -316,6 +325,13 @@ type DB struct {
 
 // Attr returns the named subjective attribute, or nil.
 func (db *DB) Attr(name string) *SubjectiveAttribute { return db.attrByName[name] }
+
+// addAttr appends attr to the schema, numbered by its position.
+func (db *DB) addAttr(attr *SubjectiveAttribute) {
+	attr.ord = len(db.Attrs)
+	db.Attrs = append(db.Attrs, attr)
+	db.attrByName[attr.Name] = attr
+}
 
 // EntityIDs returns all entity ids in sorted order. The caller must not
 // modify the returned slice.
@@ -350,6 +366,20 @@ func (db *DB) ReviewerReviewCount(reviewer string) int {
 	return db.reviewsPerReviewer[reviewer]
 }
 
+// ExtractionCount returns the number of extractions in the whole corpus,
+// including those of entities this database does not serve.
+func (db *DB) ExtractionCount() int { return len(db.ops) }
+
+// extraction returns the full row of extraction id, or nil when the id is
+// not one of this database's served rows.
+func (db *DB) extraction(id int) *Extraction {
+	i, ok := slices.BinarySearchFunc(db.extractions, id, func(e Extraction, id int) int { return cmp.Compare(e.ID, id) })
+	if !ok {
+		return nil
+	}
+	return &db.extractions[i]
+}
+
 // ProvenanceOf resolves the extraction ids supporting marker m of
 // (attr, entity) into extraction records, sorted by review id; this backs
 // the paper's "any result returned can be supported with evidence from
@@ -361,14 +391,15 @@ func (db *DB) ProvenanceOf(attr, entityID string, marker int) []Extraction {
 	}
 	out := make([]Extraction, 0, len(s.Provenance[marker]))
 	for _, id := range s.Provenance[marker] {
-		out = append(out, db.Extractions[id])
+		out = append(out, *db.extraction(id))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ReviewID < out[j].ReviewID })
 	return out
 }
 
-// reviewOpinion is one extraction's target: attribute ordinal and marker.
-type reviewOpinion struct{ attr, marker int32 }
+// ReviewOpinion is one extraction as co-occurrence mining reads it: the
+// attribute's ordinal in DB.Attrs and the marker.
+type ReviewOpinion struct{ Attr, Marker int32 }
 
 // AttrMarker names one interpreted predicate target: attribute A and
 // marker index m, the A.m of §3.2.

@@ -19,8 +19,8 @@ import (
 )
 
 // preparedExtraction is one classified opinion awaiting its fold. The
-// extraction ID is deliberately absent: IDs are positions in
-// db.Extractions and can only be assigned at fold time, when the apply
+// extraction ID is deliberately absent: IDs are positions in the review →
+// opinion table and can only be assigned at fold time, when the apply
 // order is known.
 type preparedExtraction struct {
 	attr      *SubjectiveAttribute
@@ -106,29 +106,35 @@ func (db *DB) ApplyPrepared(p *PreparedReview) error {
 	owned := db.ServesEntity(rv.EntityID)
 	db.ReviewSentiments[rv.ID] = p.senti
 	db.reviewsPerReviewer[rv.Reviewer]++
-	db.ReviewIndex.Add(rv.ID, p.toks)
+	doc := db.ReviewIndex.Add(rv.ID, p.toks)
 	db.reviewBoost = append(db.reviewBoost, reviewBoostOf(p.senti))
 	if p.senti > 0 {
 		db.positiveReviews++
 	}
 
+	// Every node records the review's opinions; only the owner keeps the
+	// rows and folds them into a summary.
 	for _, pe := range p.exts {
-		id := len(db.Extractions)
-		ext := Extraction{
-			ID:        id,
-			EntityID:  rv.EntityID,
-			ReviewID:  rv.ID,
-			Reviewer:  rv.Reviewer,
-			Day:       rv.Day,
-			Attribute: pe.attr.Name,
-			Aspect:    pe.aspect,
-			Phrase:    pe.phrase,
-			Marker:    pe.marker,
-			Sentiment: pe.sentiment,
+		id := len(db.ops)
+		db.ops = append(db.ops, ReviewOpinion{Attr: int32(pe.attr.ord), Marker: int32(pe.marker)})
+		if owned {
+			db.extractions = append(db.extractions, Extraction{
+				ID:        id,
+				EntityID:  rv.EntityID,
+				ReviewID:  rv.ID,
+				Reviewer:  rv.Reviewer,
+				Day:       rv.Day,
+				Attribute: pe.attr.Name,
+				Aspect:    pe.aspect,
+				Phrase:    pe.phrase,
+				Marker:    pe.marker,
+				Sentiment: pe.sentiment,
+			})
+			db.addOwned(pe.attr, len(db.extractions)-1)
 		}
-		db.Extractions = append(db.Extractions, ext)
-		db.addIncremental(pe.attr, ext, owned)
 	}
+	db.opStart = append(db.opStart, int32(len(db.ops)))
+	db.countReviewAttrs(doc)
 	// Interpretations may shift with new evidence. A degree list is a
 	// function of this node's own summaries, the frozen markers and the
 	// frozen membership model, so only a write this node owns stales it.

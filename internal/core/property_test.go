@@ -103,7 +103,7 @@ func TestSummaryMassInvariant(t *testing.T) {
 // and its phrase is in the attribute's linguistic domain.
 func TestExtractionReferentialIntegrity(t *testing.T) {
 	_, db := testDB(t)
-	for _, ext := range db.Extractions {
+	for _, ext := range db.State().Extractions {
 		attr := db.Attr(ext.Attribute)
 		if attr == nil {
 			t.Fatalf("extraction %d references unknown attribute %q", ext.ID, ext.Attribute)

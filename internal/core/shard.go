@@ -8,17 +8,23 @@ package core
 // What identity requires: a predicate's interpretation and an entity's
 // degree of truth are functions of corpus-global model state — the
 // subjective schema, the embedding model, both BM25 indexes (the entity
-// index's idf enters fallback scores), the review-sentiment and
-// co-occurrence statistics, the extraction relation and the membership
-// model. That state is therefore REPLICATED into every shard. What is
-// PARTITIONED is the per-entity serving state the engine iterates over:
-// the Entities relation and, through it, entityIDs, plus the marker
-// summaries — so a shard only scores, ranks and caches degree lists for
-// its own entity range. Per-entity scores never change; only which
-// entities a process answers for does.
+// index's idf enters fallback scores), the review-sentiment and reviewer
+// statistics, the review → (attribute, marker) table co-occurrence mining
+// and idf(A) read, and the membership model. That state is therefore
+// REPLICATED into every shard. What is PARTITIONED is the per-entity
+// state: the Entities relation and, through it, entityIDs, the marker
+// summaries, and the extraction relation's full rows (provenance, the
+// scan path and RebuildSummaries read only a served entity's rows) — so a
+// shard only scores, ranks, explains and caches degree lists for its own
+// entity range. Extraction ids stay global: a shard's rows are a sparse,
+// ascending subset of the monolith's, and the replicated table assigns
+// the next id on every node alike. Per-entity scores never change; only
+// which entities a process answers for does.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/extract"
 	"repro/internal/relstore"
@@ -71,13 +77,15 @@ func (db *DB) Shards(n int) ([]*DB, [][]string, error) {
 }
 
 // ShardDB derives a new query-ready database restricted to the entities
-// where keep(id) is true. Global model state (schema, embedding, IR
-// indexes, extractor, membership model, extraction relation, review
-// statistics) is shared or rebuilt identically, so the shard's answers
-// for its entities carry the exact float bits the monolith produces;
-// only the Entities relation and the marker summaries are restricted.
-// The receiver must not be mutated while ShardDB runs, and the shard
-// shares read-only structures with it afterwards — treat both as frozen
+// where keep(id) is true. Replicated state (schema, embedding, IR indexes,
+// extractor, membership model, review → opinion table, review statistics)
+// is shared or rebuilt identically, so the shard's answers for its
+// entities carry the exact float bits the monolith produces; the Entities
+// relation, the marker summaries and the extraction rows are restricted to
+// the kept entities. The shard gets its own copy of the review → opinion
+// table, which ApplyPrepared appends to; otherwise it shares read-only
+// structures with the receiver (the ReviewIndex among them), and the
+// receiver must not be mutated while ShardDB runs — treat both as frozen
 // once serving starts (the same rule as snapshot.Write).
 func (db *DB) ShardDB(keep func(entityID string) bool) (*DB, error) {
 	if keep == nil {
@@ -93,7 +101,8 @@ func (db *DB) ShardDB(keep func(entityID string) bool) (*DB, error) {
 		Name:               st.Name,
 		Cfg:                st.Cfg,
 		Attrs:              st.Attrs,
-		Extractions:        st.Extractions,
+		OpStart:            slices.Clone(st.OpStart),
+		Ops:                slices.Clone(st.Ops),
 		ReviewSentiments:   st.ReviewSentiments,
 		ReviewsPerReviewer: st.ReviewsPerReviewer,
 		Membership:         st.Membership,
@@ -107,6 +116,11 @@ func (db *DB) ShardDB(keep func(entityID string) bool) (*DB, error) {
 			}
 		}
 		shardSt.Summaries[attr] = kept
+	}
+	for _, ext := range st.Extractions {
+		if keep(ext.EntityID) {
+			shardSt.Extractions = append(shardSt.Extractions, ext)
+		}
 	}
 
 	rel, err := restrictEntities(db.Rel, keep)
@@ -131,14 +145,16 @@ func (db *DB) ShardDB(keep func(entityID string) bool) (*DB, error) {
 // equivalent database from a complete fleet of shard databases ordered
 // by shard index. Corpus-global model state is REPLICATED across shards
 // and byte-identical on every healthy replica (the sharding contract),
-// so the merge takes it from shard 0 after verifying the fleet has not
-// drifted (equal extraction and review counts everywhere — a shard that
-// missed replicated writes fails here and needs an anti-entropy repair
-// pass first). The PARTITIONED state — the Entities relation and the
-// marker summaries — is the union over shards, with shard order
-// restoring the original contiguous-range concatenation. The shards
-// share read-only structures with the merged database afterwards; treat
-// all of them as frozen (the same rule as ShardDB).
+// so the merge takes it — the review → opinion table included, as the
+// merged database's own copy — from shard 0 after verifying the fleet has
+// not drifted (equal extraction and review counts everywhere — a shard
+// that missed replicated writes fails here and needs an anti-entropy
+// repair pass first). The PARTITIONED state — the Entities relation, the
+// marker summaries and the extraction rows — is the union over shards:
+// shard order restores the original contiguous-range concatenation of
+// entities, and the rows are re-sorted by id. The shards share read-only
+// structures with the merged database afterwards; treat all of them as
+// frozen (the same rule as ShardDB).
 //
 // This is what makes online N→M rebalancing (internal/fleet) possible
 // without a full corpus rebuild: merge the N loaded shards, then
@@ -157,7 +173,8 @@ func MergeShards(shards []*DB) (*DB, error) {
 		Name:               st.Name,
 		Cfg:                st.Cfg,
 		Attrs:              st.Attrs,
-		Extractions:        st.Extractions,
+		OpStart:            slices.Clone(st.OpStart),
+		Ops:                slices.Clone(st.Ops),
 		ReviewSentiments:   st.ReviewSentiments,
 		ReviewsPerReviewer: st.ReviewsPerReviewer,
 		Membership:         st.Membership,
@@ -173,9 +190,9 @@ func MergeShards(shards []*DB) (*DB, error) {
 			return nil, fmt.Errorf("core: shard %d is database %q, shard 0 is %q", i, sh.Name, base.Name)
 		}
 		// Drift gate: replicated state must have seen the same writes.
-		if len(sh.Extractions) != len(base.Extractions) || len(sh.ReviewSentiments) != len(base.ReviewSentiments) {
+		if sh.ExtractionCount() != base.ExtractionCount() || len(sh.ReviewSentiments) != len(base.ReviewSentiments) {
 			return nil, fmt.Errorf("core: shard %d replicated state diverges (%d extractions / %d reviews, shard 0 has %d / %d) — run write-repair before merging",
-				i, len(sh.Extractions), len(sh.ReviewSentiments), len(base.Extractions), len(base.ReviewSentiments))
+				i, sh.ExtractionCount(), len(sh.ReviewSentiments), base.ExtractionCount(), len(base.ReviewSentiments))
 		}
 		ids := sh.EntityIDs()
 		if len(ids) == 0 {
@@ -199,7 +216,9 @@ func MergeShards(shards []*DB) (*DB, error) {
 				dst[id] = s
 			}
 		}
+		merged.Extractions = append(merged.Extractions, sh.extractions...)
 	}
+	slices.SortFunc(merged.Extractions, func(a, b Extraction) int { return cmp.Compare(a.ID, b.ID) })
 
 	rel, err := mergeEntityRows(shards)
 	if err != nil {

@@ -4,14 +4,15 @@ package core
 //
 // State() exports everything query processing needs that cannot be
 // recomputed cheaply: the subjective schema with its linguistic domains
-// and marker assignments, the marker summaries, the extraction relation,
-// per-review sentiments, per-reviewer review counts, the membership model
-// and the configuration. FromState() reconstructs a query-ready DB from
-// that state plus the independently serialized subsystems (the Entities
+// and marker assignments, the marker summaries, the served entities'
+// extraction rows, the review → opinion table, per-review sentiments,
+// per-reviewer review counts, the membership model and the
+// configuration. FromState() reconstructs a query-ready DB from that
+// state plus the independently serialized subsystems (the Entities
 // relation, embedding model, IR indexes, extractor tagger), rebuilding
 // the derived state — attrByName, entityIDs, summary centroids, and
 // through buildDerived (derived.go, the helper Build ends in too) the
-// extraction access paths, co-occurrence statistics, domain tables and
+// rows' access path, co-occurrence statistics, domain tables and
 // review boost table — so a loaded DB answers every query
 // byte-identically to the freshly built one. The query-time memo caches
 // start empty; they are memos of pure functions of the restored state, so
@@ -54,11 +55,19 @@ type MembershipState struct {
 // model, IR indexes and extractor tagger are serialized through their
 // own packages' seams and rejoined in FromState.
 type DBState struct {
-	Name             string
-	Cfg              Config
-	Attrs            []AttributeState
-	Summaries        map[string]map[string]*MarkerSummary
-	Extractions      []Extraction
+	Name      string
+	Cfg       Config
+	Attrs     []AttributeState
+	Summaries map[string]map[string]*MarkerSummary
+	// Extractions holds the full extraction rows of the served entities,
+	// ascending by id. FromState sets each row's ReviewID, Attribute and
+	// Marker from its id's opinion, so a decoder may leave them zero.
+	Extractions []Extraction
+	// OpStart and Ops are the review → (attribute, marker) table of every
+	// ReviewIndex document, served or not: document d carries
+	// Ops[OpStart[d]:OpStart[d+1]], and extraction id i is Ops[i].
+	OpStart          []int32
+	Ops              []ReviewOpinion
 	ReviewSentiments map[string]float64
 	// ReviewsPerReviewer counts every ingested review by reviewer,
 	// including reviews that yielded no extraction.
@@ -74,7 +83,9 @@ func (db *DB) State() *DBState {
 		Name:               db.Name,
 		Cfg:                db.cfg,
 		Summaries:          db.Summaries,
-		Extractions:        db.Extractions,
+		Extractions:        db.extractions,
+		OpStart:            db.opStart,
+		Ops:                db.ops,
 		ReviewSentiments:   db.ReviewSentiments,
 		ReviewsPerReviewer: db.reviewsPerReviewer,
 	}
@@ -109,12 +120,30 @@ type Components struct {
 	Tagger      *extract.PerceptronTagger
 }
 
+// StateError is FromState's refusal of a state no writer produces. Part
+// names the piece of state at fault: "attributes", "summaries",
+// "extractions", "review opinions" or "review index".
+type StateError struct {
+	Part string
+	Msg  string
+}
+
+func (e *StateError) Error() string { return "core: state " + e.Part + ": " + e.Msg }
+
+func stateErr(part, format string, args ...any) error {
+	return &StateError{Part: part, Msg: fmt.Sprintf(format, args...)}
+}
+
 // FromState reconstructs a query-ready DB from exported state and its
-// subsystem components. It validates referential integrity (marker
-// summary shapes, provenance ids, extraction ids, the Entities relation)
-// and rebuilds every derived access path with the helper Build uses
-// (buildDerived), so query results are byte-identical to the freshly
-// built database's.
+// subsystem components. It validates referential integrity — every
+// ReviewIndex document has a sentiment and vice versa, the review →
+// opinion table covers exactly those documents with in-range attributes
+// and markers, every extraction row is of a served entity, every summary
+// is of a served entity with in-range shapes and provenance citing its
+// own rows — and refuses a violation with a *StateError. Each row's
+// review, attribute and marker are set from its id's opinion. It then rebuilds every derived access path with the
+// helper Build uses (buildDerived), so query results are byte-identical
+// to the freshly built database's.
 func FromState(st *DBState, c Components) (*DB, error) {
 	switch {
 	case st == nil:
@@ -136,7 +165,9 @@ func FromState(st *DBState, c Components) (*DB, error) {
 		Rel:                c.Rel,
 		attrByName:         map[string]*SubjectiveAttribute{},
 		Summaries:          st.Summaries,
-		Extractions:        st.Extractions,
+		extractions:        st.Extractions,
+		opStart:            st.OpStart,
+		ops:                st.Ops,
 		Embed:              c.Embed,
 		ReviewIndex:        c.ReviewIndex,
 		EntityIndex:        c.EntityIndex,
@@ -144,6 +175,9 @@ func FromState(st *DBState, c Components) (*DB, error) {
 		Extractor:          &extract.Extractor{Tagger: c.Tagger, Pairer: extract.RulePairer{}},
 		reviewsPerReviewer: st.ReviewsPerReviewer,
 		cfg:                st.Cfg,
+		// The Entities relation's keys, sorted and unique by construction,
+		// exactly as Build sets them.
+		entityIDs: c.Rel.IDs(),
 	}
 	if db.Summaries == nil {
 		db.Summaries = map[string]map[string]*MarkerSummary{}
@@ -177,46 +211,57 @@ func FromState(st *DBState, c Components) (*DB, error) {
 			attr.phraseMarker = map[string]int{}
 		}
 		if len(attr.Markers) == 0 {
-			return nil, fmt.Errorf("core: state attribute %s has no markers", as.Name)
+			return nil, stateErr("attributes", "%s has no markers", as.Name)
 		}
 		for p, m := range attr.phraseMarker {
 			if m < 0 || m >= len(attr.Markers) {
-				return nil, fmt.Errorf("core: state attribute %s maps %q to marker %d of %d",
+				return nil, stateErr("attributes", "%s maps %q to marker %d of %d",
 					as.Name, p, m, len(attr.Markers))
 			}
 		}
 		if db.attrByName[attr.Name] != nil {
-			return nil, fmt.Errorf("core: state has duplicate attribute %s", attr.Name)
+			return nil, stateErr("attributes", "duplicate attribute %s", attr.Name)
 		}
-		db.Attrs = append(db.Attrs, attr)
-		db.attrByName[attr.Name] = attr
+		db.addAttr(attr)
 	}
 
-	// ---- Marker summaries: validate shapes against the schema, ensure an
-	// entry per attribute (AddReview folds into these maps), and finalize
-	// the per-marker centroids exactly as Build does.
+	if err := db.checkReviews(); err != nil {
+		return nil, err
+	}
+	if err := db.checkExtractions(); err != nil {
+		return nil, err
+	}
+
+	// ---- Marker summaries: validate them against the schema and the
+	// served rows, ensure an entry per attribute (AddReview folds into
+	// these maps), and finalize the per-marker centroids exactly as Build
+	// does.
 	for attrName, byEntity := range db.Summaries {
 		attr := db.attrByName[attrName]
 		if attr == nil {
-			return nil, fmt.Errorf("core: state has summaries for unknown attribute %s", attrName)
+			return nil, stateErr("summaries", "summaries for unknown attribute %s", attrName)
 		}
 		for entityID, s := range byEntity {
 			if s == nil {
-				return nil, fmt.Errorf("core: state summary %s/%s is nil", attrName, entityID)
+				return nil, stateErr("summaries", "summary %s/%s is nil", attrName, entityID)
+			}
+			if !db.ServesEntity(entityID) {
+				return nil, stateErr("summaries", "summary %s/%s is of an entity this database does not serve", attrName, entityID)
 			}
 			k := len(attr.Markers)
 			if len(s.Counts) != k || len(s.SentSum) != k || len(s.VecSum) != k || len(s.Provenance) != k {
-				return nil, fmt.Errorf("core: state summary %s/%s has %d/%d/%d/%d marker slots, want %d",
+				return nil, stateErr("summaries", "summary %s/%s has %d/%d/%d/%d marker slots, want %d",
 					attrName, entityID, len(s.Counts), len(s.SentSum), len(s.VecSum), len(s.Provenance), k)
 			}
 			for m, ids := range s.Provenance {
 				for _, id := range ids {
-					if id < 0 || id >= len(db.Extractions) {
-						return nil, fmt.Errorf("core: state summary %s/%s marker %d cites extraction %d of %d",
-							attrName, entityID, m, id, len(db.Extractions))
+					ext := db.extraction(id)
+					if ext == nil {
+						return nil, stateErr("summaries", "summary %s/%s marker %d cites extraction %d, which is not a served row of %d extractions",
+							attrName, entityID, m, id, len(db.ops))
 					}
-					if ext := &db.Extractions[id]; ext.Attribute != attrName || ext.EntityID != entityID || ext.Marker != m {
-						return nil, fmt.Errorf("core: state summary %s/%s marker %d cites extraction %d of %s/%s marker %d",
+					if ext.Attribute != attrName || ext.EntityID != entityID || ext.Marker != m {
+						return nil, stateErr("summaries", "summary %s/%s marker %d cites extraction %d of %s/%s marker %d",
 							attrName, entityID, m, id, ext.Attribute, ext.EntityID, ext.Marker)
 					}
 				}
@@ -229,27 +274,70 @@ func FromState(st *DBState, c Components) (*DB, error) {
 			db.Summaries[attr.Name] = map[string]*MarkerSummary{}
 		}
 	}
-
-	// ---- Entity ids: the Entities relation's keys, sorted and unique by
-	// construction, exactly as Build sets them.
-	db.entityIDs = c.Rel.IDs()
-
-	// ---- Extractions must reference the schema before the derived access
-	// paths index them.
-	for i := range db.Extractions {
-		ext := &db.Extractions[i]
-		if ext.ID != i {
-			return nil, fmt.Errorf("core: state extraction %d carries id %d", i, ext.ID)
-		}
-		attr := db.attrByName[ext.Attribute]
-		if attr == nil {
-			return nil, fmt.Errorf("core: state extraction %d references unknown attribute %s", i, ext.Attribute)
-		}
-		if ext.Marker < 0 || ext.Marker >= len(attr.Markers) {
-			return nil, fmt.Errorf("core: state extraction %d references marker %d of %d (%s)",
-				i, ext.Marker, len(attr.Markers), ext.Attribute)
-		}
-	}
 	db.buildDerived()
 	return db, nil
+}
+
+// checkReviews holds the review-keyed state to one set of reviews: every
+// ReviewIndex document has a sentiment and there are no other sentiments,
+// and the review → opinion table covers exactly those documents, with
+// every opinion naming an attribute and one of its markers.
+func (db *DB) checkReviews() error {
+	docIDs := db.ReviewIndex.State().DocIDs
+	if len(docIDs) != len(db.ReviewSentiments) {
+		return stateErr("review index", "%d documents, but %d reviews carry a sentiment", len(docIDs), len(db.ReviewSentiments))
+	}
+	for d, id := range docIDs {
+		if _, ok := db.ReviewSentiments[id]; !ok {
+			return stateErr("review index", "document %d is review %s, which has no sentiment", d, id)
+		}
+	}
+	if len(db.opStart) != len(docIDs)+1 || db.opStart[0] != 0 {
+		return stateErr("review opinions", "%d offsets do not start the table of %d documents", len(db.opStart), len(docIDs))
+	}
+	for d := range docIDs {
+		if db.opStart[d+1] < db.opStart[d] {
+			return stateErr("review opinions", "document %d ends at %d, before it starts at %d", d, db.opStart[d+1], db.opStart[d])
+		}
+	}
+	if end := db.opStart[len(docIDs)]; int(end) != len(db.ops) {
+		return stateErr("review opinions", "the offsets end at %d, the table holds %d opinions", end, len(db.ops))
+	}
+	for i, op := range db.ops {
+		if op.Attr < 0 || int(op.Attr) >= len(db.Attrs) {
+			return stateErr("review opinions", "extraction %d names attribute %d of %d", i, op.Attr, len(db.Attrs))
+		}
+		if k := len(db.Attrs[op.Attr].Markers); op.Marker < 0 || int(op.Marker) >= k {
+			return stateErr("review opinions", "extraction %d names marker %d of %d (%s)", i, op.Marker, k, db.Attrs[op.Attr].Name)
+		}
+	}
+	return nil
+}
+
+// checkExtractions holds every full row to the review → opinion table: ids
+// ascend and are in range and the row is of a served entity. A row's
+// review, attribute and marker are its id's opinion's, so they are set
+// from the table rather than checked against it (a snapshot does not
+// store them).
+func (db *DB) checkExtractions() error {
+	docIDs := db.ReviewIndex.State().DocIDs
+	doc := 0
+	for i := range db.extractions {
+		ext := &db.extractions[i]
+		if i > 0 && ext.ID <= db.extractions[i-1].ID {
+			return stateErr("extractions", "row %d has id %d, not above the previous row's %d", i, ext.ID, db.extractions[i-1].ID)
+		}
+		if ext.ID < 0 || ext.ID >= len(db.ops) {
+			return stateErr("extractions", "row %d has id %d of %d extractions", i, ext.ID, len(db.ops))
+		}
+		if !db.ServesEntity(ext.EntityID) {
+			return stateErr("extractions", "extraction %d is of entity %q, which this database does not serve", ext.ID, ext.EntityID)
+		}
+		for int(db.opStart[doc+1]) <= ext.ID {
+			doc++
+		}
+		op := db.ops[ext.ID]
+		ext.ReviewID, ext.Attribute, ext.Marker = docIDs[doc], db.Attrs[op.Attr].Name, int(op.Marker)
+	}
+	return nil
 }

@@ -59,7 +59,7 @@ func RunPersistence(seed int64) PersistenceResult {
 	res.BuildSeconds = time.Since(t0).Seconds()
 	res.Entities = len(d.Entities)
 	res.Reviews = len(d.Reviews)
-	res.Extractions = len(db.Extractions)
+	res.Extractions = db.ExtractionCount()
 
 	f, err := os.CreateTemp("", "opinedb-persistence-*.snap")
 	if err != nil {

@@ -115,7 +115,7 @@ func RunRebalance(ctx context.Context, seed int64) RebalanceResult {
 		return res
 	}
 	res.Entities = len(d.Entities)
-	res.Extractions = len(db.Extractions)
+	res.Extractions = db.ExtractionCount()
 	monolithFP, n := QueryFingerprint(d, db)
 	res.QueriesChecked = n
 

@@ -77,7 +77,7 @@ func RunSharding(ctx context.Context, seed int64) ShardingResult {
 		return res
 	}
 	res.Entities = len(d.Entities)
-	res.Extractions = len(db.Extractions)
+	res.Extractions = db.ExtractionCount()
 
 	workload := shardingWorkload(d, 40)
 	opts := core.DefaultQueryOptions()

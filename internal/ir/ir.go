@@ -97,9 +97,11 @@ func (ix *Index) idf(term string) float64 {
 	return math.Log(1 + (N-n+0.5)/(n+0.5))
 }
 
-// Result is a scored document.
+// Result is a scored document: its external id, its internal document
+// number (the number Add returned) and its score.
 type Result struct {
 	ID    string
+	Doc   int
 	Score float64
 }
 
@@ -208,7 +210,7 @@ func (ix *Index) SearchBoosted(query []string, k int, boost []float64) []Result 
 	}
 	out := make([]Result, len(top))
 	for i, e := range top {
-		out[i] = Result{ID: ix.docIDs[e.doc], Score: e.score}
+		out[i] = Result{ID: ix.docIDs[e.doc], Doc: e.doc, Score: e.score}
 	}
 	sc.touched, sc.top = touched, top
 	searchScratchPool.Put(sc)
@@ -339,10 +341,13 @@ func NewIndexFromState(st IndexState) (*Index, error) {
 	if ix.postings == nil {
 		ix.postings = make(map[string][]Posting)
 	}
-	// Rebuild the external-id lookup exactly as repeated Add calls would:
-	// later duplicates win.
 	for doc, id := range ix.docIDs {
 		ix.byExtID[id] = doc
+	}
+	// Every writer of this state adds each id once; a repeated one would
+	// make two documents answer to one id.
+	if len(ix.byExtID) != n {
+		return nil, fmt.Errorf("ir: state has %d doc ids but only %d distinct", n, len(ix.byExtID))
 	}
 	return ix, nil
 }

@@ -262,3 +262,24 @@ func TestAvgDocLen(t *testing.T) {
 		t.Errorf("AvgDocLen = %v, want 3", got)
 	}
 }
+
+// TestIndexStateRefusesRepeatedIDs: an exported state round-trips, and one
+// whose documents repeat an id is refused — two documents answering to one
+// id would disagree with every per-review table kept beside the index.
+func TestIndexStateRefusesRepeatedIDs(t *testing.T) {
+	ix := NewIndex()
+	ix.Add("a", []string{"clean", "room"})
+	ix.Add("b", []string{"rude", "staff"})
+	back, err := NewIndexFromState(ix.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Search([]string{"staff"}, 2); len(got) != 1 || got[0].ID != "b" || got[0].Doc != 1 {
+		t.Errorf("round-tripped search = %+v", got)
+	}
+	st := ix.State()
+	st.DocIDs = []string{"a", "a"}
+	if _, err := NewIndexFromState(st); err == nil {
+		t.Error("a state with a repeated doc id loaded")
+	}
+}

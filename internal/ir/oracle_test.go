@@ -69,7 +69,7 @@ func (ix *Index) oracleSearchBoosted(query []string, k int, boost func(id string
 		if s <= 0 {
 			continue
 		}
-		heap.Push(&h, Result{ID: id, Score: s})
+		heap.Push(&h, Result{ID: id, Doc: doc, Score: s})
 		if h.Len() > k {
 			heap.Pop(&h)
 		}
@@ -109,8 +109,8 @@ func sameResults(got, want []Result) error {
 		return fmt.Errorf("%d results, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-			return fmt.Errorf("position %d: %s %x, want %s %x", i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+		if got[i].ID != want[i].ID || got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			return fmt.Errorf("position %d: %s (doc %d) %x, want %s (doc %d) %x", i, got[i].ID, got[i].Doc, got[i].Score, want[i].ID, want[i].Doc, want[i].Score)
 		}
 	}
 	return nil

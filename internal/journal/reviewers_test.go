@@ -1,14 +1,16 @@
 package journal_test
 
-// Reviewer review counts are persisted state (core.DBState.
-// ReviewsPerReviewer), not a scan of a reviews relation, so every path a
-// database's state travels — build, snapshot, shard split, shard merge,
-// live writes on a shard, journal compaction — must carry them intact.
+// Reviewer review counts (core.DBState.ReviewsPerReviewer) and the
+// partitioned extraction relation (a node's rows plus the replicated
+// review → opinion table) are persisted state, so every path a database's
+// state travels — build, snapshot, shard split, shard merge, live writes
+// on a shard, journal replay and compaction — must carry them intact.
 
 import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -19,7 +21,7 @@ import (
 )
 
 // Reviewers whose only review yields no extraction: a count derived from
-// db.Extractions would miss them.
+// the extraction rows would miss them.
 const (
 	quietBase       = "quiet-base"
 	quietOwned      = "quiet-owned"
@@ -27,7 +29,24 @@ const (
 	quietText       = "We arrived on a Tuesday."
 )
 
-func TestReviewerCountsSurviveEveryStatePath(t *testing.T) {
+// statePath is one way a database's state travels. reviews lists the
+// review batches it has ingested, in order; ids is the entity range it
+// serves; monolith is the monolith that ingested the same batches in the
+// same order.
+type statePath struct {
+	name     string
+	db       func(t *testing.T) *core.DB
+	reviews  [][]core.ReviewData
+	ids      []string
+	monolith func(t *testing.T) *core.DB
+}
+
+// statePaths builds a two-shard fixture over a small hotel corpus and
+// returns every state path, plus every reviewer the paths' reviews name.
+// Held-out reviews land on both shards, and each batch of writes carries
+// a review that yields no extraction.
+func statePaths(t *testing.T) ([]statePath, map[string]bool) {
+	t.Helper()
 	genCfg := corpus.SmallConfig()
 	genCfg.Seed = 1
 	d := corpus.GenerateHotels(genCfg)
@@ -67,6 +86,7 @@ func TestReviewerCountsSurviveEveryStatePath(t *testing.T) {
 	if len(owned) < 2 || len(replicated) < 2 {
 		t.Fatalf("held-out reviews split %d owned / %d replicated; both need a real review", len(owned)-1, len(replicated)-1)
 	}
+	both := append(append([]core.ReviewData(nil), owned...), replicated...)
 
 	dir := t.TempDir()
 	baseSnap := filepath.Join(dir, "base.snap")
@@ -84,41 +104,44 @@ func TestReviewerCountsSurviveEveryStatePath(t *testing.T) {
 			return db
 		}
 	}
-	compacted := func(t *testing.T) *core.DB {
-		snap := filepath.Join(t.TempDir(), "compact.snap")
-		if _, err := snapshot.Save(snap, base); err != nil {
-			t.Fatal(err)
+	// journaled copies db's snapshot with deltas in its journal; then
+	// replays it (compact false) or compacts it and loads the result.
+	journaled := func(db *core.DB, compact bool) func(t *testing.T) *core.DB {
+		return func(t *testing.T) *core.DB {
+			snap := filepath.Join(t.TempDir(), "journaled.snap")
+			if _, err := snapshot.Save(snap, db); err != nil {
+				t.Fatal(err)
+			}
+			journalDeltas(t, journal.Dir(snap), both, journal.Options{})
+			if !compact {
+				replayed, _, st, err := journal.LoadWithJournal(snap)
+				if err != nil || st.Applied != len(both) {
+					t.Fatalf("replay applied %d: %v", st.Applied, err)
+				}
+				return replayed
+			}
+			if _, st, err := journal.Compact(snap, snap); err != nil || st.Applied != len(both) {
+				t.Fatalf("compact applied %d: %v", st.Applied, err)
+			}
+			return loadBase(t, snap)
 		}
-		journalDeltas(t, journal.Dir(snap), append(append([]core.ReviewData(nil), owned...), replicated...), journal.Options{})
-		if _, st, err := journal.Compact(snap, snap); err != nil || st.Applied != len(owned)+len(replicated) {
-			t.Fatalf("compact applied %d: %v", st.Applied, err)
-		}
-		return loadBase(t, snap)
 	}
 	inMemory := func(db *core.DB) func(*testing.T) *core.DB {
 		return func(*testing.T) *core.DB { return db }
 	}
 
 	baseReviews := in.Reviews
-	// want is tallied from the reviews each state has ingested; the Build
-	// row holds the freshly built monolith to that tally, so every other
-	// row is compared with the monolith's counts.
-	// ids is the entity range each state serves.
 	all := base.EntityIDs()
-	cases := []struct {
-		name    string
-		db      func(t *testing.T) *core.DB
-		reviews [][]core.ReviewData
-		ids     []string
-	}{
-		{"Build", inMemory(base), [][]core.ReviewData{baseReviews}, all},
-		{"snapshot save and load", loadApply(baseSnap, nil), [][]core.ReviewData{baseReviews}, all},
-		{"ShardDB shard 0", inMemory(shards[0]), [][]core.ReviewData{baseReviews}, parts[0]},
-		{"ShardDB shard 1", inMemory(shards[1]), [][]core.ReviewData{baseReviews}, parts[1]},
-		{"MergeShards", inMemory(merged), [][]core.ReviewData{baseReviews}, all},
-		{"ApplyReview owned on a loaded shard", loadApply(shardSnap, owned), [][]core.ReviewData{baseReviews, owned}, parts[0]},
-		{"ApplyReview replicated on a loaded shard", loadApply(shardSnap, replicated), [][]core.ReviewData{baseReviews, replicated}, parts[0]},
-		{"journal.Compact", compacted, [][]core.ReviewData{baseReviews, owned, replicated}, all},
+	paths := []statePath{
+		{"Build", inMemory(base), [][]core.ReviewData{baseReviews}, all, inMemory(base)},
+		{"snapshot save and load", loadApply(baseSnap, nil), [][]core.ReviewData{baseReviews}, all, inMemory(base)},
+		{"ShardDB shard 0", inMemory(shards[0]), [][]core.ReviewData{baseReviews}, parts[0], inMemory(base)},
+		{"ShardDB shard 1", inMemory(shards[1]), [][]core.ReviewData{baseReviews}, parts[1], inMemory(base)},
+		{"MergeShards", inMemory(merged), [][]core.ReviewData{baseReviews}, all, inMemory(base)},
+		{"ApplyReview owned on a loaded shard", loadApply(shardSnap, owned), [][]core.ReviewData{baseReviews, owned}, parts[0], loadApply(baseSnap, owned)},
+		{"ApplyReview replicated on a loaded shard", loadApply(shardSnap, replicated), [][]core.ReviewData{baseReviews, replicated}, parts[0], loadApply(baseSnap, replicated)},
+		{"journal replay on a shard", journaled(shards[0], false), [][]core.ReviewData{baseReviews, owned, replicated}, parts[0], loadApply(baseSnap, both)},
+		{"journal.Compact", journaled(base, true), [][]core.ReviewData{baseReviews, owned, replicated}, all, loadApply(baseSnap, both)},
 	}
 	reviewers := map[string]bool{}
 	for _, rvs := range [][]core.ReviewData{baseReviews, owned, replicated} {
@@ -126,7 +149,12 @@ func TestReviewerCountsSurviveEveryStatePath(t *testing.T) {
 			reviewers[rv.Reviewer] = true
 		}
 	}
-	for _, c := range cases {
+	return paths, reviewers
+}
+
+func TestReviewerCountsSurviveEveryStatePath(t *testing.T) {
+	paths, reviewers := statePaths(t)
+	for _, c := range paths {
 		t.Run(c.name, func(t *testing.T) {
 			db := c.db(t)
 			want := map[string]int{}
@@ -140,7 +168,7 @@ func TestReviewerCountsSurviveEveryStatePath(t *testing.T) {
 					t.Errorf("reviewer %q: %d reviews, want %d", r, got, want[r])
 				}
 			}
-			for _, x := range db.Extractions {
+			for _, x := range c.monolith(t).State().Extractions {
 				switch x.Reviewer {
 				case quietBase, quietOwned, quietReplicated:
 					t.Fatalf("fixture review %s yields an extraction; pick a text without opinions", x.ReviewID)
@@ -148,6 +176,7 @@ func TestReviewerCountsSurviveEveryStatePath(t *testing.T) {
 			}
 			// The Entities relation is row-aligned with the entity ids and
 			// is the monolith's relation restricted to the served range.
+			base := c.monolith(t)
 			if !reflect.DeepEqual(db.EntityIDs(), c.ids) || !reflect.DeepEqual(db.Rel.IDs(), c.ids) {
 				t.Errorf("entity ids %v, relation ids %v, want %v", db.EntityIDs(), db.Rel.IDs(), c.ids)
 			}
@@ -159,6 +188,39 @@ func TestReviewerCountsSurviveEveryStatePath(t *testing.T) {
 				if !ok || !reflect.DeepEqual(db.Rel.Row(e), base.Rel.Row(be)) {
 					t.Errorf("entity %s: row %v, want the monolith's %v", id, db.Rel.Row(e), base.Rel.Row(be))
 				}
+			}
+		})
+	}
+}
+
+// TestExtractionPartitionSurvivesEveryStatePath: on every state path a
+// node's extraction rows are the monolith's rows restricted to the
+// entities it serves, in id order, and its review → opinion table is the
+// monolith's whole table.
+func TestExtractionPartitionSurvivesEveryStatePath(t *testing.T) {
+	paths, _ := statePaths(t)
+	for _, c := range paths {
+		t.Run(c.name, func(t *testing.T) {
+			got, mono := c.db(t).State(), c.monolith(t)
+			want := mono.State()
+			if len(want.Extractions) != mono.ExtractionCount() {
+				t.Fatalf("the monolith holds %d rows of %d extractions", len(want.Extractions), mono.ExtractionCount())
+			}
+			var rows []core.Extraction
+			for _, x := range want.Extractions {
+				if _, ok := slices.BinarySearch(c.ids, x.EntityID); ok {
+					rows = append(rows, x)
+				}
+			}
+			if len(rows) == 0 {
+				t.Fatal("the served range has no extraction rows; the check would be vacuous")
+			}
+			if !slices.Equal(got.Extractions, rows) {
+				t.Errorf("%d rows, want the monolith's %d rows of the served range", len(got.Extractions), len(rows))
+			}
+			if !slices.Equal(got.OpStart, want.OpStart) || !slices.Equal(got.Ops, want.Ops) {
+				t.Errorf("review → opinion table of %d documents / %d opinions, want the monolith's %d / %d",
+					len(got.OpStart)-1, len(got.Ops), len(want.OpStart)-1, len(want.Ops))
 			}
 		})
 	}

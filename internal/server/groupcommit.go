@@ -313,7 +313,7 @@ func (s *Server) commitBatch(ctx context.Context, batch []*commitRequest) {
 			seq = firstSeq + uint64(i)
 		}
 		rv := cr.prepared.Review()
-		before := len(s.db.Extractions)
+		before := s.db.ExtractionCount()
 		t0 := time.Now()
 		err := s.db.ApplyPrepared(cr.prepared)
 		s.metrics.apply.ObserveSince(t0)
@@ -331,7 +331,7 @@ func (s *Server) commitBatch(ctx context.Context, batch []*commitRequest) {
 			ReviewID:    rv.ID,
 			EntityID:    rv.EntityID,
 			Owned:       owned[i],
-			Extractions: len(s.db.Extractions) - before,
+			Extractions: s.db.ExtractionCount() - before,
 			Seq:         seq,
 			Durable:     durable,
 		}

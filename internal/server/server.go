@@ -552,7 +552,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Status:        "ok",
 		Database:      s.db.Name,
 		Entities:      len(s.db.EntityIDs()),
-		Extractions:   len(s.db.Extractions),
+		Extractions:   s.db.ExtractionCount(),
 		Attributes:    len(s.db.Attrs),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Source:        source,

@@ -79,7 +79,7 @@ func TestHealthz(t *testing.T) {
 	if h.Status != "ok" {
 		t.Errorf("status = %q", h.Status)
 	}
-	if h.Entities != len(db.EntityIDs()) || h.Extractions != len(db.Extractions) || h.Attributes != len(db.Attrs) {
+	if h.Entities != len(db.EntityIDs()) || h.Extractions != db.ExtractionCount() || h.Attributes != len(db.Attrs) {
 		t.Errorf("shape mismatch: %+v", h)
 	}
 }

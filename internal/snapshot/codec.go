@@ -140,14 +140,38 @@ func (d *dec) count(what string) int {
 	}
 	return int(v)
 }
-func (d *dec) str() string {
+func (d *dec) str() string { return string(d.strBytes()) }
+
+// strBytes reads a string's bytes, aliasing the payload.
+func (d *dec) strBytes() []byte {
 	n := d.count("string")
 	if d.err != nil || d.off+n > len(d.b) {
 		d.fail("string")
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+n])
+	b := d.b[d.off : d.off+n]
 	d.off += n
+	return b
+}
+
+// i32 reads a uvarint that must fit an int32.
+func (d *dec) i32(what string) int32 {
+	v := d.uvarint()
+	if v > math.MaxInt32 {
+		d.fail(what)
+		return 0
+	}
+	return int32(v)
+}
+
+// internStr is str returning the copy intern already holds, if any.
+func (d *dec) internStr(intern map[string]string) string {
+	b := d.strBytes()
+	if s, ok := intern[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	intern[s] = s
 	return s
 }
 func (d *dec) f64s() []float64 {
@@ -529,18 +553,29 @@ func encodeCoreState(st *core.DBState) []byte {
 		}
 	}
 
+	// The review → opinion table: the document count, each document's
+	// opinion count, then every opinion's (attribute, marker) pair.
+	docs := max(len(st.OpStart)-1, 0)
+	e.uvarint(uint64(docs))
+	for d := 0; d < docs; d++ {
+		e.uvarint(uint64(st.OpStart[d+1] - st.OpStart[d]))
+	}
+	for _, op := range st.Ops {
+		e.uvarint(uint64(op.Attr))
+		e.uvarint(uint64(op.Marker))
+	}
+
+	// The served rows, without the review, attribute and marker their id's
+	// opinion records (core.FromState sets those).
 	e.uvarint(uint64(len(st.Extractions)))
 	for i := range st.Extractions {
 		x := &st.Extractions[i]
 		e.varint(int64(x.ID))
 		e.str(x.EntityID)
-		e.str(x.ReviewID)
 		e.str(x.Reviewer)
 		e.varint(int64(x.Day))
-		e.str(x.Attribute)
 		e.str(x.Aspect)
 		e.str(x.Phrase)
-		e.varint(int64(x.Marker))
 		e.f64(x.Sentiment)
 	}
 
@@ -587,19 +622,41 @@ func decodeCoreState(payload []byte) (*core.DBState, error) {
 		st.Summaries[attr] = byEntity
 	}
 
+	// Every opinion occupies at least two bytes after the counts, so a
+	// running total the bytes left (or an int32) cannot hold is corrupt;
+	// refusing it before the append keeps it out of the offsets and the
+	// allocation below.
+	docs := d.count("document")
+	st.OpStart = make([]int32, 1, docs+1)
+	for i := 0; i < docs && d.err == nil; i++ {
+		n, left := d.uvarint(), min(uint64(len(d.b)-d.off), math.MaxInt32)
+		if n > left || uint64(st.OpStart[i])+n > left {
+			d.fail("opinion count")
+			break
+		}
+		st.OpStart = append(st.OpStart, st.OpStart[i]+int32(n))
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	nops := int(st.OpStart[docs])
+	st.Ops = make([]core.ReviewOpinion, nops)
+	for i := 0; i < nops && d.err == nil; i++ {
+		st.Ops[i] = core.ReviewOpinion{Attr: d.i32("attribute"), Marker: d.i32("marker")}
+	}
+
+	// Rows repeat a few thousand distinct strings; one copy each.
+	intern := map[string]string{}
 	next := d.count("extraction")
 	st.Extractions = make([]core.Extraction, 0, next)
 	for i := 0; i < next && d.err == nil; i++ {
 		st.Extractions = append(st.Extractions, core.Extraction{
 			ID:        int(d.varint()),
-			EntityID:  d.str(),
-			ReviewID:  d.str(),
-			Reviewer:  d.str(),
+			EntityID:  d.internStr(intern),
+			Reviewer:  d.internStr(intern),
 			Day:       int(d.varint()),
-			Attribute: d.str(),
-			Aspect:    d.str(),
-			Phrase:    d.str(),
-			Marker:    int(d.varint()),
+			Aspect:    d.internStr(intern),
+			Phrase:    d.internStr(intern),
 			Sentiment: d.f64(),
 		})
 	}

@@ -53,7 +53,10 @@ const Magic = "OPDBSNAP"
 // alone) and added per-reviewer review counts to the "core" section.
 // Version 4 dropped the Appendix B "subindex" section and the
 // configuration's substitution-index byte from the "core" section.
-const FormatVersion uint32 = 4
+// Version 5 partitioned the extraction relation: the "core" section holds
+// the review → (attribute, marker) table of every review, then the full
+// extraction rows of the served entities only.
+const FormatVersion uint32 = 5
 
 // Typed errors for unusable snapshot files. Wrapped with context by the
 // parser; match with errors.Is.

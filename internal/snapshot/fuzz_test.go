@@ -10,18 +10,77 @@ package snapshot
 // section decoders directly. testdata/fuzz/FuzzSnapshotLoad holds
 // additional checked-in seeds; every header in them carries FormatVersion
 // (TestCheckedInSeedsAtFormatVersion) so they reach the decoders, except
-// seed-v2 and seed-v3, which pin the refusal of earlier format versions.
+// seed-v2, seed-v3 and seed-v4, which pin the refusal of earlier format
+// versions. A database Load does accept must answer /evidence — resolve
+// the provenance of every summary it holds — without a panic.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/relstore"
 )
+
+// opinionCountBomb is a container whose meta and rel sections decode and
+// whose core section declares one document per count, each followed by a
+// few bytes: the opinion counts must be bounded by the bytes left before
+// they become offsets or an allocation.
+func opinionCountBomb(counts ...uint64) []byte {
+	meta, err := encodeSection(SectionMeta, metaPayload{})
+	if err != nil {
+		panic(err)
+	}
+	rel, err := relstore.NewTable(relstore.Schema{
+		Name:    relstore.EntitiesName,
+		Key:     relstore.EntityKey,
+		Columns: []relstore.Column{{Name: relstore.EntityKey, Type: relstore.TString}},
+	}, nil)
+	if err != nil {
+		panic(err)
+	}
+	e := &enc{}
+	e.str("bomb")
+	e.config(core.Config{})
+	e.uvarint(0) // attributes
+	e.uvarint(0) // summary attributes
+	e.uvarint(uint64(len(counts)))
+	for _, n := range counts {
+		e.uvarint(n)
+	}
+	e.b = append(e.b, make([]byte, 16)...)
+	return containerBytes([]Section{meta, {Name: SectionRel, Payload: encodeRel(rel)}, {Name: SectionCore, Payload: e.b}})
+}
+
+// TestLoadBoundsCoreOpinionCounts: a CRC-valid core section whose
+// per-document opinion counts exceed its bytes — past int32, near it, or
+// wrapping the running total — is refused with an error naming the
+// section, never a panic or a multi-GiB allocation.
+func TestLoadBoundsCoreOpinionCounts(t *testing.T) {
+	for _, counts := range [][]uint64{
+		{0xFFFFFFFF},
+		{math.MaxInt32},
+		{1<<32 | 1},
+		{1, math.MaxUint64},
+		{17},
+	} {
+		path := filepath.Join(t.TempDir(), "bomb.snap")
+		if err := os.WriteFile(path, opinionCountBomb(counts...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Load(path)
+		if err == nil || !strings.Contains(err.Error(), "decode "+SectionCore+": malformed opinion count") {
+			t.Errorf("counts %v: got %v, want a malformed opinion count in %s", counts, err, SectionCore)
+		}
+	}
+}
 
 // containerBytes builds a syntactically valid container (header + CRCs)
 // around the given sections.
@@ -79,6 +138,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 		{Name: SectionExtractor, Payload: bomb},
 		{Name: "subindex", Payload: bomb},
 	}))
+	// A core section whose opinion count exceeds int32 (checked in as
+	// seed-08 too).
+	f.Add(opinionCountBomb(0xFFFFFFFF))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.snap")
@@ -88,6 +150,15 @@ func FuzzSnapshotLoad(f *testing.F) {
 		db, meta, err := Load(path) // must not panic
 		if err == nil && (db == nil || meta == nil) {
 			t.Fatal("Load returned success without a database")
+		}
+		if err == nil {
+			for _, a := range db.Attrs {
+				for _, id := range db.EntityIDs() {
+					for m := range a.Markers {
+						db.ProvenanceOf(a.Name, id, m) // must not panic
+					}
+				}
+			}
 		}
 		if v, ok := headerVersion(data); ok && v != FormatVersion && !errors.Is(err, ErrVersion) {
 			t.Fatalf("version %d header: got %v, want ErrVersion", v, err)
@@ -138,6 +209,8 @@ func TestCheckedInSeedsAtFormatVersion(t *testing.T) {
 			want = 2
 		case "seed-v3":
 			want = 3
+		case "seed-v4":
+			want = 4
 		}
 		if ok && v != want {
 			t.Errorf("%s: header version %d, want %d", path, v, want)

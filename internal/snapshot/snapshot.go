@@ -17,7 +17,7 @@ import (
 	"repro/internal/ir"
 )
 
-// Section names of format version 4. SectionShard is present only in
+// Section names of format version 5. SectionShard is present only in
 // per-shard snapshots written by a sharded build; every other section is
 // required, and Load refuses any name not listed here (ErrUnknownSection).
 const (
@@ -169,7 +169,7 @@ func WriteShard(w io.Writer, db *core.DB, shard *ShardMeta) (*Meta, error) {
 		BuildSeed:   db.Config().Seed,
 		Entities:    len(db.EntityIDs()),
 		Reviews:     len(db.ReviewSentiments),
-		Extractions: len(db.Extractions),
+		Extractions: db.ExtractionCount(),
 		Attributes:  len(db.Attrs),
 		CreatedUnix: time.Now().Unix(),
 	}

@@ -134,8 +134,8 @@ func TestRoundTripMeta(t *testing.T) {
 	if meta.Entities != len(d.Entities) || meta.Reviews != len(d.Reviews) {
 		t.Errorf("corpus size %d/%d, want %d/%d", meta.Entities, meta.Reviews, len(d.Entities), len(d.Reviews))
 	}
-	if meta.Extractions != len(built.Extractions) {
-		t.Errorf("extractions %d, want %d", meta.Extractions, len(built.Extractions))
+	if meta.Extractions != built.ExtractionCount() {
+		t.Errorf("extractions %d, want %d", meta.Extractions, built.ExtractionCount())
 	}
 	if meta.LoadDuration <= 0 {
 		t.Error("load duration not recorded")
@@ -610,9 +610,9 @@ func TestLoadRefusesBadProvenance(t *testing.T) {
 		t.Fatal("fixture has no provenance")
 	}
 	foreign := -1 // an extraction of another entity
-	for i, ext := range db.Extractions {
+	for _, ext := range db.State().Extractions {
 		if ext.EntityID != entity {
-			foreign = i
+			foreign = ext.ID
 			break
 		}
 	}

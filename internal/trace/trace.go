@@ -308,12 +308,6 @@ func (c *Collector) push(ring *[]*record, rec *record) {
 	}
 }
 
-// FromContext returns the active span, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey).(*Span)
-	return s
-}
-
 // ID returns the trace id carried by ctx — from the active span or a
 // remote extract — or "". This is the log-correlation hook: slog lines
 // tagged with ID(ctx) join logs to /debug/traces and to metric
