@@ -1,7 +1,7 @@
 # Tier-1 verification gate (referenced from ROADMAP.md): gofmt
 # cleanliness, vet, build, and the full test suite under the race
 # detector. CI and pre-merge checks run `make verify`.
-.PHONY: verify fmtcheck build test race bench bench-check cover fuzz-smoke serve snapshot snapshot-smoke shard-smoke journal-smoke rebalance-smoke load-smoke write-smoke replica-smoke trace-smoke loc flags compact rebalance
+.PHONY: verify fmtcheck build test race stress bench bench-check cover fuzz-smoke serve snapshot snapshot-smoke shard-smoke journal-smoke rebalance-smoke load-smoke write-smoke replica-smoke trace-smoke loc flags compact rebalance
 
 verify: fmtcheck
 	go vet ./...
@@ -43,6 +43,17 @@ test:
 
 race:
 	go test -race ./...
+
+# Concurrency stress: a fleet open loads shards on several goroutines
+# and journal replay prepares records on a worker pool, so one passing
+# run says little. This repeats, under the race detector, the tests that
+# hold both to their serial results: ApplyAll against the serial fold,
+# and FromManifest's serial in-order hooks, monolith answers and clean
+# failures. Fifty race runs of either package take ~10-15 minutes on two
+# cores, past go test's default 10-minute limit, hence -timeout.
+stress:
+	go test -race -count=50 -timeout 30m -run '^TestApplyAllEqualsSerialFold$$' ./internal/journal
+	go test -race -count=50 -timeout 30m -run '^TestFromManifest(HooksSerialInOrder|FailsCleanly)$$' ./internal/router
 
 # Performance trajectory: every table/figure benchmark plus the
 # concurrency, build, and snapshot persistence benchmarks.

@@ -405,9 +405,26 @@ func snapshotInfo(path string, meta *snapshot.Meta) *server.SnapshotInfo {
 	return info
 }
 
+// Connection limits of the serving port, so a slow or silent client
+// cannot hold a connection open forever. A request's headers are a few
+// hundred bytes, so 10 s only ever cuts off a stalled sender. Idle
+// keep-alive connections outlive the router's 90 s IdleConnTimeout
+// (internal/router/backend.go): the router always drops a pooled
+// connection before the node does, so it never reuses one the node has
+// just closed.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 // serve runs the HTTP server until interrupted.
 func serve(addr string, handler http.Handler) {
-	httpSrv := &http.Server{Addr: addr, Handler: logRequests(handler)}
+	httpSrv := &http.Server{
+		Addr:              addr,
+		Handler:           logRequests(handler),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -235,7 +235,13 @@ func FromState(st *DBState, c Components) (*DB, error) {
 	// ---- Marker summaries: validate them against the schema and the
 	// served rows, ensure an entry per attribute (AddReview folds into
 	// these maps), and finalize the per-marker centroids exactly as Build
-	// does.
+	// does. rowOf[id] is 1 + the position of served row id (0: not
+	// served), so a cited id resolves without a search; it is dropped
+	// when FromState returns.
+	rowOf := make([]int32, len(db.ops))
+	for i := range db.extractions {
+		rowOf[db.extractions[i].ID] = int32(i + 1)
+	}
 	for attrName, byEntity := range db.Summaries {
 		attr := db.attrByName[attrName]
 		if attr == nil {
@@ -255,12 +261,11 @@ func FromState(st *DBState, c Components) (*DB, error) {
 			}
 			for m, ids := range s.Provenance {
 				for _, id := range ids {
-					ext := db.extraction(id)
-					if ext == nil {
+					if id < 0 || id >= len(rowOf) || rowOf[id] == 0 {
 						return nil, stateErr("summaries", "summary %s/%s marker %d cites extraction %d, which is not a served row of %d extractions",
 							attrName, entityID, m, id, len(db.ops))
 					}
-					if ext.Attribute != attrName || ext.EntityID != entityID || ext.Marker != m {
+					if ext := &db.extractions[rowOf[id]-1]; ext.Attribute != attrName || ext.EntityID != entityID || ext.Marker != m {
 						return nil, stateErr("summaries", "summary %s/%s marker %d cites extraction %d of %s/%s marker %d",
 							attrName, entityID, m, id, ext.Attribute, ext.EntityID, ext.Marker)
 					}

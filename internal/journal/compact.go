@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -32,32 +34,132 @@ type ApplyStats struct {
 	Skipped int
 }
 
-// ApplyAll replays the journal directory into a loaded database through
-// the deterministic core.ApplyReview delta path, in journal order.
-// Already-ingested reviews are skipped (idempotent replay). The caller
+// ApplyAll replays the journal directory into a loaded database, in
+// journal order, with the result of a serial core.ApplyReview loop: the
+// same state, the same ApplyStats, and on failure the same error at the
+// same seq, with no later record folded. The linguistic half runs ahead
+// on GOMAXPROCS workers (core.PrepareReview reads only frozen state); the
+// fold, core.ApplyPrepared, runs on the caller's goroutine strictly in
+// seq order, and it alone decides whether a review is already ingested
+// and skipped (idempotent replay). At most replayWindowPerWorker records
+// per worker are between the reader and the fold, so memory does not grow
+// with the journal, and every worker has exited when ApplyAll returns. The caller
 // must hold whatever writer exclusion the database requires.
 func ApplyAll(db *core.DB, dir string) (ApplyStats, error) {
-	var st ApplyStats
-	stats, err := Replay(dir, func(seq uint64, rv Review) error {
-		if db.HasReview(rv.ID) {
-			st.Skipped++
-			return nil
+	a := &applier{db: db}
+	defer a.stop()
+	stats, err := replay(dir, a.add, a.settle)
+	a.st.ReplayStats = stats
+	return a.st, err
+}
+
+// replayWindowPerWorker sizes ApplyAll's window: records read but not yet
+// folded, per prepare worker. A few per worker keep every worker busy
+// while the fold waits on the oldest record.
+const replayWindowPerWorker = 4
+
+// pendingRecord is one journal record between the reader and the fold.
+// done closes once p and err are set (at once for a review the database
+// already holds, which the fold skips without a preparation).
+type pendingRecord struct {
+	seq  uint64
+	rv   core.ReviewData
+	p    *core.PreparedReview
+	err  error
+	done chan struct{}
+}
+
+// applier is ApplyAll's pipeline: add (the Replay callback) queues each
+// record and hands it to a prepare worker, and folds the oldest record
+// once the window is full; settle folds the rest at every segment end.
+type applier struct {
+	db      *core.DB
+	st      ApplyStats
+	jobs    chan *pendingRecord
+	workers sync.WaitGroup
+	window  []*pendingRecord // read, not yet folded, oldest first
+	size    int
+	failed  error
+}
+
+// add queues one record, starting the workers on the first.
+func (a *applier) add(seq uint64, rv Review) error {
+	if a.jobs == nil {
+		n := runtime.GOMAXPROCS(0)
+		a.size = replayWindowPerWorker * n
+		a.jobs = make(chan *pendingRecord, a.size)
+		a.workers.Add(n)
+		for range n {
+			go a.prepare()
 		}
-		if err := db.ApplyReview(core.ReviewData{
-			ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer,
-			Day: rv.Day, Text: rv.Text,
-		}); err != nil {
-			return fmt.Errorf("journal: apply seq %d (review %s): %w", seq, rv.ID, err)
-		}
-		st.Applied++
+	}
+	r := &pendingRecord{seq: seq, rv: core.ReviewData{
+		ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
+	}, done: make(chan struct{})}
+	// Reviews are never removed, so one held now is still held at its fold.
+	if a.db.HasReview(rv.ID) {
+		close(r.done)
+	} else {
+		a.jobs <- r
+	}
+	a.window = append(a.window, r)
+	if len(a.window) < a.size {
 		return nil
-	})
-	st.ReplayStats = stats
-	return st, err
+	}
+	return a.foldOldest()
+}
+
+// prepare is one worker: it prepares records until the channel closes.
+func (a *applier) prepare() {
+	defer a.workers.Done()
+	for r := range a.jobs {
+		r.p, r.err = a.db.PrepareReview(r.rv)
+		close(r.done)
+	}
+}
+
+// settle folds every queued record, in order.
+func (a *applier) settle() error {
+	for len(a.window) > 0 && a.failed == nil {
+		a.foldOldest()
+	}
+	return a.failed
+}
+
+// foldOldest waits for the oldest queued record's preparation and folds
+// it, exactly as the serial loop would: skipped if the review is already
+// ingested, else applied, and a failure is kept and returned from then on.
+func (a *applier) foldOldest() error {
+	r := a.window[0]
+	a.window[0] = nil
+	a.window = a.window[1:]
+	<-r.done
+	if a.db.HasReview(r.rv.ID) {
+		a.st.Skipped++
+		return nil
+	}
+	err := r.err
+	if err == nil {
+		err = a.db.ApplyPrepared(r.p)
+	}
+	if err != nil {
+		a.failed = fmt.Errorf("journal: apply seq %d (review %s): %w", r.seq, r.rv.ID, err)
+		return a.failed
+	}
+	a.st.Applied++
+	return nil
+}
+
+// stop closes the work channel and waits for every worker to exit.
+func (a *applier) stop() {
+	if a.jobs != nil {
+		close(a.jobs)
+		a.workers.Wait()
+	}
 }
 
 // LoadWithJournal is the serving cold-start path of an enriched database:
-// load the snapshot, then replay its journal (if any) through ApplyReview.
+// load the snapshot, then replay its journal (if any) through ApplyAll.
 // The result answers queries byte-identically to a live database that
 // ingested the same reviews in the same order — the replay-vs-rebuild
 // contract enforced by the journal e2e tests.

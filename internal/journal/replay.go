@@ -136,6 +136,16 @@ func scanSegmentFile(path string, nameSeq, wantFirstSeq uint64, fn func(seq uint
 // error. Replay never modifies the journal; Open is what truncates a
 // damaged tail before new appends.
 func Replay(dir string, fn func(seq uint64, rv Review) error) (ReplayStats, error) {
+	return replay(dir, fn, nil)
+}
+
+// replay is Replay with a segment-end hook: settle, when non-nil, runs
+// once each segment's records have been delivered, before the segment
+// enters the stats or its damage is judged, and an error from it ends the
+// replay there. A consumer that lags behind fn (ApplyAll's fold) catches
+// up in it, so its error reaches the caller with the stats Replay has
+// when fn itself fails at that record.
+func replay(dir string, fn func(seq uint64, rv Review) error, settle func() error) (ReplayStats, error) {
 	var stats ReplayStats
 	paths, seqs, err := listSegments(dir)
 	if err != nil {
@@ -148,6 +158,11 @@ func Replay(dir string, fn func(seq uint64, rv Review) error) (ReplayStats, erro
 	for i, path := range paths {
 		last := i == len(paths)-1
 		res, err := scanSegmentFile(path, seqs[i], next, fn)
+		if settle != nil {
+			if err := settle(); err != nil {
+				return stats, err
+			}
+		}
 		if err != nil {
 			return stats, err
 		}

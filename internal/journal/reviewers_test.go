@@ -126,6 +126,25 @@ func statePaths(t *testing.T) ([]statePath, map[string]bool) {
 			return loadBase(t, snap)
 		}
 	}
+	// repeatsReplayed journals deltas in short segments with two of them
+	// written twice, and replays the journal into db's snapshot with
+	// ApplyAll, whose workers prepare ahead of the fold.
+	repeatsReplayed := func(db *core.DB) func(t *testing.T) *core.DB {
+		return func(t *testing.T) *core.DB {
+			snap := filepath.Join(t.TempDir(), "repeats.snap")
+			if _, err := snapshot.Save(snap, db); err != nil {
+				t.Fatal(err)
+			}
+			deltas := slices.Concat(both[:3], both[:1], both[3:], both[len(both)-1:])
+			journalDeltas(t, journal.Dir(snap), deltas, journal.Options{SegmentMaxBytes: 700})
+			replayed := loadBase(t, snap)
+			st, err := journal.ApplyAll(replayed, journal.Dir(snap))
+			if err != nil || st.Applied != len(both) || st.Skipped != 2 || st.Segments < 2 {
+				t.Fatalf("replay applied %d, skipped %d over %d segments: %v", st.Applied, st.Skipped, st.Segments, err)
+			}
+			return replayed
+		}
+	}
 	inMemory := func(db *core.DB) func(*testing.T) *core.DB {
 		return func(*testing.T) *core.DB { return db }
 	}
@@ -141,6 +160,7 @@ func statePaths(t *testing.T) ([]statePath, map[string]bool) {
 		{"ApplyReview owned on a loaded shard", loadApply(shardSnap, owned), [][]core.ReviewData{baseReviews, owned}, parts[0], loadApply(baseSnap, owned)},
 		{"ApplyReview replicated on a loaded shard", loadApply(shardSnap, replicated), [][]core.ReviewData{baseReviews, replicated}, parts[0], loadApply(baseSnap, replicated)},
 		{"journal replay on a shard", journaled(shards[0], false), [][]core.ReviewData{baseReviews, owned, replicated}, parts[0], loadApply(baseSnap, both)},
+		{"journal.ApplyAll over short segments with repeats on a shard", repeatsReplayed(shards[0]), [][]core.ReviewData{baseReviews, owned, replicated}, parts[0], loadApply(baseSnap, both)},
 		{"journal.Compact", journaled(base, true), [][]core.ReviewData{baseReviews, owned, replicated}, all, loadApply(baseSnap, both)},
 	}
 	reviewers := map[string]bool{}

@@ -2,6 +2,9 @@ package router
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/server"
@@ -27,7 +30,8 @@ type ManifestOptions struct {
 	// options (entity naming, /healthz snapshot report, journaling); path
 	// is the shard's resolved snapshot file and replica the backend's
 	// position in the range's replica set. nil serves each shard with
-	// zero options.
+	// zero options. It and WrapBackend are called on FromManifest's
+	// goroutine, one node at a time, in manifest order.
 	ShardServer func(shard, replica int, path string, db *core.DB, meta *snapshot.Meta) server.Options
 	// WrapBackend, when non-nil, wraps each node's backend before the
 	// router sees it — the fault-injection seam (DelayBackend, kill
@@ -43,6 +47,16 @@ type ManifestOptions struct {
 // -verify path. Backend names are "shard<i>" for single-replica fleets
 // (unchanged from the pre-replication router) and "shard<i>.r<j>"
 // otherwise.
+//
+// The loads run concurrently, at most GOMAXPROCS at a time and started in
+// manifest order. The hooks do not: ShardServer and then WrapBackend run
+// on the calling goroutine, one node at a time, in manifest order (shard
+// by shard, replica by replica), each once its node's load has finished,
+// so a hook may touch the caller's state without locking and a node's
+// hook (say, a journal replay) overlaps the loads of the nodes after it.
+// A failed load fails the call with the first error in manifest order,
+// after no further hook has run and every started load has finished: no
+// goroutine outlives FromManifest.
 func FromManifest(manifestPath string, opts ManifestOptions) (*Router, *snapshot.Manifest, error) {
 	m, err := snapshot.LoadManifest(manifestPath)
 	if err != nil {
@@ -64,29 +78,37 @@ func FromManifest(manifestPath string, opts ManifestOptions) (*Router, *snapshot
 		return m.ReplicaCount(shard)
 	}
 	multi := false
-	for i := 0; i < m.Shards; i++ {
-		if countFor(i) > 1 {
-			multi = true
+	var loads []*shardLoad
+	for _, ms := range m.Shard {
+		replicas := countFor(ms.Index)
+		multi = multi || replicas > 1
+		for range replicas {
+			loads = append(loads, &shardLoad{shard: ms.Index, done: make(chan struct{})})
 		}
 	}
+	defer loadShards(manifestPath, m, loads)()
+
 	shards := make([]Shard, 0, m.Shards)
+	next := 0
 	for _, ms := range m.Shard {
 		sh := Shard{FirstEntity: ms.FirstEntity, LastEntity: ms.LastEntity}
 		replicas := countFor(ms.Index)
 		for j := 0; j < replicas; j++ {
-			db, meta, err := snapshot.LoadVerifiedShard(manifestPath, m, ms.Index)
-			if err != nil {
-				return nil, nil, err
+			l := loads[next]
+			next++
+			<-l.done
+			if l.err != nil {
+				return nil, nil, l.err
 			}
 			var srvOpts server.Options
 			if opts.ShardServer != nil {
-				srvOpts = opts.ShardServer(ms.Index, j, snapshot.ShardPath(manifestPath, ms), db, meta)
+				srvOpts = opts.ShardServer(ms.Index, j, snapshot.ShardPath(manifestPath, ms), l.db, l.meta)
 			}
 			name := fmt.Sprintf("shard%d", ms.Index)
 			if multi {
 				name = fmt.Sprintf("shard%d.r%d", ms.Index, j)
 			}
-			var b Backend = NewLocalBackend(name, db, srvOpts)
+			var b Backend = NewLocalBackend(name, l.db, srvOpts)
 			if opts.WrapBackend != nil {
 				b = opts.WrapBackend(ms.Index, j, b)
 			}
@@ -103,4 +125,42 @@ func FromManifest(manifestPath string, opts ManifestOptions) (*Router, *snapshot
 		return nil, nil, err
 	}
 	return rt, m, nil
+}
+
+// shardLoad is one node's verified shard load; done closes once db, meta
+// and err are set.
+type shardLoad struct {
+	shard int
+	db    *core.DB
+	meta  *snapshot.Meta
+	err   error
+	done  chan struct{}
+}
+
+// loadShards runs the loads on min(GOMAXPROCS, len(loads)) workers that
+// take them in order, and returns the wait: it stops the loads not yet
+// started and returns once every worker has exited.
+func loadShards(manifestPath string, m *snapshot.Manifest, loads []*shardLoad) (wait func()) {
+	var (
+		next atomic.Int64
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	for range min(runtime.GOMAXPROCS(0), len(loads)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := next.Add(1) - 1; k < int64(len(loads)); k = next.Add(1) - 1 {
+				l := loads[k]
+				if !stop.Load() {
+					l.db, l.meta, l.err = snapshot.LoadVerifiedShard(manifestPath, m, l.shard)
+				}
+				close(l.done)
+			}
+		}()
+	}
+	return func() {
+		stop.Store(true)
+		wg.Wait()
+	}
 }
