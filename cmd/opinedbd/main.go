@@ -109,7 +109,7 @@ func main() {
 	if *debugAddr != "" {
 		go func() {
 			slog.Info("debug surface listening", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, trace.DebugMux(tracer)); err != nil {
+			if err := newHTTPServer(*debugAddr, trace.DebugMux(tracer)).ListenAndServe(); err != nil {
 				slog.Error("debug surface failed", "addr", *debugAddr, "err", err)
 			}
 		}()
@@ -405,9 +405,10 @@ func snapshotInfo(path string, meta *snapshot.Meta) *server.SnapshotInfo {
 	return info
 }
 
-// Connection limits of the serving port, so a slow or silent client
-// cannot hold a connection open forever. A request's headers are a few
-// hundred bytes, so 10 s only ever cuts off a stalled sender. Idle
+// Connection limits of the serving port and the debug surface, so a slow
+// or silent client cannot hold a connection open forever. A request's
+// headers are a few hundred bytes, so 10 s only ever cuts off a stalled
+// sender. Idle
 // keep-alive connections outlive the router's 90 s IdleConnTimeout
 // (internal/router/backend.go): the router always drops a pooled
 // connection before the node does, so it never reuses one the node has
@@ -417,14 +418,19 @@ const (
 	idleTimeout       = 120 * time.Second
 )
 
-// serve runs the HTTP server until interrupted.
-func serve(addr string, handler http.Handler) {
-	httpSrv := &http.Server{
+// newHTTPServer is an http.Server on addr with the connection limits.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
 		Addr:              addr,
-		Handler:           logRequests(handler),
+		Handler:           handler,
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
+}
+
+// serve runs the HTTP server until interrupted.
+func serve(addr string, handler http.Handler) {
+	httpSrv := newHTTPServer(addr, logRequests(handler))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

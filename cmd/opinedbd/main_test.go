@@ -98,6 +98,16 @@ func TestNoRoleIsUsageError(t *testing.T) {
 	}
 }
 
+// TestListenersHaveConnectionLimits: the serving port and the debug
+// surface are built by one constructor, so both cut off a stalled header
+// sender and an idle keep-alive connection.
+func TestListenersHaveConnectionLimits(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 120*time.Second {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v; want 10s, 120s", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+}
+
 // TestServesSnapshot: a small snapshot written here serves /healthz and
 // answers a /query, then shuts down cleanly on SIGTERM.
 func TestServesSnapshot(t *testing.T) {

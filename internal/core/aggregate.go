@@ -173,8 +173,8 @@ func (db *DB) nearestDomainVariation(text string) (*SubjectiveAttribute, int, fl
 }
 
 // addOwned folds served row i, just appended to db.extractions, into its
-// entity's live summary, maintaining the finalized centroid in place, and
-// into extIndex.
+// entity's live summary, maintaining the touched marker's centroid norm in
+// place, and into extIndex.
 func (db *DB) addOwned(attr *SubjectiveAttribute, i int) {
 	ext := &db.extractions[i]
 	byEntity := db.Summaries[attr.Name]
@@ -185,8 +185,8 @@ func (db *DB) addOwned(attr *SubjectiveAttribute, i int) {
 		byEntity[ext.EntityID] = s
 	}
 	s.add(ext.Marker, ext.Sentiment, db.Embed.Rep(ext.Phrase), ext.ID)
-	// Refresh the finalized centroid of the touched marker only.
-	if s.centroids != nil {
+	// Refresh the centroid norm of the touched marker only.
+	if s.centroidNorms != nil {
 		s.refreshCentroid(ext.Marker)
 	}
 	db.indexExtraction(i)

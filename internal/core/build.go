@@ -365,7 +365,7 @@ func Build(in BuildInput, cfg Config) (*DB, error) {
 		db.opStart = append(db.opStart, int32(len(db.ops)))
 	}
 
-	// Finalize summaries: precompute per-marker centroids.
+	// Finalize summaries: precompute per-marker centroid norms.
 	for _, byEntity := range db.Summaries {
 		for _, s := range byEntity {
 			s.finalize()

@@ -432,7 +432,7 @@ func oracleSearchBoosted(ix ir.IndexState, query []string, k int, boost func(id 
 		for _, p := range plist {
 			tf := float64(p.TF)
 			dl := float64(ix.DocLen[p.Doc])
-			scores[p.Doc] += idf * tf * (k1 + 1) / (tf + k1*(1-b+b*dl/avg))
+			scores[int(p.Doc)] += idf * tf * (k1 + 1) / (tf + k1*(1-b+b*dl/avg))
 		}
 	}
 	h := make(oracleResultHeap, 0, k+1)

@@ -153,7 +153,8 @@ func (db *DB) newMarkerTerm(attr *SubjectiveAttribute, marker int, q embedding.V
 // Float order is part of the contract (answers are compared bit for bit
 // across shards, replicas and releases): every sum runs over the markers in
 // index order with one accumulator, and the cosine is dot/(|q|·|c|) with
-// embedding.Vector's own Dot and Norm.
+// the bits of embedding.Vector's own Dot and Norm over the materialized
+// centroid (CentroidDot, CentroidNorm).
 func (t *markerTerm) features(s *MarkerSummary) (f [markerFeatureCount]float64) {
 	if s == nil || s.Total == 0 || t.marker < 0 {
 		return f
@@ -175,11 +176,11 @@ func (t *markerTerm) features(s *MarkerSummary) (f [markerFeatureCount]float64) 
 	f[4] = aligned / s.Total
 	// f5: cosine between the query phrase and the entity's phrase centroid
 	// at the target marker; 0 if either is a zero vector. Every summary the
-	// engine serves is finalized, so |c| is the stored c.Norm(), not a dot
-	// per entity.
+	// engine serves is finalized, so |c| is the stored norm, not a dot per
+	// entity, and q·c is read from the marker's sum (CentroidDot).
 	if t.qNorm != 0 {
 		if cNorm := s.centroidNorms[t.marker]; cNorm != 0 {
-			f[5] = t.q.Dot(s.centroids[t.marker]) / (t.qNorm * cNorm)
+			f[5] = s.CentroidDot(t.marker, t.q) / (t.qNorm * cNorm)
 		}
 	}
 	return f

@@ -28,6 +28,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -105,8 +106,9 @@ func (a *SubjectiveAttribute) MarkerIndex(name string) int {
 
 // MarkerSummary is the aggregate view of one (entity, attribute) pair
 // (§2): a histogram over markers plus the precomputed features query
-// processing needs (per-marker sentiment totals and embedding centroids),
-// and provenance links back to the contributing extractions.
+// processing needs (per-marker sentiment totals, embedding sums and
+// centroid norms), and provenance links back to the contributing
+// extractions.
 type MarkerSummary struct {
 	// Counts[i] is the number of phrases mapped to marker i.
 	Counts []float64
@@ -118,32 +120,57 @@ type MarkerSummary struct {
 	Total float64
 	// Provenance[i] lists extraction ids contributing to marker i.
 	Provenance [][]int
-	// centroids are the precomputed per-marker mean vectors, finalized
-	// after construction so query processing avoids per-call allocation —
-	// the "features precomputed for each marker" of §5.4.2.
-	centroids []embedding.Vector
-	// centroidNorms[i] is centroids[i].Norm(): a centroid only moves on an
-	// owned write, so the cosine's |c| is not recomputed per query.
+	// centroidNorms[i] is Centroid(i).Norm(), precomputed after
+	// construction — the "features precomputed for each marker" of
+	// §5.4.2. A centroid only moves on an owned write, so the cosine's |c|
+	// is not recomputed per query; the centroid itself is never stored,
+	// CentroidDot reads it from VecSum.
 	centroidNorms []float64
 }
 
-// finalize precomputes the per-marker centroids and their norms.
+// finalize precomputes the per-marker centroid norms.
 func (s *MarkerSummary) finalize() {
-	s.centroids = make([]embedding.Vector, len(s.VecSum))
 	s.centroidNorms = make([]float64, len(s.VecSum))
 	for i := range s.VecSum {
 		s.refreshCentroid(i)
 	}
 }
 
-// refreshCentroid rederives marker i's finalized centroid and norm from
-// the sums.
-func (s *MarkerSummary) refreshCentroid(i int) {
-	c := s.VecSum[i].Clone()
+// centroidScale is the factor that turns marker i's sum into its mean: 1
+// over the count, or 1 for an empty marker (whose sum is zero).
+func (s *MarkerSummary) centroidScale(i int) float64 {
 	if s.Counts[i] > 0 {
-		c.Scale(1 / s.Counts[i])
+		return 1 / s.Counts[i]
 	}
-	s.centroids[i], s.centroidNorms[i] = c, c.Norm()
+	return 1
+}
+
+// refreshCentroid rederives marker i's centroid norm from the sums.
+func (s *MarkerSummary) refreshCentroid(i int) {
+	v, f := s.VecSum[i], s.centroidScale(i)
+	var d float64
+	for j := range v {
+		c := float64(v[j] * f)
+		d += c * c
+	}
+	s.centroidNorms[i] = math.Sqrt(d)
+}
+
+// CentroidNorm is Centroid(i).Norm() as finalize or the last owned write
+// to marker i stored it.
+func (s *MarkerSummary) CentroidNorm(i int) float64 { return s.centroidNorms[i] }
+
+// CentroidDot is q.Dot(Centroid(i)) without materializing the centroid.
+// The explicit conversion rounds each scaled component to float64 before
+// it is multiplied, exactly as a stored Clone+Scale copy would hold it, so
+// the sum carries the same bits as embedding.Vector's Dot over that copy.
+func (s *MarkerSummary) CentroidDot(i int, q embedding.Vector) float64 {
+	v, f := s.VecSum[i][:len(q)], s.centroidScale(i) // one bounds check, not one per j
+	var d float64
+	for j := range q {
+		d += q[j] * float64(v[j]*f)
+	}
+	return d
 }
 
 // newMarkerSummary allocates an empty summary for k markers and dim-sized
@@ -182,14 +209,10 @@ func (s *MarkerSummary) AvgSentiment(i int) float64 {
 	return s.SentSum[i] / s.Counts[i]
 }
 
-// Centroid returns the mean embedding of marker i's phrases (zero vector
-// when empty). After construction the centroid is precomputed; before
-// finalization it is computed on the fly. The caller must not modify the
-// returned vector.
+// Centroid returns a fresh copy of the mean embedding of marker i's
+// phrases (zero vector when empty). Query processing never calls it: it
+// reads CentroidDot and CentroidNorm instead.
 func (s *MarkerSummary) Centroid(i int) embedding.Vector {
-	if s.centroids != nil {
-		return s.centroids[i]
-	}
 	out := s.VecSum[i].Clone()
 	if s.Counts[i] > 0 {
 		out.Scale(1 / s.Counts[i])

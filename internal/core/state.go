@@ -10,7 +10,7 @@ package core
 // configuration. FromState() reconstructs a query-ready DB from that
 // state plus the independently serialized subsystems (the Entities
 // relation, embedding model, IR indexes, extractor tagger), rebuilding
-// the derived state — attrByName, entityIDs, summary centroids, and
+// the derived state — attrByName, entityIDs, summary centroid norms, and
 // through buildDerived (derived.go, the helper Build ends in too) the
 // rows' access path, co-occurrence statistics, domain tables and
 // review boost table — so a loaded DB answers every query
@@ -234,8 +234,8 @@ func FromState(st *DBState, c Components) (*DB, error) {
 
 	// ---- Marker summaries: validate them against the schema and the
 	// served rows, ensure an entry per attribute (AddReview folds into
-	// these maps), and finalize the per-marker centroids exactly as Build
-	// does. rowOf[id] is 1 + the position of served row id (0: not
+	// these maps), and finalize the per-marker centroid norms exactly as
+	// Build does. rowOf[id] is 1 + the position of served row id (0: not
 	// served), so a cited id resolves without a search; it is dropped
 	// when FromState returns.
 	rowOf := make([]int32, len(db.ops))

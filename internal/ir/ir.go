@@ -28,10 +28,13 @@ const (
 
 // Posting records one document's term frequency for a term. Exported
 // (with exported fields) so the index state can be serialized by the
-// snapshot layer without conversion.
+// snapshot layer without conversion. Both fields are int32, so a posting
+// is 8 bytes: the indexes hold hundreds of thousands of them on every
+// node, and neither a document number nor a term frequency comes near
+// 2³¹. BM25 reads them through float64 exactly as it would an int.
 type Posting struct {
-	Doc int
-	TF  int
+	Doc int32
+	TF  int32
 }
 
 // Index is an inverted index over documents added with Add. The zero value
@@ -66,7 +69,7 @@ func (ix *Index) Add(id string, tokens []string) int {
 		tf[t]++
 	}
 	for t, n := range tf {
-		ix.postings[t] = append(ix.postings[t], Posting{Doc: doc, TF: n})
+		ix.postings[t] = append(ix.postings[t], Posting{Doc: int32(doc), TF: int32(n)})
 	}
 	return doc
 }
@@ -181,7 +184,7 @@ func (ix *Index) SearchBoosted(query []string, k int, boost []float64) []Result 
 			// Every term contribution is strictly positive (idf > 0, tf >= 1),
 			// so a zero accumulator means a document not met before.
 			if acc[p.Doc] == 0 {
-				touched = append(touched, p.Doc)
+				touched = append(touched, int(p.Doc))
 			}
 			tf := float64(p.TF)
 			dl := float64(ix.docLen[p.Doc])
@@ -234,7 +237,7 @@ func (ix *Index) Score(id string, query []string) float64 {
 		}
 		seen[term] = true
 		for _, p := range ix.postings[term] {
-			if p.Doc != doc {
+			if int(p.Doc) != doc {
 				continue
 			}
 			tf := float64(p.TF)
@@ -326,7 +329,7 @@ func NewIndexFromState(st IndexState) (*Index, error) {
 	n := len(st.DocIDs)
 	for term, plist := range st.Postings {
 		for _, p := range plist {
-			if p.Doc < 0 || p.Doc >= n {
+			if p.Doc < 0 || int(p.Doc) >= n {
 				return nil, fmt.Errorf("ir: state posting for %q references doc %d of %d", term, p.Doc, n)
 			}
 		}

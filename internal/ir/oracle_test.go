@@ -56,7 +56,7 @@ func (ix *Index) oracleSearchBoosted(query []string, k int, boost func(id string
 		for _, p := range plist {
 			tf := float64(p.TF)
 			dl := float64(ix.docLen[p.Doc])
-			scores[p.Doc] += idf * tf * (k1 + 1) / (tf + k1*(1-b+b*dl/avg))
+			scores[int(p.Doc)] += idf * tf * (k1 + 1) / (tf + k1*(1-b+b*dl/avg))
 		}
 	}
 	h := make(oracleResultHeap, 0, k+1)

@@ -4,9 +4,12 @@ package journal_test
 // partitioned extraction relation (a node's rows plus the replicated
 // review → opinion table) are persisted state, so every path a database's
 // state travels — build, snapshot, shard split, shard merge, live writes
-// on a shard, journal replay and compaction — must carry them intact.
+// on a shard, journal replay and compaction — must carry them intact. So
+// must it carry the marker summaries' centroid norms, which no file
+// stores: every path rederives them.
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -15,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/embedding"
 	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/snapshot"
@@ -242,6 +246,80 @@ func TestExtractionPartitionSurvivesEveryStatePath(t *testing.T) {
 				t.Errorf("review → opinion table of %d documents / %d opinions, want the monolith's %d / %d",
 					len(got.OpStart)-1, len(got.Ops), len(want.OpStart)-1, len(want.Ops))
 			}
+		})
+	}
+}
+
+// TestCentroidsSurviveEveryStatePath: a summary stores no centroid, only
+// its norm, and the f5 dot product is read from the marker's sum. On every
+// state path — markers an owned write touched after load included — both
+// must carry the bits of the materialized centroid, Centroid(m), for every
+// served (attribute, entity, marker) against every bank predicate's
+// representation and every marker centroid of the schema (the query
+// vector of a TA degree list).
+func TestCentroidsSurviveEveryStatePath(t *testing.T) {
+	genCfg := corpus.SmallConfig()
+	genCfg.Seed = 1
+	bank := corpus.GenerateHotels(genCfg).Predicates
+	paths, _ := statePaths(t)
+	for _, c := range paths {
+		t.Run(c.name, func(t *testing.T) {
+			db := c.db(t)
+			ownedIDs := map[int]bool{}
+			for _, rvs := range c.reviews[1:] {
+				for _, rv := range rvs {
+					if !slices.Contains(c.ids, rv.EntityID) {
+						continue
+					}
+					for _, x := range db.State().Extractions {
+						if x.ReviewID == rv.ID {
+							ownedIDs[x.ID] = true
+						}
+					}
+				}
+			}
+			var qs []embedding.Vector
+			for _, p := range bank {
+				if q := db.Embed.Rep(p.Text); q != nil {
+					qs = append(qs, q)
+				}
+			}
+			for _, a := range db.Attrs {
+				for _, mk := range a.Markers {
+					qs = append(qs, mk.Centroid)
+				}
+			}
+			checked, touched := 0, 0
+			for _, a := range db.Attrs {
+				for _, id := range db.EntityIDs() {
+					s := db.Summaries[a.Name][id]
+					if s == nil {
+						continue
+					}
+					for m := range a.Markers {
+						cen := s.Centroid(m)
+						if got, want := s.CentroidNorm(m), cen.Norm(); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s/%s marker %d: norm %v, want %v", a.Name, id, m, got, want)
+						}
+						for qi, q := range qs {
+							if got, want := s.CentroidDot(m, q), q.Dot(cen); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%s/%s marker %d, query %d: dot %v, want %v", a.Name, id, m, qi, got, want)
+							}
+						}
+						checked++
+						if slices.ContainsFunc(s.Provenance[m], func(x int) bool { return ownedIDs[x] }) {
+							touched++
+						}
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatal("no served summary; the check would be vacuous")
+			}
+			if len(ownedIDs) > 0 && touched == 0 {
+				t.Fatal("the path's owned writes touched no checked marker")
+			}
+			t.Logf("%d markers, %d touched by owned writes, %d query vectors", checked, touched, len(qs))
 		})
 	}
 }

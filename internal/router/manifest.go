@@ -17,9 +17,10 @@ type ManifestOptions struct {
 	Options
 	// Replicas overrides the manifest's replica count when > 0: each
 	// shard range is served by that many independently loaded in-process
-	// backends (each replica loads its own verified copy of the shard
-	// snapshot, so replicas share no mutable state — exactly like a
-	// remote fleet). 0 follows the manifest.
+	// backends (the range's shard snapshot is verified once and each
+	// replica decodes its own database from it, so replicas share no
+	// mutable state — exactly like a remote fleet). 0 follows the
+	// manifest.
 	Replicas int
 	// ReplicasPerRange overrides the replica count per shard range
 	// (index-aligned with the manifest's shards; entries <= 0 mean 1).
@@ -40,20 +41,22 @@ type ManifestOptions struct {
 }
 
 // FromManifest assembles a single-process sharded deployment from a shard
-// manifest: every shard snapshot is digest-verified against the manifest,
-// loaded (once per replica), checked for the shard identity it claims,
-// and served through an in-process backend behind a router. This is the
-// `opinedbd -router` (no -router-backends) path and the builder's
-// -verify path. Backend names are "shard<i>" for single-replica fleets
+// manifest: every shard snapshot is read, digest-verified against the
+// manifest and checked for the shard identity it claims once per range,
+// decoded once per replica, and served through an in-process backend
+// behind a router. This is the `opinedbd -router` (no -router-backends)
+// path and the builder's -verify path. Backend names are "shard<i>" for single-replica fleets
 // (unchanged from the pre-replication router) and "shard<i>.r<j>"
 // otherwise.
 //
 // The loads run concurrently, at most GOMAXPROCS at a time and started in
-// manifest order. The hooks do not: ShardServer and then WrapBackend run
-// on the calling goroutine, one node at a time, in manifest order (shard
-// by shard, replica by replica), each once its node's load has finished,
-// so a hook may touch the caller's state without locking and a node's
-// hook (say, a journal replay) overlaps the loads of the nodes after it.
+// manifest order; a range's first load verifies the file, and the others
+// wait for it, then decode the same bytes. The hooks do not: ShardServer
+// and then WrapBackend run on the calling goroutine, one node at a time,
+// in manifest order (shard by shard, replica by replica), each once its
+// node's load has finished, so a hook may touch the caller's state
+// without locking and a node's hook (say, a journal replay) overlaps the
+// loads of the nodes after it.
 // A failed load fails the call with the first error in manifest order,
 // after no further hook has run and every started load has finished: no
 // goroutine outlives FromManifest.
@@ -82,8 +85,9 @@ func FromManifest(manifestPath string, opts ManifestOptions) (*Router, *snapshot
 	for _, ms := range m.Shard {
 		replicas := countFor(ms.Index)
 		multi = multi || replicas > 1
+		rng := &rangeImage{shard: ms.Index, left: replicas}
 		for range replicas {
-			loads = append(loads, &shardLoad{shard: ms.Index, done: make(chan struct{})})
+			loads = append(loads, &shardLoad{rng: rng, done: make(chan struct{})})
 		}
 	}
 	defer loadShards(manifestPath, m, loads)()
@@ -127,14 +131,50 @@ func FromManifest(manifestPath string, opts ManifestOptions) (*Router, *snapshot
 	return rt, m, nil
 }
 
-// shardLoad is one node's verified shard load; done closes once db, meta
-// and err are set.
+// shardLoad is one node's decode of its range's verified image; done
+// closes once db, meta and err are set.
 type shardLoad struct {
-	shard int
-	db    *core.DB
-	meta  *snapshot.Meta
-	err   error
-	done  chan struct{}
+	rng  *rangeImage
+	db   *core.DB
+	meta *snapshot.Meta
+	err  error
+	done chan struct{}
+}
+
+// rangeImage is the shard file of one range, opened (read, hashed and
+// identity-checked) by the first of its loads to run and closed by the
+// last to finish.
+type rangeImage struct {
+	shard  int
+	mu     sync.Mutex
+	opened bool
+	img    *snapshot.ShardImage
+	err    error
+	left   int // loads not yet finished
+}
+
+// decode opens the image on first use and decodes one replica's database.
+func (r *rangeImage) decode(manifestPath string, m *snapshot.Manifest) (*core.DB, *snapshot.Meta, error) {
+	r.mu.Lock()
+	if !r.opened {
+		r.opened = true
+		r.img, r.err = snapshot.OpenShard(manifestPath, m, r.shard)
+	}
+	img, err := r.img, r.err
+	r.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	return img.Decode()
+}
+
+// finish marks one load done, closing the image after the last.
+func (r *rangeImage) finish() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.left--; r.left == 0 && r.img != nil {
+		r.img.Close()
+	}
 }
 
 // loadShards runs the loads on min(GOMAXPROCS, len(loads)) workers that
@@ -153,8 +193,9 @@ func loadShards(manifestPath string, m *snapshot.Manifest, loads []*shardLoad) (
 			for k := next.Add(1) - 1; k < int64(len(loads)); k = next.Add(1) - 1 {
 				l := loads[k]
 				if !stop.Load() {
-					l.db, l.meta, l.err = snapshot.LoadVerifiedShard(manifestPath, m, l.shard)
+					l.db, l.meta, l.err = l.rng.decode(manifestPath, m)
 				}
+				l.rng.finish()
 				close(l.done)
 			}
 		}()

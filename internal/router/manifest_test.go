@@ -185,6 +185,58 @@ func TestFromManifestHooksSerialInOrder(t *testing.T) {
 	}
 }
 
+// TestFromManifestReplicasShareNoState opens a journaled four-shard fleet
+// at two replicas per range. A range's file is verified once but each
+// replica decodes its own database: the ShardServer hook sees a distinct
+// *core.DB for every node, and a write applied to one replica's database
+// leaves its peer's answers unchanged.
+func TestFromManifestReplicasShareNoState(t *testing.T) {
+	d, _, m, _ := e2eFixture(t)
+	manifestPath, deltas := enrichedFleet(t, m)
+	dbs := make([][]*core.DB, m.Shards)
+	h := new(hookLog)
+	opts := h.options(t, 2, len(deltas))
+	replay := opts.ShardServer
+	opts.ShardServer = func(shard, replica int, path string, db *core.DB, meta *snapshot.Meta) server.Options {
+		dbs[shard] = append(dbs[shard], db)
+		return replay(shard, replica, path, db, meta)
+	}
+	if _, _, err := router.FromManifest(manifestPath, opts); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[*core.DB]string{}
+	for s, reps := range dbs {
+		if len(reps) != 2 {
+			t.Fatalf("shard %d: hook saw %d replicas, want 2", s, len(reps))
+		}
+		for r, db := range reps {
+			if prev, dup := seen[db]; dup {
+				t.Fatalf("shard %d.%d got the database of %s", s, r, prev)
+			}
+			seen[db] = fmt.Sprintf("%d.%d", s, r)
+		}
+	}
+
+	ms := m.Shard[0]
+	peer := dbs[0][1]
+	before, _ := harness.QueryFingerprint(d, peer)
+	if err := dbs[0][0].ApplyReview(core.ReviewData{
+		ID: "replica-only", EntityID: ms.FirstEntity, Reviewer: "guest-x", Day: 6000,
+		Text: "The room was filthy and the staff were rude.",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if dbs[0][0].HasReview("replica-only") == peer.HasReview("replica-only") {
+		t.Fatal("the write reached both replicas, or neither")
+	}
+	if moved, _ := harness.QueryFingerprint(d, dbs[0][0]); moved == before {
+		t.Fatal("the write did not move replica 0's answers, so the peer's cannot show sharing")
+	}
+	if after, _ := harness.QueryFingerprint(d, peer); after != before {
+		t.Fatalf("a write to replica 0 moved replica 1's answers:\n%s", firstDiff(before, after))
+	}
+}
+
 // TestFromManifestFailsCleanly breaks shards of a journaled fleet: the
 // call fails naming the first broken shard in manifest order, no hook runs
 // for it or any later shard, and every goroutine the call started is gone.
@@ -223,7 +275,7 @@ func TestFromManifestFailsCleanly(t *testing.T) {
 					baseline := runtime.NumGoroutine()
 					var h hookLog
 					_, _, err := router.FromManifest(path, h.options(t, replicas, len(deltas)))
-					if in := stacksIn("snapshot.LoadVerifiedShard"); in > 0 {
+					if in := stacksIn("snapshot.OpenShard") + stacksIn("snapshot.(*ShardImage).Decode"); in > 0 {
 						t.Errorf("%d shard loads still running after FromManifest returned", in)
 					}
 					if !errors.Is(err, snapshot.ErrShardDigest) || !strings.Contains(err.Error(), fmt.Sprintf("(shard %d,", c.first)) {

@@ -164,6 +164,17 @@ func (d *dec) i32(what string) int32 {
 	return int32(v)
 }
 
+// vi32 reads a varint that must fit an int32, refusing it as a malformed
+// what before it could be truncated.
+func (d *dec) vi32(what string) int32 {
+	v := d.varint()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		d.fail(what)
+		return 0
+	}
+	return int32(v)
+}
+
 // internStr is str returning the copy intern already holds, if any.
 func (d *dec) internStr(intern map[string]string) string {
 	b := d.strBytes()
@@ -423,7 +434,7 @@ func decodeIndexState(payload []byte, section string) (ir.IndexState, error) {
 		nposts := d.count("posting")
 		plist := make([]ir.Posting, 0, nposts)
 		for p := 0; p < nposts && d.err == nil; p++ {
-			plist = append(plist, ir.Posting{Doc: int(d.varint()), TF: int(d.varint())})
+			plist = append(plist, ir.Posting{Doc: d.vi32("posting"), TF: d.vi32("posting")})
 		}
 		st.Postings[term] = plist
 	}

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 )
@@ -291,28 +292,72 @@ func ShardPath(manifestPath string, s ManifestShard) string {
 
 // LoadVerifiedShard loads shard index of a manifest with the full trust
 // chain every serving path must apply: the snapshot file is checked
-// against the manifest's digest, loaded, and required to carry the shard
-// identity the manifest assigns it. Both opinedbd's shard-replica role
-// and the in-process router fleet go through here. Digest verification
-// happens over the bytes the loader already mapped (LoadVerified), so
-// fleet bring-up reads every snapshot exactly once instead of streaming
-// each file twice.
+// against the manifest's digest, required to carry the shard identity the
+// manifest assigns it, and loaded. Both opinedbd's shard-replica role and
+// the in-process router fleet go through here (the fleet through
+// OpenShard, which it decodes once per replica). Digest verification
+// happens over the bytes the loader already mapped, so fleet bring-up
+// reads every snapshot exactly once instead of streaming each file twice.
 func LoadVerifiedShard(manifestPath string, m *Manifest, index int) (*core.DB, *Meta, error) {
+	start := time.Now()
+	si, err := OpenShard(manifestPath, m, index)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer si.Close()
+	return si.decode(start)
+}
+
+// ShardImage is one shard snapshot of a manifest, read, digest-verified
+// and checked for its shard identity once, and decodable into any number
+// of independent databases: a range's replicas share the verification,
+// never state. Close releases the file's bytes once no Decode is running.
+type ShardImage struct {
+	img   *image
+	index int
+}
+
+// OpenShard reads shard index of a manifest and applies LoadVerifiedShard's
+// trust chain short of decoding: the digest against the manifest, the
+// container checksums, and the shard identity the file claims.
+func OpenShard(manifestPath string, m *Manifest, index int) (*ShardImage, error) {
 	if index < 0 || index >= len(m.Shard) {
-		return nil, nil, fmt.Errorf("%w: shard index %d of %d", ErrManifest, index, len(m.Shard))
+		return nil, fmt.Errorf("%w: shard index %d of %d", ErrManifest, index, len(m.Shard))
 	}
 	ms := m.Shard[index]
 	path := ShardPath(manifestPath, ms)
-	db, meta, err := LoadVerified(path, ms.SnapshotSHA256)
+	img, err := openImage(path, ms.SnapshotSHA256)
 	if err != nil {
 		if errors.Is(err, ErrShardDigest) {
-			return nil, nil, fmt.Errorf("%w (shard %d, manifest %s)", err, index, manifestPath)
+			return nil, fmt.Errorf("%w (shard %d, manifest %s)", err, index, manifestPath)
 		}
-		return nil, nil, fmt.Errorf("snapshot: shard %d: %w", index, err)
+		return nil, fmt.Errorf("snapshot: shard %d: %w", index, err)
 	}
-	if meta.Shard == nil || meta.Shard.Index != index || meta.Shard.Count != m.Shards {
-		return nil, nil, fmt.Errorf("%w: snapshot %s does not identify as shard %d/%d",
+	sm, err := img.shardMeta()
+	if err != nil {
+		err = fmt.Errorf("snapshot: shard %d: %w", index, err)
+	} else if sm == nil || sm.Index != index || sm.Count != m.Shards {
+		err = fmt.Errorf("%w: snapshot %s does not identify as shard %d/%d",
 			ErrManifest, path, index, m.Shards)
+	}
+	if err != nil {
+		img.close()
+		return nil, err
+	}
+	return &ShardImage{img: img, index: index}, nil
+}
+
+// Decode reconstructs a fresh, query-ready database from the shard image.
+// Concurrent calls are safe; no two results share mutable state.
+func (si *ShardImage) Decode() (*core.DB, *Meta, error) { return si.decode(time.Now()) }
+
+func (si *ShardImage) decode(start time.Time) (*core.DB, *Meta, error) {
+	db, meta, err := si.img.decode(start)
+	if err != nil {
+		return nil, nil, fmt.Errorf("snapshot: shard %d: %w", si.index, err)
 	}
 	return db, meta, nil
 }
+
+// Close releases the image's bytes. No Decode may run during or after it.
+func (si *ShardImage) Close() { si.img.close() }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -279,50 +280,96 @@ func Load(path string) (*core.DB, *Meta, error) {
 // pay an extra pass over the artifact for a digest nobody reads.
 func LoadVerified(path, wantSHA256 string) (*core.DB, *Meta, error) {
 	start := time.Now()
-	data, cleanup, err := readSnapshotFile(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("snapshot: load: %w", err)
-	}
-	defer cleanup()
-
-	var digest string
-	if wantSHA256 != "" {
-		sum := sha256.Sum256(data)
-		digest = hex.EncodeToString(sum[:])
-		if digest != wantSHA256 {
-			return nil, nil, fmt.Errorf("%w: file %s has %s, caller expects %s",
-				ErrShardDigest, path, digest, wantSHA256)
-		}
-	}
-
-	sections, err := parseContainer(data)
+	img, err := openImage(path, wantSHA256)
 	if err != nil {
 		return nil, nil, err
 	}
-	byName := make(map[string]Section, len(sections))
-	infos := make([]SectionInfo, 0, len(sections))
+	defer img.close()
+	return img.decode(start)
+}
+
+// image is a snapshot file read (mapped) once, its digest verified when
+// one was asked for and its container parsed and checksummed: what every
+// decode of the file shares. Decoding copies everything a database keeps,
+// so close may release the bytes as soon as the last decode returns.
+type image struct {
+	data   []byte
+	close  func()
+	digest string
+	byName map[string]Section
+	infos  []SectionInfo
+}
+
+// openImage reads path and checks it up to, not including, the section
+// decoders: the digest (when wantSHA256 is non-empty), the header, every
+// section checksum, and that every section name is one this version
+// writes.
+func openImage(path, wantSHA256 string) (*image, error) {
+	data, cleanup, err := readSnapshotFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: load: %w", err)
+	}
+	img := &image{data: data, close: cleanup}
+	if wantSHA256 != "" {
+		sum := sha256.Sum256(data)
+		img.digest = hex.EncodeToString(sum[:])
+		if img.digest != wantSHA256 {
+			cleanup()
+			return nil, fmt.Errorf("%w: file %s has %s, caller expects %s",
+				ErrShardDigest, path, img.digest, wantSHA256)
+		}
+	}
+	sections, err := parseContainer(data)
+	if err != nil {
+		cleanup()
+		return nil, err
+	}
+	img.byName = make(map[string]Section, len(sections))
+	img.infos = make([]SectionInfo, 0, len(sections))
 	for _, s := range sections {
 		if !knownSection(s.Name) {
-			return nil, nil, fmt.Errorf("%w: %q", ErrUnknownSection, s.Name)
+			cleanup()
+			return nil, fmt.Errorf("%w: %q", ErrUnknownSection, s.Name)
 		}
-		byName[s.Name] = s
-		infos = append(infos, SectionInfo{Name: s.Name, Bytes: len(s.Payload)})
+		img.byName[s.Name] = s
+		img.infos = append(img.infos, SectionInfo{Name: s.Name, Bytes: len(s.Payload)})
 	}
-	need := func(name string) (Section, error) {
-		s, ok := byName[name]
-		if !ok {
-			return Section{}, fmt.Errorf("%w: %s", ErrMissingSection, name)
-		}
-		return s, nil
-	}
+	return img, nil
+}
 
+// need returns the named required section.
+func (img *image) need(name string) (Section, error) {
+	s, ok := img.byName[name]
+	if !ok {
+		return Section{}, fmt.Errorf("%w: %s", ErrMissingSection, name)
+	}
+	return s, nil
+}
+
+// shardMeta decodes the shard section, nil when the file has none.
+func (img *image) shardMeta() (*ShardMeta, error) {
+	s, ok := img.byName[SectionShard]
+	if !ok {
+		return nil, nil
+	}
+	var sm ShardMeta
+	if err := decodeSection(s, &sm); err != nil {
+		return nil, err
+	}
+	return &sm, nil
+}
+
+// decode reconstructs a fresh, query-ready database from the image; it
+// may be called any number of times, and no two results share mutable
+// state. Meta.LoadDuration runs from start.
+func (img *image) decode(start time.Time) (*core.DB, *Meta, error) {
 	var mp metaPayload
-	if s, err := need(SectionMeta); err != nil {
+	if s, err := img.need(SectionMeta); err != nil {
 		return nil, nil, err
 	} else if err := decodeSection(s, &mp); err != nil {
 		return nil, nil, err
 	}
-	s, err := need(SectionRel)
+	s, err := img.need(SectionRel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -330,48 +377,44 @@ func LoadVerified(path, wantSHA256 string) (*core.DB, *Meta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if s, err = need(SectionCore); err != nil {
+	if s, err = img.need(SectionCore); err != nil {
 		return nil, nil, err
 	}
 	coreState, err := decodeCoreState(s.Payload)
 	if err != nil {
 		return nil, nil, err
 	}
-	if s, err = need(SectionEmbedding); err != nil {
+	if s, err = img.need(SectionEmbedding); err != nil {
 		return nil, nil, err
 	}
 	embedState, err := decodeEmbeddingState(s.Payload)
 	if err != nil {
 		return nil, nil, err
 	}
-	if s, err = need(SectionReviewIndex); err != nil {
+	if s, err = img.need(SectionReviewIndex); err != nil {
 		return nil, nil, err
 	}
 	reviewIdxState, err := decodeIndexState(s.Payload, SectionReviewIndex)
 	if err != nil {
 		return nil, nil, err
 	}
-	if s, err = need(SectionEntityIndex); err != nil {
+	if s, err = img.need(SectionEntityIndex); err != nil {
 		return nil, nil, err
 	}
 	entityIdxState, err := decodeIndexState(s.Payload, SectionEntityIndex)
 	if err != nil {
 		return nil, nil, err
 	}
-	if s, err = need(SectionExtractor); err != nil {
+	if s, err = img.need(SectionExtractor); err != nil {
 		return nil, nil, err
 	}
 	taggerState, err := decodeExtractorState(s.Payload)
 	if err != nil {
 		return nil, nil, err
 	}
-	var shard *ShardMeta
-	if s, ok := byName[SectionShard]; ok {
-		var sm ShardMeta
-		if err := decodeSection(s, &sm); err != nil {
-			return nil, nil, err
-		}
-		shard = &sm
+	shard, err := img.shardMeta()
+	if err != nil {
+		return nil, nil, err
 	}
 
 	embed, err := embedding.NewModelFromState(embedState)
@@ -399,9 +442,9 @@ func LoadVerified(path, wantSHA256 string) (*core.DB, *Meta, error) {
 
 	meta := mp.toMeta()
 	meta.Shard = shard
-	meta.Sections = infos
-	meta.FileBytes = int64(len(data))
-	meta.SHA256 = digest
+	meta.Sections = slices.Clone(img.infos)
+	meta.FileBytes = int64(len(img.data))
+	meta.SHA256 = img.digest
 	meta.LoadDuration = time.Since(start)
 	return db, meta, nil
 }

@@ -274,35 +274,39 @@ func parseLayout(t *testing.T, data []byte) map[string]struct {
 	return out
 }
 
-// TestArtifactByteStability: two saves of the same built DB produce
-// byte-identical payloads for every section except meta (which carries
-// the creation timestamp), so operators can hash artifacts to confirm
-// replicas serve the same build.
+// TestArtifactByteStability: two saves of the same built DB, and a save
+// of the DB loaded from the first, produce byte-identical payloads for
+// every section except meta (which carries the creation timestamp), so
+// operators can hash artifacts to confirm replicas serve the same build,
+// and save → load → save reproduces the file.
 func TestArtifactByteStability(t *testing.T) {
 	_, _, raw := fixtures(t)
 	_, db, _ := fixtures(t)
-	path := filepath.Join(t.TempDir(), "again.snap")
-	if _, err := snapshot.Save(path, db); err != nil {
-		t.Fatal(err)
-	}
-	raw2, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := parseLayout(t, raw), parseLayout(t, raw2)
-	if len(a) != len(b) {
-		t.Fatalf("section counts differ: %d vs %d", len(a), len(b))
-	}
-	for name, sa := range a {
-		sb, ok := b[name]
-		if !ok {
-			t.Fatalf("second save lacks section %q", name)
+	loaded, _ := loadFixture(t)
+	for what, sdb := range map[string]*core.DB{"built": db, "loaded": loaded} {
+		path := filepath.Join(t.TempDir(), "again.snap")
+		if _, err := snapshot.Save(path, sdb); err != nil {
+			t.Fatal(err)
 		}
-		if name == snapshot.SectionMeta {
-			continue // creation timestamp varies
+		raw2, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sa.crc != sb.crc || !bytes.Equal(sa.payload, sb.payload) {
-			t.Errorf("section %q is not byte-stable across identical saves", name)
+		a, b := parseLayout(t, raw), parseLayout(t, raw2)
+		if len(a) != len(b) {
+			t.Fatalf("%s: section counts differ: %d vs %d", what, len(a), len(b))
+		}
+		for name, sa := range a {
+			sb, ok := b[name]
+			if !ok {
+				t.Fatalf("%s: second save lacks section %q", what, name)
+			}
+			if name == snapshot.SectionMeta {
+				continue // creation timestamp varies
+			}
+			if sa.crc != sb.crc || !bytes.Equal(sa.payload, sb.payload) {
+				t.Errorf("%s: section %q is not byte-stable across saves", what, name)
+			}
 		}
 	}
 }
