@@ -50,10 +50,14 @@ race:
 # hold both to their serial results: ApplyAll against the serial fold,
 # and FromManifest's serial in-order hooks, monolith answers and clean
 # failures. Fifty race runs of either package take ~10-15 minutes on two
-# cores, past go test's default 10-minute limit, hence -timeout.
+# cores, past go test's default 10-minute limit, hence -timeout. The
+# last line repeats the write rule that keeps a dirty node's journal a
+# prefix of the fleet order: its replicate fan-out and heal passes run
+# concurrently with the node's group commit.
 stress:
 	go test -race -count=50 -timeout 30m -run '^TestApplyAllEqualsSerialFold$$' ./internal/journal
 	go test -race -count=50 -timeout 30m -run '^TestFromManifest(HooksSerialInOrder|FailsCleanly)$$' ./internal/router
+	go test -race -count=50 -timeout 30m -run '^TestDirtyNodeReceivesOnlyItsBackfill$$' ./internal/router
 
 # Performance trajectory: every table/figure benchmark plus the
 # concurrency, build, and snapshot persistence benchmarks.

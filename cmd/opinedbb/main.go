@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,6 +33,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/harness"
 	"repro/internal/router"
+	"repro/internal/server"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
@@ -66,7 +66,7 @@ func main() {
 	if *debugAddr != "" {
 		go func() {
 			log.Printf("debug surface listening on %s", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, trace.DebugMux(tracer)); err != nil {
+			if err := server.NewHTTPServer(*debugAddr, trace.DebugMux(tracer)).ListenAndServe(); err != nil {
 				log.Printf("debug surface: %v", err)
 			}
 		}()

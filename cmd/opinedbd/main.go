@@ -109,7 +109,7 @@ func main() {
 	if *debugAddr != "" {
 		go func() {
 			slog.Info("debug surface listening", "addr", *debugAddr)
-			if err := newHTTPServer(*debugAddr, trace.DebugMux(tracer)).ListenAndServe(); err != nil {
+			if err := server.NewHTTPServer(*debugAddr, trace.DebugMux(tracer)).ListenAndServe(); err != nil {
 				slog.Error("debug surface failed", "addr", *debugAddr, "err", err)
 			}
 		}()
@@ -368,10 +368,10 @@ func startRepairLoop(rt *router.Router, every time.Duration) {
 				// Quiet when healthy.
 			default:
 				for _, n := range report.Nodes {
-					if n.Backfilled > 0 || n.ReverseBackfilled > 0 || n.Err != "" {
+					if n.Backfilled > 0 || n.Err != "" {
 						slog.Info("repair backfilled a node", "node", n.Index, "name", n.Name,
 							"backfilled", n.Backfilled, "seq_before", n.Before, "seq_after", n.After,
-							"reverse", n.ReverseBackfilled, "full_sync", n.FullSync, "err", n.Err)
+							"err", n.Err)
 					}
 				}
 			}
@@ -405,32 +405,9 @@ func snapshotInfo(path string, meta *snapshot.Meta) *server.SnapshotInfo {
 	return info
 }
 
-// Connection limits of the serving port and the debug surface, so a slow
-// or silent client cannot hold a connection open forever. A request's
-// headers are a few hundred bytes, so 10 s only ever cuts off a stalled
-// sender. Idle
-// keep-alive connections outlive the router's 90 s IdleConnTimeout
-// (internal/router/backend.go): the router always drops a pooled
-// connection before the node does, so it never reuses one the node has
-// just closed.
-const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 120 * time.Second
-)
-
-// newHTTPServer is an http.Server on addr with the connection limits.
-func newHTTPServer(addr string, handler http.Handler) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: readHeaderTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-}
-
 // serve runs the HTTP server until interrupted.
 func serve(addr string, handler http.Handler) {
-	httpSrv := newHTTPServer(addr, logRequests(handler))
+	httpSrv := server.NewHTTPServer(addr, logRequests(handler))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/server"
 	"repro/internal/snapshot"
 )
 
@@ -98,13 +99,41 @@ func TestNoRoleIsUsageError(t *testing.T) {
 	}
 }
 
-// TestListenersHaveConnectionLimits: the serving port and the debug
-// surface are built by one constructor, so both cut off a stalled header
-// sender and an idle keep-alive connection.
+// TestListenersHaveConnectionLimits: every listener of both commands —
+// opinedbd's serving port and the -debug-addr surface of opinedbd and
+// opinedbb — is built by server.NewHTTPServer, so each cuts off a stalled
+// header sender and an idle keep-alive connection. The limits are checked
+// on the constructor; that both commands use it and nothing else is
+// checked on their sources.
 func TestListenersHaveConnectionLimits(t *testing.T) {
-	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	srv := server.NewHTTPServer("127.0.0.1:0", http.NotFoundHandler())
 	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 120*time.Second {
 		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v; want 10s, 120s", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	for _, cmd := range []string{".", "../opinedbb"} {
+		files, err := filepath.Glob(filepath.Join(cmd, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		uses := 0
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bare := range []string{"http.ListenAndServe(", "http.Server{", "http.Serve("} {
+				if bytes.Contains(src, []byte(bare)) {
+					t.Errorf("%s opens a listener with %s instead of server.NewHTTPServer", f, bare)
+				}
+			}
+			uses += bytes.Count(src, []byte("server.NewHTTPServer(*debugAddr"))
+		}
+		if uses != 1 {
+			t.Errorf("%s: %d debug listeners built by server.NewHTTPServer, want 1", cmd, uses)
+		}
 	}
 }
 

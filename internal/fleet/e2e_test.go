@@ -26,6 +26,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -34,6 +35,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/snapshot"
@@ -157,8 +159,8 @@ type liveShard struct {
 }
 
 // serveFleet loads every shard of a manifest with a journal and returns
-// the live nodes plus a router over them (auto-repair configured by the
-// caller through opts).
+// the live nodes plus a router over them, configured by the caller
+// through opts.
 func serveFleet(t *testing.T, manifestPath string, opts router.Options) (*snapshot.Manifest, []*liveShard, *router.Router) {
 	t.Helper()
 	m, err := snapshot.LoadManifest(manifestPath)
@@ -455,8 +457,9 @@ func TestRepairConvergesDownReplica(t *testing.T) {
 	manifestPath := writeFleet(t, dir, 3)
 	m, nodes, _ := serveFleet(t, manifestPath, router.Options{})
 
-	// Rebuild the router with shard 2 behind a fault injector, healing
-	// disabled — this test exercises the standalone anti-entropy pass.
+	// Rebuild the router with shard 0 behind a fault injector. The
+	// router's heal passes fail while it is tripped, so the node is still
+	// behind when the standalone anti-entropy pass runs.
 	shards := make([]router.Shard, len(nodes))
 	faulty := &faultyBackend{}
 	for i, node := range nodes {
@@ -470,7 +473,7 @@ func TestRepairConvergesDownReplica(t *testing.T) {
 			shards[i].Backend = faulty
 		}
 	}
-	rt, err := router.New(shards, router.Options{DisableAutoRepair: true})
+	rt, err := router.New(shards, router.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +522,7 @@ func TestRepairConvergesDownReplica(t *testing.T) {
 			nr = &report.Nodes[i]
 		}
 	}
-	if nr == nil || nr.Backfilled != missed || nr.FullSync || nr.Err != "" || nr.Failed != 0 {
+	if nr == nil || nr.Backfilled != missed || nr.AlreadyPresent != 0 || nr.Err != "" || nr.Failed != 0 {
 		t.Fatalf("faulty node repair = %+v, want %d tail backfills", nr, missed)
 	}
 	if nr.Before != uint64(split) || nr.After != uint64(len(ordered)) {
@@ -572,13 +575,30 @@ func TestRepairConvergesDownReplica(t *testing.T) {
 	}
 }
 
-// TestRepairFullSyncAfterMidStreamGap: a transient per-write fault
-// carves a gap in the middle of a replica's journal; repair detects the
-// broken prefix, falls back to a full sync, and converges the review
-// set.
-func TestRepairFullSyncAfterMidStreamGap(t *testing.T) {
+// TestRepairRefusesDivergedNode: a node whose journal is not a prefix of
+// the reference's — it missed a routed write, then took writes of its
+// own directly — is refused, never merged. The reference is elected from
+// the clean nodes, so the diverged node is refused whether it sorts
+// first, ties the clean journals in length, or is longer than them.
+// Repair reports it with an Err and not converged, streams nothing into
+// the reference, and the router keeps it dirty and routes it no writes.
+func TestRepairRefusesDivergedNode(t *testing.T) {
 	fixture(t)
-	const faultyIdx = 0
+	for _, tc := range []struct {
+		faultyIdx, refIdx, rogue int
+		err                      string
+	}{
+		{faultyIdx: 0, refIdx: 1, rogue: 1, err: "diverges"},
+		{faultyIdx: 1, refIdx: 0, rogue: 1, err: "diverges"},
+		{faultyIdx: 0, refIdx: 1, rogue: 2, err: "ahead of the fleet"},
+	} {
+		t.Run(fmt.Sprintf("node%d_rogue%d", tc.faultyIdx, tc.rogue), func(t *testing.T) {
+			testRepairRefusesDivergedNode(t, tc.faultyIdx, tc.refIdx, tc.rogue, tc.err)
+		})
+	}
+}
+
+func testRepairRefusesDivergedNode(t *testing.T, faultyIdx, refIdx, rogueWrites int, wantErr string) {
 	dir := t.TempDir()
 	manifestPath := writeFleet(t, dir, 3)
 	m, nodes, _ := serveFleet(t, manifestPath, router.Options{})
@@ -591,66 +611,107 @@ func TestRepairFullSyncAfterMidStreamGap(t *testing.T) {
 			shards[i].Backend = faulty
 		}
 	}
-	rt, err := router.New(shards, router.Options{DisableAutoRepair: true})
+	reg := obs.NewRegistry()
+	rt, err := router.New(shards, router.Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dirtyNodes := func() float64 { return reg.Gauge(router.MetricRouterDirtyShards, "").Value() }
+	for _, rv := range fixDeltas[:6] {
+		if rv.EntityID >= m.Shard[faultyIdx].FirstEntity && rv.EntityID <= m.Shard[faultyIdx].LastEntity {
+			t.Fatalf("delta %s is owned by the faulty shard; the scenario needs replicated traffic", rv.ID)
+		}
+	}
 
-	// Drop exactly one mid-stream REPLICATED write on shard 1: the gap
-	// must be a write shard 1 does not own (an owned write would abort
-	// fleet-wide instead of drifting), and must not be the last write, so
-	// later records bury the gap mid-journal.
-	gapAt := -1
-	for wi, rv := range fixDeltas[:len(fixDeltas)-1] {
-		if wi > 0 && !(rv.EntityID >= m.Shard[faultyIdx].FirstEntity && rv.EntityID <= m.Shard[faultyIdx].LastEntity) {
-			gapAt = wi
-			break
-		}
-	}
-	if gapAt < 0 {
-		t.Fatal("fixture has no mid-stream replicated delta for the faulty shard")
-	}
-	for wi, rv := range fixDeltas {
-		faulty.setTripped(wi == gapAt)
-		if _, err := rt.AddReview(context.Background(), server.ReviewRequest{
-			ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-		}); err != nil {
-			t.Fatalf("write %s: %v", rv.ID, err)
-		}
-	}
+	ingestThrough(t, rt, fixDeltas[:4])
+	faulty.setTripped(true)
+	ingestThrough(t, rt, fixDeltas[4:5])
 	faulty.setTripped(false)
+	if dirtyNodes() != 1 {
+		t.Fatalf("dirty nodes = %v after a missed write, want 1", dirtyNodes())
+	}
+	// The node takes writes no other node has, directly.
+	for k := 1; k <= rogueWrites; k++ {
+		rogue, err := json.Marshal(server.ReviewRequest{
+			ID: fmt.Sprintf("rogue-%d", k), EntityID: fixDeltas[4].EntityID, Reviewer: "rogue", Day: 1,
+			Text: "not the fleet's record", Replica: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status, body, err := nodes[faultyIdx].backend.Do(context.Background(), "POST", "/reviews", rogue); err != nil || status != http.StatusOK {
+			t.Fatalf("seeding rogue write: status %d err %v body %s", status, err, body)
+		}
+	}
 
 	backends := make([]fleet.Backend, len(nodes))
 	for i, node := range nodes {
 		backends[i] = node.backend
 	}
-	report, err := fleet.Repair(context.Background(), backends, fleet.RepairOptions{})
+	jstat := func(i int) journal.Stat {
+		t.Helper()
+		st, err := journal.StatDir(journal.Dir(snapshot.ShardPath(manifestPath, m.Shard[i])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	refBefore, divergedBefore := jstat(refIdx), jstat(faultyIdx)
+	report, err := fleet.Repair(context.Background(), backends, fleet.RepairOptions{Dirty: map[int]bool{faultyIdx: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var nr *fleet.NodeRepair
-	for i := range report.Nodes {
-		if report.Nodes[i].Index == faultyIdx {
-			nr = &report.Nodes[i]
+	nr := report.Nodes[faultyIdx]
+	if report.Reference != refIdx || report.InSync || report.Converged(faultyIdx) ||
+		!strings.Contains(nr.Err, wantErr) || nr.Backfilled != 0 {
+		t.Fatalf("repair report = %+v, want reference %d and the diverged node refused (%q), not converged", report, refIdx, wantErr)
+	}
+	if got := jstat(refIdx); got != refBefore {
+		t.Fatalf("reference journal moved: %+v → %+v", refBefore, got)
+	}
+	for i := range nodes {
+		if i != faultyIdx && !report.Converged(i) {
+			t.Fatalf("clean node %d not converged: %+v", i, report.Nodes[i])
 		}
 	}
-	if nr == nil || !nr.FullSync || nr.Backfilled != 1 || nr.Err != "" {
-		t.Fatalf("gap repair = %+v, want a full sync backfilling the one missed record", nr)
+
+	// Through the router: the operator pass and the heal pass both elect
+	// a clean reference and refuse the node, so it stays dirty and the
+	// next write skips it.
+	if report, err := rt.RunRepair(context.Background()); err != nil || report.Reference != refIdx || report.Converged(faultyIdx) {
+		t.Fatalf("RunRepair = %+v, %v; want reference %d and the diverged node not converged", report, err, refIdx)
 	}
-	// Set convergence: the replica now holds every delta.
-	for _, rv := range fixDeltas {
-		if !nodes[faultyIdx].db.HasReview(rv.ID) {
-			t.Fatalf("review %s still missing after full sync", rv.ID)
-		}
+	if dirtyNodes() != 1 {
+		t.Fatalf("dirty nodes = %v after RunRepair, want the diverged node kept dirty", dirtyNodes())
 	}
-	// And its journal carries all records.
-	jdir := journal.Dir(snapshot.ShardPath(manifestPath, m.Shard[faultyIdx]))
-	jst, err := journal.StatDir(jdir)
+	res, err := rt.AddReview(context.Background(), server.ReviewRequest{
+		ID: fixDeltas[5].ID, EntityID: fixDeltas[5].EntityID, Reviewer: fixDeltas[5].Reviewer,
+		Day: fixDeltas[5].Day, Text: fixDeltas[5].Text,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jst.Records != len(fixDeltas) {
-		t.Fatalf("journal holds %d records after full sync, want %d", jst.Records, len(fixDeltas))
+	if !res.Partial || len(res.Healed) != 0 || len(res.FailedNodes) != 1 || res.FailedNodes[0].Shard != faultyIdx {
+		t.Fatalf("write after divergence = %+v, want partial with only the diverged node failed", res)
+	}
+	if dirtyNodes() != 1 {
+		t.Fatalf("dirty nodes = %v, want the diverged node kept dirty", dirtyNodes())
+	}
+	if got := jstat(faultyIdx); got != divergedBefore {
+		t.Fatalf("the diverged node journaled a routed write: %+v → %+v", divergedBefore, got)
+	}
+	for i := range nodes {
+		if i == faultyIdx {
+			continue
+		}
+		if got := jstat(i); got.Records != 6 {
+			t.Fatalf("clean node %d journal holds %d records, want 6", i, got.Records)
+		}
+		for k := 1; k <= rogueWrites; k++ {
+			if nodes[i].db.HasReview(fmt.Sprintf("rogue-%d", k)) {
+				t.Fatalf("the diverged node's record rogue-%d was merged into clean node %d", k, i)
+			}
+		}
 	}
 }
 
@@ -675,11 +736,11 @@ func TestAutoRepairHealsPartialWrite(t *testing.T) {
 			shards[i].Backend = faulty
 		}
 	}
-	// Auto-repair stays at its default: enabled.
 	rt, err := router.New(shards, router.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dirtyNodes := func() float64 { return rt.Metrics().Gauge(router.MetricRouterDirtyShards, "").Value() }
 
 	write := func(rv core.ReviewData) *router.ReviewResult {
 		t.Helper()
@@ -697,11 +758,11 @@ func TestAutoRepairHealsPartialWrite(t *testing.T) {
 	// repair attempt fails too (the backend is still down for writes).
 	faulty.setTripped(true)
 	res := write(fixDeltas[4])
-	if !res.Partial || len(res.Healed) != 0 {
-		t.Fatalf("tripped write = %+v, want partial and unhealed", res)
+	if !res.Partial || len(res.Healed) != 0 || len(res.FailedNodes) != 1 || res.FailedNodes[0].Shard != faultyIdx {
+		t.Fatalf("tripped write = %+v, want partial, unhealed, only the faulty node failed", res)
 	}
-	if got := rt.DirtyShards(); len(got) != 1 || got[0] != faultyIdx {
-		t.Fatalf("dirty shards = %v", got)
+	if got := dirtyNodes(); got != 1 {
+		t.Fatalf("dirty nodes = %v, want 1", got)
 	}
 	faulty.setTripped(false)
 
@@ -711,8 +772,8 @@ func TestAutoRepairHealsPartialWrite(t *testing.T) {
 	if res.Partial || len(res.Healed) != 1 || res.Healed[0] != faultyIdx {
 		t.Fatalf("healing write = %+v, want healed=[%d]", res, faultyIdx)
 	}
-	if got := rt.DirtyShards(); len(got) != 0 {
-		t.Fatalf("dirty shards after heal = %v", got)
+	if got := dirtyNodes(); got != 0 {
+		t.Fatalf("dirty nodes after heal = %v", got)
 	}
 	ingestThrough(t, rt, fixDeltas[6:])
 
@@ -785,6 +846,31 @@ func TestRepairReportsUnreachableNode(t *testing.T) {
 	}
 	if !report.Converged(0) || report.Converged(1) {
 		t.Fatalf("convergence misreported: %+v", report.Nodes)
+	}
+}
+
+// TestRepairAllDirtyElectsAmongAll: with every node dirty none is known
+// level with the fleet, so the reference is elected among all of them
+// and level nodes converge; with a clean node down, no dirty node may
+// serve as the reference and the pass fails.
+func TestRepairAllDirtyElectsAmongAll(t *testing.T) {
+	fixture(t)
+	dir := t.TempDir()
+	manifestPath := writeFleet(t, dir, 2)
+	_, nodes, rt := serveFleet(t, manifestPath, router.Options{})
+	ingestThrough(t, rt, fixDeltas[:3])
+
+	backends := []fleet.Backend{nodes[0].backend, nodes[1].backend}
+	report, err := fleet.Repair(context.Background(), backends, fleet.RepairOptions{Dirty: map[int]bool{0: true, 1: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.InSync || !report.Converged(0) || !report.Converged(1) {
+		t.Fatalf("all-dirty level fleet: %+v, want both converged", report)
+	}
+	_, err = fleet.Repair(context.Background(), []fleet.Backend{nodes[0].backend, deadBackend{}}, fleet.RepairOptions{Dirty: map[int]bool{0: true}})
+	if err == nil || !strings.Contains(err.Error(), "no clean node") {
+		t.Fatalf("err = %v, want no clean node to elect", err)
 	}
 }
 

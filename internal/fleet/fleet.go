@@ -17,9 +17,11 @@
 //     backfills laggards through the existing replica-write path
 //     (POST /reviews with the replica flag), which re-applies each delta
 //     under the target's write lock and journals it locally. A laggard
-//     that was simply down converges to byte-identical interpretation
-//     state, because the backfill replays the exact missed suffix in
-//     fleet order.
+//     converges to byte-identical interpretation state, because the
+//     router sends it nothing but this backfill, which replays the exact
+//     missed suffix in fleet order. A node whose journal is not a prefix
+//     of the fleet's is refused, never merged; live replica join
+//     (join.go) applies the same rule.
 //
 //   - Online N→M shard rebalancing (rebalance.go). Rebalance loads an
 //     N-shard fleet (snapshots + unreplayed journals), merges it back

@@ -5,40 +5,26 @@ package fleet
 // byte-identity guarantee intact. The node starts from the range's
 // digest-verified snapshot (snapshot.LoadVerifiedShard — the same trust
 // chain every fleet node boots through) and an empty or
-// prefix-contained journal; the join proves the prefix relationship
-// with the repair pass's hash chain, streams the missing suffix
-// through the ordinary replica-write path (streamInto — no new sync
-// protocol), and then proves the joiner reached the reference position
-// with a byte-identical record sequence.
+// prefix-contained journal; the join applies repair's convergence rule
+// (catchUp in repair.go: prefix proof, suffix stream through the
+// ordinary replica-write path, hash check of where the joiner ended).
 //
-// Join is stricter than repair: repair tolerates divergence (full-sync
-// fallback trades away provenance order to converge the review set),
-// but a joiner has no history worth saving — anything but a clean
-// prefix is an error telling the operator to wipe the node and retry.
-// Likewise a deliberate per-record rejection during the backfill fails
-// the join outright: a node that refused part of the suffix can never
-// be byte-identical.
+// Admission adds checks of its own: the joiner must journal, must have
+// applied everything it journaled, must not be ahead of the fleet, must
+// not have rejected any record, and must end Identical — at the
+// reference's position, with its hash.
 
 import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
-
-	"repro/internal/server"
 )
-
-// JoinOptions configure a JoinReplica pass.
-type JoinOptions struct {
-	// PageSize bounds one /journal/records fetch. 0 means 256.
-	PageSize int
-}
 
 // JoinReport is the outcome of one join pass.
 type JoinReport struct {
-	// Reference is the fleet node whose journal served as the source
-	// (the longest; ties break to the lowest index); ReferenceSeq its
-	// last sequence when the pass started.
+	// Reference is the index in nodes of the node whose journal served
+	// as the source (the longest; ties break to the lowest index);
+	// ReferenceSeq its last sequence when the pass started.
 	Reference    int    `json:"reference"`
 	ReferenceSeq uint64 `json:"reference_seq"`
 	// Before and After are the joiner's journal last-sequences around
@@ -60,50 +46,16 @@ type JoinReport struct {
 }
 
 // JoinReplica catches joiner up to the fleet's journal position. nodes
-// is the existing fleet (every replica of every range — the reference
-// is chosen fleet-wide exactly like a repair pass); joiner is the
-// fresh node, NOT part of nodes. Returns ErrNoJournalSurface when the
+// are the fleet nodes the reference may be elected from: every replica
+// of every range that is level with the fleet (a router passes its clean
+// nodes, the ones RepairOptions.Dirty would leave eligible). joiner is
+// the fresh node, NOT part of nodes. Returns ErrNoJournalSurface when the
 // fleet has no journal to ship — a volatile fleet cannot prove a
 // joiner identical, so it cannot take one.
-func JoinReplica(ctx context.Context, nodes []Backend, joiner Backend, opts JoinOptions) (*JoinReport, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("fleet: join against zero nodes")
-	}
-	pageSize := opts.PageSize
-	if pageSize <= 0 {
-		pageSize = 256
-	}
-
-	// Reference election, exactly like Repair: probe every fleet node,
-	// take the longest journal.
-	probes := make([]probeResult, len(nodes))
-	var wg sync.WaitGroup
-	for i, b := range nodes {
-		wg.Add(1)
-		go func(i int, b Backend) {
-			defer wg.Done()
-			probes[i].st, probes[i].http, probes[i].err = journalStatus(ctx, b, 0)
-		}(i, b)
-	}
-	wg.Wait()
-	noJournal := 0
-	ref := -1
-	for i := range nodes {
-		if probes[i].err != nil {
-			if probes[i].http == http.StatusNotFound {
-				noJournal++
-			}
-			continue
-		}
-		if ref < 0 || probes[i].st.LastSeq > probes[ref].st.LastSeq {
-			ref = i
-		}
-	}
-	if noJournal == len(nodes) {
-		return nil, ErrNoJournalSurface
-	}
-	if ref < 0 {
-		return nil, fmt.Errorf("fleet: join: no fleet node answered /journal/status (first error: %v)", probes[0].err)
+func JoinReplica(ctx context.Context, nodes []Backend, joiner Backend) (*JoinReport, error) {
+	probes, ref, err := elect(ctx, nodes, nil, "join")
+	if err != nil {
+		return nil, err
 	}
 	report := &JoinReport{Reference: ref, ReferenceSeq: probes[ref].st.LastSeq}
 
@@ -123,64 +75,27 @@ func JoinReplica(ctx context.Context, nodes []Backend, joiner Backend, opts Join
 	}
 	report.Before = jst.LastSeq
 	report.After = jst.LastSeq
-
-	// Prefix proof (PR 5's containment chain): whatever the joiner
-	// already holds must be byte-identical to the reference's first
-	// LastSeq records. A joiner ahead of the fleet or diverged from it
-	// is not a joiner — refuse, never full-sync.
 	if jst.LastSeq > report.ReferenceSeq {
 		return nil, fmt.Errorf("fleet: join: joiner %s journal (seq %d) is ahead of the fleet (seq %d); it belongs to another fleet",
 			joiner.Name(), jst.LastSeq, report.ReferenceSeq)
 	}
-	if jst.LastSeq > 0 {
-		refAt, _, err := journalStatus(ctx, nodes[ref], jst.LastSeq)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: join: reference prefix hash at seq %d: %v", jst.LastSeq, err)
-		}
-		if refAt.PrefixHash != jst.PrefixHash {
-			return nil, fmt.Errorf("fleet: join: joiner %s journal diverges from the fleet at or before seq %d; wipe the node and rejoin from the snapshot",
-				joiner.Name(), jst.LastSeq)
-		}
-	}
 
-	// Backfill the suffix through the replica-write path.
 	nr := NodeRepair{}
-	if err := streamInto(ctx, nodes[ref], joiner, jst.LastSeq+1, pageSize, &nr); err != nil {
-		return nil, fmt.Errorf("fleet: join: backfill into %s: %v", joiner.Name(), err)
-	}
+	end, err := catchUp(ctx, nodes[ref], joiner, jst, &nr)
 	report.Backfilled = nr.Backfilled
 	report.AlreadyPresent = nr.AlreadyPresent
+	if err != nil {
+		return nil, fmt.Errorf("fleet: join: joiner %s: %v", joiner.Name(), err)
+	}
 	if nr.Failed > 0 {
 		return nil, fmt.Errorf("fleet: join: joiner %s rejected %d of the fleet's records; it can never be byte-identical",
 			joiner.Name(), nr.Failed)
 	}
-
-	// Identity verification: the joiner must now hold exactly the
-	// reference sequence through ReferenceSeq, applied. Prove it with
-	// the same hash chain, not just a length check.
-	fst, _, err := journalStatus(ctx, joiner, 0)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: join: joiner %s post-backfill status: %v", joiner.Name(), err)
-	}
-	report.After = fst.LastSeq
-	if fst.LastSeq < report.ReferenceSeq || fst.LastAppliedSeq < fst.LastSeq {
-		return report, nil // not identical (yet); a pass under the write mutex finishes the job
-	}
-	refFinal, _, err := journalStatus(ctx, nodes[ref], fst.LastSeq)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: join: reference final hash at seq %d: %v", fst.LastSeq, err)
-	}
-	if refFinal.PrefixHash != fst.PrefixHash {
-		return nil, fmt.Errorf("fleet: join: joiner %s reached seq %d but its journal hash differs from the fleet's — byte identity broken",
-			joiner.Name(), fst.LastSeq)
-	}
-	report.Identical = true
+	report.After = end.LastSeq
+	// catchUp proved the joiner a prefix of the reference; at the
+	// reference's position, fully applied, that prefix is the whole
+	// sequence. Short of it, writes kept landing during the pass and a
+	// second pass under the fleet's write mutex finishes the job.
+	report.Identical = end.LastSeq >= report.ReferenceSeq && end.LastAppliedSeq >= end.LastSeq
 	return report, nil
-}
-
-// probeResult is one fleet node's journal-status probe.
-type probeResult struct {
-	st   server.JournalStatusResponse
-	http int
-	err  error
 }

@@ -68,7 +68,7 @@ func TestJoinReplicaCatchesUpFreshNode(t *testing.T) {
 	}
 	joiner, jdb, _ := newJoiner(t, manifestPath, m, 0, t.TempDir())
 
-	report, err := fleet.JoinReplica(context.Background(), backends, joiner, fleet.JoinOptions{})
+	report, err := fleet.JoinReplica(context.Background(), backends, joiner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestJoinReplicaCatchesUpFreshNode(t *testing.T) {
 	}
 
 	// A second pass is a no-op that still proves identity.
-	again, err := fleet.JoinReplica(context.Background(), backends, joiner, fleet.JoinOptions{})
+	again, err := fleet.JoinReplica(context.Background(), backends, joiner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestJoinReplicaRefusesUnfit(t *testing.T) {
 		t.Fatal(err)
 	}
 	bare := router.NewLocalBackend("bare", db, server.Options{})
-	if _, err := fleet.JoinReplica(context.Background(), backends, bare, fleet.JoinOptions{}); err == nil ||
+	if _, err := fleet.JoinReplica(context.Background(), backends, bare); err == nil ||
 		!strings.Contains(err.Error(), "must journal") {
 		t.Fatalf("journal-less joiner: got %v, want a must-journal refusal", err)
 	}
@@ -140,7 +140,7 @@ func TestJoinReplicaRefusesUnfit(t *testing.T) {
 	if status, body, err := diverged.Do(context.Background(), "POST", "/reviews", rogue); err != nil || status != http.StatusOK {
 		t.Fatalf("seeding rogue write: status %d err %v body %s", status, err, body)
 	}
-	if _, err := fleet.JoinReplica(context.Background(), backends, diverged, fleet.JoinOptions{}); err == nil ||
+	if _, err := fleet.JoinReplica(context.Background(), backends, diverged); err == nil ||
 		!strings.Contains(err.Error(), "diverges") {
 		t.Fatalf("diverged joiner: got %v, want a divergence refusal", err)
 	}

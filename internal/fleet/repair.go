@@ -1,23 +1,21 @@
 package fleet
 
 // Anti-entropy write-repair. Every node of a routed fleet journals every
-// replicated write in one fleet-wide order, so a healthy fleet's
-// journals are byte-identical record sequences. A node that was down (or
-// dropped requests) holds a strict prefix of that sequence; the repair
-// pass proves the prefix relationship with a hash chain and backfills
-// the missing suffix through the ordinary replica-write path, so the
-// laggard journals and applies exactly the deltas it missed, in fleet
-// order — converging it to byte-identical interpretation state.
+// replicated write in one fleet-wide order, and a node's journal is
+// always a prefix of that order: the router sends a node that missed a
+// write nothing more until repair has backfilled it (internal/router,
+// write.go). So the one convergence rule, shared by Repair and
+// JoinReplica, is: prove the node's journal is a prefix of the
+// reference's with the hash chain, stream the missing suffix through the
+// ordinary replica-write path in fleet order, and check the hash of where
+// the node ended. The laggard journals and applies exactly the deltas it
+// missed, in fleet order, converging it to byte-identical interpretation
+// state.
 //
-// When a node's journal is NOT a prefix of the reference's (transient
-// per-request faults carved a mid-stream gap, and no repair ran before
-// later writes landed), the pass falls back to a full sync: every
-// reference record is offered to the node (duplicates answer 409 and
-// cost nothing), and records the reference itself is missing are pushed
-// back from the divergent node. That converges the fleet's review *set*
-// in one pass; the divergent node's apply order then differs from fleet
-// order, which the report surfaces as FullSync so an operator knows a
-// compaction or restart is what restores byte-level provenance ordering.
+// A node whose journal is not a prefix of the reference's holds an order
+// no other node has; no stream can make it byte-identical again. It is
+// refused with an error telling the operator to wipe it and rejoin from
+// the snapshot, and it is never streamed into the reference.
 
 import (
 	"context"
@@ -34,19 +32,21 @@ import (
 // /journal/status — volatile (unjournaled) ingestion. Such a fleet has
 // no anti-entropy substrate: there is no fleet-ordered log to diff or
 // backfill from, so callers should stop scheduling repair passes
-// (the router disables its auto-heal hook on this error).
+// (the router stops keeping a dirty set on this error).
 var ErrNoJournalSurface = errors.New("fleet: nodes have no journal surface (volatile ingestion)")
+
+// pageSize bounds one /journal/records fetch.
+const pageSize = 256
 
 // RepairOptions configure a Repair pass.
 type RepairOptions struct {
-	// Only restricts which node indexes may be backfilled (the reference
-	// and status collection still span every node). nil repairs every
-	// lagging node — the standalone anti-entropy pass. The router's
-	// post-partial-write hook passes just the shards whose replication
-	// failed.
-	Only map[int]bool
-	// PageSize bounds one /journal/records fetch. 0 means 256.
-	PageSize int
+	// Dirty holds the node indexes the caller knows missed a write (the
+	// router's dirty set). A dirty node receives nothing but its backfill,
+	// so a clean node is never behind a dirty one: the reference is
+	// elected from the clean nodes, and a dirty node that is not a prefix
+	// of it is refused. Only when every node is dirty is none known level
+	// with the fleet, and then all are candidates.
+	Dirty map[int]bool
 }
 
 // NodeRepair reports one node's outcome in a repair pass.
@@ -58,17 +58,11 @@ type NodeRepair struct {
 	Before uint64 `json:"before"`
 	After  uint64 `json:"after"`
 	// Backfilled counts records the node accepted; AlreadyPresent counts
-	// records it answered 409 for (it had them all along); Failed counts
-	// records it rejected or could not receive.
+	// records it answered 409 for; Failed counts records it rejected (a
+	// rejection ends the node's stream, so its journal stays a prefix).
 	Backfilled     int `json:"backfilled"`
 	AlreadyPresent int `json:"already_present,omitempty"`
 	Failed         int `json:"failed,omitempty"`
-	// FullSync is true when the node's journal had diverged beyond a pure
-	// prefix and the pass fell back to offering the full record set;
-	// ReverseBackfilled counts records this node pushed back INTO the
-	// reference during that sync (the reference was missing them).
-	FullSync          bool `json:"full_sync,omitempty"`
-	ReverseBackfilled int  `json:"reverse_backfilled,omitempty"`
 	// InSync is true when the node needed nothing.
 	InSync bool `json:"in_sync,omitempty"`
 	// Err is the terminal failure that stopped this node's repair, "" on
@@ -79,25 +73,13 @@ type NodeRepair struct {
 // RepairReport is the outcome of one anti-entropy pass.
 type RepairReport struct {
 	// Reference is the node whose journal served as the backfill source
-	// (the longest journal; ties break to the lowest index).
+	// (the longest clean journal; ties break to the lowest index).
 	Reference    int    `json:"reference"`
 	ReferenceSeq uint64 `json:"reference_seq"`
 	// InSync is true when every probed node already matched the reference.
 	InSync bool `json:"in_sync"`
 	// Nodes reports per-node outcomes, ordered by node index.
 	Nodes []NodeRepair `json:"nodes"`
-}
-
-// Healed returns the indexes of nodes this pass actually converged: they
-// needed repair (or were dirty) and finished without failures.
-func (r *RepairReport) Healed() []int {
-	var out []int
-	for _, n := range r.Nodes {
-		if n.Err == "" && n.Failed == 0 && !n.InSync {
-			out = append(out, n.Index)
-		}
-	}
-	return out
 }
 
 // Converged reports whether node idx ended the pass in a known-good
@@ -111,144 +93,161 @@ func (r *RepairReport) Converged(idx int) bool {
 	return false
 }
 
-// Repair runs one anti-entropy pass over the fleet's nodes. It never
-// mutates the reference's choice of order: laggards are driven toward
-// the longest journal. The caller is responsible for serializing the
-// pass against routed writes (the router runs it under its write mutex)
-// — concurrent writes would interleave with the backfill and the healed
-// order would no longer be the fleet order.
+// Repair runs one anti-entropy pass over the fleet's nodes. Laggards are
+// driven toward the reference; a node that is not a prefix of it, or is
+// ahead of it, is reported with an Err and left as it is. The caller is responsible
+// for serializing the pass against routed writes (the router runs it
+// under its write mutex) — concurrent writes would interleave with the
+// backfill and the healed order would no longer be the fleet order.
 func Repair(ctx context.Context, nodes []Backend, opts RepairOptions) (*RepairReport, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("fleet: repair over zero nodes")
+	probes, ref, err := elect(ctx, nodes, opts.Dirty, "repair")
+	if err != nil {
+		return nil, err
 	}
-	pageSize := opts.PageSize
-	if pageSize <= 0 {
-		pageSize = 256
-	}
-
-	// Probe every node concurrently (like the router's own fan-outs): a
-	// pass often runs under the router's write mutex, so it should cost
-	// the slowest probe, not the sum.
-	statuses := make([]server.JournalStatusResponse, len(nodes))
-	statusErr := make([]error, len(nodes))
-	httpStatus := make([]int, len(nodes))
-	var wg sync.WaitGroup
-	for i, b := range nodes {
-		wg.Add(1)
-		go func(i int, b Backend) {
-			defer wg.Done()
-			statuses[i], httpStatus[i], statusErr[i] = journalStatus(ctx, b, 0)
-		}(i, b)
-	}
-	wg.Wait()
-	noJournal := 0
-	for i := range nodes {
-		if statusErr[i] != nil && httpStatus[i] == http.StatusNotFound {
-			noJournal++
-		}
-	}
-	if noJournal == len(nodes) {
-		return nil, ErrNoJournalSurface
-	}
-	ref := -1
-	for i := range nodes {
-		if statusErr[i] != nil {
-			continue
-		}
-		if ref < 0 || statuses[i].LastSeq > statuses[ref].LastSeq {
-			ref = i
-		}
-	}
-	if ref < 0 {
-		return nil, fmt.Errorf("fleet: repair: no node answered /journal/status (first error: %v)", statusErr[0])
-	}
-	report := &RepairReport{Reference: ref, ReferenceSeq: statuses[ref].LastSeq, InSync: true}
+	refSt := probes[ref].st
+	report := &RepairReport{Reference: ref, ReferenceSeq: refSt.LastSeq, InSync: true}
 
 	for i, b := range nodes {
-		nr := NodeRepair{Index: i, Name: b.Name()}
+		p := probes[i]
+		nr := NodeRepair{Index: i, Name: b.Name(), Before: p.st.LastSeq, After: p.st.LastSeq}
 		switch {
-		case statusErr[i] != nil:
-			nr.Err = statusErr[i].Error()
+		case p.err != nil:
+			nr.Err = p.err.Error()
 			report.InSync = false
-		case statuses[i].LastAppliedSeq < statuses[i].LastSeq:
+		case p.st.LastAppliedSeq < p.st.LastSeq:
 			// The append-without-apply window: the record is durable in the
 			// node's journal (so journal diffing sees nothing to backfill)
 			// but its serving state is behind. A backfill POST cannot heal
 			// this without duplicating the journaled record; a restart
 			// replays the journal and converges. Never report such a node
 			// in sync — drift must not hide.
-			nr.Before, nr.After = statuses[i].LastSeq, statuses[i].LastSeq
 			nr.Err = fmt.Sprintf("applied state (seq %d) is behind the journal (seq %d): an append succeeded but its apply failed; restart the node to replay",
-				statuses[i].LastAppliedSeq, statuses[i].LastSeq)
+				p.st.LastAppliedSeq, p.st.LastSeq)
 			report.InSync = false
-		case i == ref:
+		case i == ref, p.st.LastSeq == refSt.LastSeq && p.st.PrefixHash == refSt.PrefixHash:
 			nr.InSync = true
-			nr.Before, nr.After = statuses[i].LastSeq, statuses[i].LastSeq
-		case statuses[i].LastSeq == statuses[ref].LastSeq && statuses[i].PrefixHash == statuses[ref].PrefixHash:
-			nr.InSync = true
-			nr.Before, nr.After = statuses[i].LastSeq, statuses[i].LastSeq
-		case opts.Only != nil && !opts.Only[i]:
-			// Lagging but out of scope for this pass.
-			nr.Before, nr.After = statuses[i].LastSeq, statuses[i].LastSeq
+		case p.st.LastSeq > refSt.LastSeq:
+			// Only a dirty node can be longer than the clean reference, and
+			// the router sends a dirty node no write: what it holds past the
+			// reference reached it some other way.
+			nr.Err = fmt.Sprintf("journal (seq %d) is ahead of the fleet (seq %d): it holds records no clean node has; wipe the node and rejoin from the snapshot",
+				p.st.LastSeq, refSt.LastSeq)
 			report.InSync = false
 		default:
-			nr = repairNode(ctx, nodes, ref, i, statuses, pageSize)
 			report.InSync = false
+			end, err := catchUp(ctx, nodes[ref], b, p.st, &nr)
+			nr.After = end.LastSeq
+			if err != nil {
+				nr.Err = err.Error()
+			}
 		}
 		report.Nodes = append(report.Nodes, nr)
 	}
 	return report, nil
 }
 
-// repairNode converges one lagging node toward the reference.
-func repairNode(ctx context.Context, nodes []Backend, ref, idx int, statuses []server.JournalStatusResponse, pageSize int) NodeRepair {
-	b := nodes[idx]
-	nr := NodeRepair{Index: idx, Name: b.Name(), Before: statuses[idx].LastSeq}
-	nr.After = nr.Before
+// probe is one node's journal-status answer.
+type probe struct {
+	st   server.JournalStatusResponse
+	http int
+	err  error
+}
 
-	// Prefix proof: the laggard's whole journal must hash like the
-	// reference's first lastSeq records.
-	prefix := statuses[idx].LastSeq <= statuses[ref].LastSeq
-	if prefix && statuses[idx].LastSeq > 0 {
-		refAt, _, err := journalStatus(ctx, nodes[ref], statuses[idx].LastSeq)
-		if err != nil {
-			nr.Err = fmt.Sprintf("reference prefix hash: %v", err)
-			return nr
-		}
-		prefix = refAt.PrefixHash == statuses[idx].PrefixHash
+// elect probes every node concurrently — a pass often runs under the
+// router's write mutex, so it should cost the slowest probe, not the
+// sum — and picks the reference: the longest journal of a node not in
+// dirty (of any node when every node is dirty), ties to the lowest
+// index. ErrNoJournalSurface when every node answered 404; other errors
+// name op.
+func elect(ctx context.Context, nodes []Backend, dirty map[int]bool, op string) ([]probe, int, error) {
+	if len(nodes) == 0 {
+		return nil, -1, fmt.Errorf("fleet: %s over zero nodes", op)
 	}
+	probes := make([]probe, len(nodes))
+	var wg sync.WaitGroup
+	for i, b := range nodes {
+		wg.Add(1)
+		go func(i int, b Backend) {
+			defer wg.Done()
+			probes[i].st, probes[i].http, probes[i].err = journalStatus(ctx, b, 0)
+		}(i, b)
+	}
+	wg.Wait()
+	allDirty := true
+	for i := range nodes {
+		allDirty = allDirty && dirty[i]
+	}
+	noJournal, ref := 0, -1
+	var firstErr error
+	for i, p := range probes {
+		if p.err != nil {
+			if p.http == http.StatusNotFound {
+				noJournal++
+			}
+			if firstErr == nil {
+				firstErr = p.err
+			}
+			continue
+		}
+		if dirty[i] && !allDirty {
+			continue
+		}
+		if ref < 0 || p.st.LastSeq > probes[ref].st.LastSeq {
+			ref = i
+		}
+	}
+	if noJournal == len(nodes) {
+		return nil, -1, ErrNoJournalSurface
+	}
+	if ref < 0 {
+		return nil, -1, fmt.Errorf("fleet: %s: no clean node answered /journal/status (first error: %v)", op, firstErr)
+	}
+	return probes, ref, nil
+}
 
-	from := statuses[idx].LastSeq + 1
-	if !prefix {
-		// Divergence: offer everything; 409s absorb the overlap.
-		nr.FullSync = true
-		from = 1
+// catchUp applies the convergence rule to node, whose journal status is
+// st: prove st is a prefix of ref's journal, stream ref's records after
+// it, and prove the journal the node ended with is still a prefix of
+// ref's. It returns the node's final status (st when the pass stopped
+// before streaming) and accumulates record counts into nr.
+func catchUp(ctx context.Context, ref, node Backend, st server.JournalStatusResponse, nr *NodeRepair) (server.JournalStatusResponse, error) {
+	if err := provePrefix(ctx, ref, st); err != nil {
+		return st, err
 	}
-	if err := streamInto(ctx, nodes[ref], b, from, pageSize, &nr); err != nil {
-		nr.Err = err.Error()
-		return nr
+	if err := streamInto(ctx, ref, node, st.LastSeq+1, nr); err != nil {
+		return st, err
 	}
-	if nr.FullSync {
-		// The reference may itself be missing records the divergent node
-		// holds (disjoint transient faults); push them back so the pass
-		// converges the union, not just the reference's view.
-		back := NodeRepair{}
-		if err := streamInto(ctx, b, nodes[ref], 1, pageSize, &back); err != nil {
-			nr.Err = fmt.Sprintf("reverse sync into reference: %v", err)
-			return nr
-		}
-		nr.Failed += back.Failed
-		nr.ReverseBackfilled = back.Backfilled
+	end, _, err := journalStatus(ctx, node, 0)
+	if err != nil {
+		return st, fmt.Errorf("status after backfill: %v", err)
 	}
-	if st, _, err := journalStatus(ctx, b, 0); err == nil {
-		nr.After = st.LastSeq
+	if err := provePrefix(ctx, ref, end); err != nil {
+		return end, fmt.Errorf("after backfill to seq %d: %v", end.LastSeq, err)
 	}
-	return nr
+	return end, nil
+}
+
+// provePrefix checks that a journal with status st hashes like ref's
+// first st.LastSeq records.
+func provePrefix(ctx context.Context, ref Backend, st server.JournalStatusResponse) error {
+	if st.LastSeq == 0 {
+		return nil
+	}
+	refAt, _, err := journalStatus(ctx, ref, st.LastSeq)
+	if err != nil {
+		return fmt.Errorf("reference prefix hash at seq %d: %v", st.LastSeq, err)
+	}
+	if refAt.PrefixHash != st.PrefixHash {
+		return fmt.Errorf("journal diverges from the fleet at or before seq %d; wipe the node and rejoin from the snapshot", st.LastSeq)
+	}
+	return nil
 }
 
 // streamInto pages src's journal records from seq `from` and offers each
-// to dst through the replica-write path, accumulating counts into nr.
-func streamInto(ctx context.Context, src, dst Backend, from uint64, pageSize int, nr *NodeRepair) error {
+// to dst through the replica-write path, accumulating counts into nr. A
+// deliberate rejection is counted and ends the stream: dst accepting a
+// later record would leave a gap in its journal.
+func streamInto(ctx context.Context, src, dst Backend, from uint64, nr *NodeRepair) error {
 	for {
 		page, err := journalRecords(ctx, src, from, pageSize)
 		if err != nil {
@@ -271,10 +270,8 @@ func streamInto(ctx context.Context, src, dst Backend, from uint64, pageSize int
 			case status == http.StatusConflict:
 				nr.AlreadyPresent++
 			default:
-				// A deliberate rejection (e.g. a ghost entity this node will
-				// never accept) is counted, not fatal: the rest of the tail
-				// may still land.
 				nr.Failed++
+				return nil
 			}
 			from = rec.Seq + 1
 		}

@@ -365,12 +365,10 @@ func RunTable7(hotels, restaurants *corpus.Dataset, hotelDB, restDB *core.DB, cf
 			LRAccuracyMkrs:   db.Membership.MarkerAccuracy,
 			LRAccuracyNoMkrs: db.Membership.ScanAccuracy,
 		}
-		for _, useMarkers := range []bool{true, false} {
-			opts := core.DefaultQueryOptions()
-			opts.TopK = cfg.TopK
-			opts.UseMarkers = useMarkers
+		// pass answers the query set on one arm and returns its mean
+		// quality.
+		pass := func(opts core.QueryOptions) float64 {
 			var qualities []float64
-			start := time.Now()
 			for _, q := range queries {
 				texts := PredTexts(d, q)
 				qr, err := db.RankPredicates(texts, candFn, opts)
@@ -385,8 +383,20 @@ func RunTable7(hotels, restaurants *corpus.Dataset, hotelDB, restDB *core.DB, cf
 					qualities = append(qualities, v)
 				}
 			}
-			elapsed := time.Since(start)
 			mean, _ := eval.MeanCI(qualities)
+			return mean
+		}
+		for _, useMarkers := range []bool{true, false} {
+			opts := core.DefaultQueryOptions()
+			opts.TopK = cfg.TopK
+			opts.UseMarkers = useMarkers
+			// One untimed pass first, so both arms are timed from the same
+			// memo state: whichever arm ran first would otherwise pay for
+			// every predicate interpretation the DB had not memoized yet.
+			pass(opts)
+			start := time.Now()
+			mean := pass(opts)
+			elapsed := time.Since(start)
 			if useMarkers {
 				col.NDCGMkrs, col.RuntimeMkrs = mean, elapsed
 			} else {

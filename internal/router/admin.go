@@ -144,12 +144,16 @@ func (r *Router) AdmitReplica(ctx context.Context, shard int, b Backend) (*Admit
 	preCtx, preSpan := r.tracer.Start(ctx, "admin.presync")
 	preSpan.SetAttr("shard", strconv.Itoa(shard))
 	preSpan.SetAttr("backend", b.Name())
-	pre, err := fleet.JoinReplica(preCtx, fleetBackends(r.view.Load()), b, fleet.JoinOptions{})
+	r.writeMu.Lock()
+	refs, flat := r.joinBackendsLocked(r.view.Load())
+	r.writeMu.Unlock()
+	pre, err := fleet.JoinReplica(preCtx, refs, b)
 	if err != nil {
 		preSpan.SetError(err.Error())
 		preSpan.End()
 		return nil, fmt.Errorf("router: admit shard %d (%s): presync: %w", shard, b.Name(), err)
 	}
+	pre.Reference = flat[pre.Reference]
 	preSpan.SetAttr("backfilled", strconv.Itoa(pre.Backfilled))
 	preSpan.End()
 
@@ -162,12 +166,14 @@ func (r *Router) AdmitReplica(ctx context.Context, shard int, b Backend) (*Admit
 	finCtx, finSpan := r.tracer.Start(ctx, "admin.final")
 	finSpan.SetAttr("shard", strconv.Itoa(shard))
 	finSpan.SetAttr("backend", b.Name())
-	fin, err := fleet.JoinReplica(finCtx, fleetBackends(v), b, fleet.JoinOptions{})
+	refs, flat = r.joinBackendsLocked(v)
+	fin, err := fleet.JoinReplica(finCtx, refs, b)
 	if err != nil {
 		finSpan.SetError(err.Error())
 		finSpan.End()
 		return nil, fmt.Errorf("router: admit shard %d (%s): final sync: %w", shard, b.Name(), err)
 	}
+	fin.Reference = flat[fin.Reference]
 	finSpan.SetAttr("backfilled", strconv.Itoa(fin.Backfilled))
 	finSpan.SetAttr("identical", strconv.FormatBool(fin.Identical))
 	finSpan.End()

@@ -23,7 +23,7 @@ func cacheRouter(t *testing.T) (*Router, *fakeBackend) {
 		}},
 		"POST /reviews": {200, server.ReviewResponse{ReviewID: "r-c1", EntityID: "e5", Owned: true}},
 	}}
-	r, err := New([]Shard{{Backend: b, FirstEntity: "a", LastEntity: "z"}}, Options{DisableAutoRepair: true})
+	r, err := New([]Shard{{Backend: b, FirstEntity: "a", LastEntity: "z"}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

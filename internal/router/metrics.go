@@ -44,8 +44,9 @@ const (
 	MetricRouterPlanHits    = "opinedb_router_plan_cache_hits_total"
 	MetricRouterPlanMisses  = "opinedb_router_plan_cache_misses_total"
 	MetricRouterPlanSeconds = "opinedb_router_plan_seconds"
-	// MetricRouterDirtyShards: shards whose last replication failed and
-	// that no repair pass has converged yet.
+	// MetricRouterDirtyShards: nodes (flat node indexes; shards at R=1)
+	// that missed a write and that no repair pass has converged yet —
+	// they receive no writes but their backfill.
 	MetricRouterDirtyShards = "opinedb_router_dirty_shards"
 	// MetricRouterRepairPasses / MetricRouterRepairBackfilled:
 	// anti-entropy passes run and records backfilled by them.
@@ -153,7 +154,7 @@ func newRouterMetrics(reg *obs.Registry, shards int) *routerMetrics {
 	m.plan = reg.Histogram(MetricRouterPlanSeconds,
 		"Routed-read planning step wall time in seconds, hops included.")
 	m.dirtyShards = reg.Gauge(MetricRouterDirtyShards,
-		"Shards whose last replication failed and repair has not converged.")
+		"Nodes that missed a write and repair has not converged.")
 	m.repairPasses = reg.Counter(MetricRouterRepairPasses,
 		"Anti-entropy repair passes run.")
 	m.repairBackfill = reg.Counter(MetricRouterRepairBackfilled,

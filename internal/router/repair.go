@@ -1,17 +1,17 @@
 package router
 
-// Post-partial-write healing: the router's integration with the
-// anti-entropy control plane (internal/fleet). A routed write whose
-// replica fan-out partially failed used to leave the failed shard
-// drifting — its corpus-global interpretation state missing a review —
-// until compaction or a restart. Now the router marks such shards dirty
-// and, while still holding the write mutex, runs a repair pass scoped to
-// them: the backfill re-delivers exactly the missed deltas through the
-// replica-write path before any later write can land, so a healed
-// replica's journal keeps the fleet order and its state stays
-// byte-identical to its peers'. Shards that are fully down stay dirty
-// and the hook retries on subsequent writes; RunRepair offers the same
-// pass to operators (POST /repair, opinedbd -repair-interval).
+// The router's integration with the anti-entropy control plane
+// (internal/fleet). A node that misses a routed write — its replica POST
+// failed, or its owner-hop call errored and may have landed — enters the
+// dirty set, and from then on receives nothing but its backfill: the
+// write path skips it (write.go) and, while still holding the write
+// mutex, runs a repair pass that elects its reference from the clean
+// nodes and streams each dirty node its whole missed suffix in fleet
+// order. So every node's journal stays a prefix of the fleet order — the
+// property the repair pass proves, and the one plan generations assume.
+// Nodes that are fully down stay dirty and the write path retries on
+// every later write; RunRepair offers the same pass to operators
+// (POST /repair, opinedbd -repair-interval).
 
 import (
 	"context"
@@ -34,78 +34,90 @@ func fleetBackends(v *fleetView) []fleet.Backend {
 	return out
 }
 
-// markDirtyLocked records nodes (flat indexes) whose replication failed.
-// Caller holds writeMu.
+// markDirtyLocked records nodes (flat indexes) that missed a write. A
+// volatile fleet keeps no dirty set: it has no journal to heal from, and
+// a dirty node would receive no writes. Caller holds writeMu.
 func (r *Router) markDirtyLocked(failed map[int]string) {
+	if r.volatile {
+		return
+	}
 	for i := range failed {
 		r.dirty[i] = true
 	}
 	r.metrics.dirtyShards.Set(float64(len(r.dirty)))
 }
 
-// repairDirtyLocked runs one repair pass scoped to the dirty nodes,
-// clearing the ones that converged. Caller holds writeMu. It returns the
-// node indexes healed by this pass (nil when there was nothing to do or
-// the pass could not run).
-func (r *Router) repairDirtyLocked(ctx context.Context) (healed []int) {
+// joinBackendsLocked lists the nodes a join may elect its reference
+// from, with each one's flat node index: the clean nodes, or every node
+// when all are dirty — the rule fleet.RepairOptions.Dirty states for a
+// repair pass. Caller holds writeMu.
+func (r *Router) joinBackendsLocked(v *fleetView) ([]fleet.Backend, []int) {
+	allDirty := len(r.dirty) == len(v.nodes)
+	var bs []fleet.Backend
+	var flat []int
+	for i, n := range v.nodes {
+		if allDirty || !r.dirty[i] {
+			bs = append(bs, n.backend)
+			flat = append(flat, i)
+		}
+	}
+	return bs, flat
+}
+
+// healLocked is the write path's pass, run while any node is dirty and
+// bounded by the router's timeout so a hung dirty node cannot stall every
+// later write. It returns the node indexes that converged. Caller holds
+// writeMu.
+func (r *Router) healLocked(ctx context.Context) []int {
 	if len(r.dirty) == 0 {
 		return nil
 	}
-	only := make(map[int]bool, len(r.dirty))
-	for i := range r.dirty {
-		only[i] = true
-	}
-	ctx, span := r.tracer.Start(ctx, "repair.pass")
-	span.SetAttr("dirty", strconv.Itoa(len(only)))
-	defer func() {
-		span.SetAttr("healed", strconv.Itoa(len(healed)))
-		span.End()
-	}()
-	// The pass runs under writeMu: bound it by the router's timeout so a
-	// hung dirty shard cannot stall every subsequent routed write (the
-	// backends themselves carry no deadline of their own).
 	ctx, cancel := context.WithTimeout(ctx, r.timeout)
 	defer cancel()
-	v := r.view.Load()
-	report, err := fleet.Repair(ctx, fleetBackends(v), fleet.RepairOptions{Only: only})
-	if errors.Is(err, fleet.ErrNoJournalSurface) {
-		// Volatile ingestion: there is no fleet-ordered log to heal from,
-		// so a repair pass can never succeed. Stop paying the probe cost
-		// on every write.
-		r.autoRepair = false
-		r.dirty = map[int]bool{}
-		r.metrics.dirtyShards.Set(0)
-		return nil
-	}
-	if err != nil {
-		return nil
-	}
-	r.metrics.observeRepair(report, v.nodes)
-	for i := range only {
-		if report.Converged(i) {
-			delete(r.dirty, i)
-			healed = append(healed, i)
-		}
-	}
-	r.metrics.dirtyShards.Set(float64(len(r.dirty)))
-	if len(healed) > 0 {
-		// Backfills changed replicated state behind the memo cache.
-		r.invalidateInterpret()
-	}
+	_, healed, _ := r.repairLocked(ctx)
 	return healed
 }
 
-// DirtyShards reports the flat node indexes whose last replication
-// failed and that no repair pass has converged yet (with single-replica
-// shards a node index IS the shard index).
-func (r *Router) DirtyShards() []int {
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
-	out := make([]int, 0, len(r.dirty))
-	for i := range r.dirty {
-		out = append(out, i)
+// repairLocked runs one repair pass over the current view, electing the
+// reference from the clean nodes, and folds its outcome into the router:
+// converged nodes leave the dirty set (healed lists those that were in
+// it), the repair metrics record the pass, and a pass that backfilled
+// anything retires the interpretation memo. A volatile fleet
+// (fleet.ErrNoJournalSurface) clears the dirty set for good. Caller holds
+// writeMu.
+func (r *Router) repairLocked(ctx context.Context) (report *fleet.RepairReport, healed []int, err error) {
+	v := r.view.Load()
+	ctx, span := r.tracer.Start(ctx, "repair.pass")
+	span.SetAttr("nodes", strconv.Itoa(len(v.nodes)))
+	span.SetAttr("dirty", strconv.Itoa(len(r.dirty)))
+	defer span.End()
+	report, err = fleet.Repair(ctx, fleetBackends(v), fleet.RepairOptions{Dirty: r.dirty})
+	if errors.Is(err, fleet.ErrNoJournalSurface) {
+		r.volatile = true
+		r.dirty = map[int]bool{}
+		r.metrics.dirtyShards.Set(0)
 	}
-	return out
+	if err != nil {
+		span.SetError(err.Error())
+		return nil, nil, err
+	}
+	r.metrics.observeRepair(report, v.nodes)
+	backfilled := 0
+	for _, n := range report.Nodes {
+		backfilled += n.Backfilled
+		if r.dirty[n.Index] && report.Converged(n.Index) {
+			delete(r.dirty, n.Index)
+			healed = append(healed, n.Index)
+		}
+	}
+	r.metrics.dirtyShards.Set(float64(len(r.dirty)))
+	span.SetAttr("backfilled", strconv.Itoa(backfilled))
+	span.SetAttr("healed", strconv.Itoa(len(healed)))
+	if backfilled > 0 {
+		// Backfills changed replicated state behind the memo cache.
+		r.invalidateInterpret()
+	}
+	return report, healed, nil
 }
 
 // RunRepair runs one fleet-wide anti-entropy pass, serialized against
@@ -115,36 +127,6 @@ func (r *Router) DirtyShards() []int {
 func (r *Router) RunRepair(ctx context.Context) (*fleet.RepairReport, error) {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
-	v := r.view.Load()
-	ctx, span := r.tracer.Start(ctx, "repair.pass")
-	span.SetAttr("nodes", strconv.Itoa(len(v.nodes)))
-	report, err := fleet.Repair(ctx, fleetBackends(v), fleet.RepairOptions{})
-	if err != nil {
-		span.SetError(err.Error())
-		span.End()
-		return nil, err
-	}
-	backfilled := 0
-	for _, n := range report.Nodes {
-		backfilled += n.Backfilled
-	}
-	span.SetAttr("backfilled", strconv.Itoa(backfilled))
-	span.End()
-	r.metrics.observeRepair(report, v.nodes)
-	repaired := false
-	for i := range v.nodes {
-		if report.Converged(i) {
-			delete(r.dirty, i)
-		}
-	}
-	r.metrics.dirtyShards.Set(float64(len(r.dirty)))
-	for _, n := range report.Nodes {
-		if n.Backfilled > 0 {
-			repaired = true
-		}
-	}
-	if repaired {
-		r.invalidateInterpret()
-	}
-	return report, nil
+	report, _, err := r.repairLocked(ctx)
+	return report, err
 }

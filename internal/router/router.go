@@ -82,15 +82,6 @@ type Options struct {
 	// DefaultTopK caps merged rankings when a request does not specify k.
 	// 0 means 10, matching the engine and shard servers.
 	DefaultTopK int
-	// DisableAutoRepair turns off the post-partial-write healing hook: by
-	// default a write whose replication partially failed marks the failed
-	// shards dirty and the router runs an anti-entropy repair pass
-	// (internal/fleet) against them — under the write mutex, so the
-	// backfill lands before any later write and the healed replica keeps
-	// the fleet order — retrying on subsequent writes until the shards
-	// come back. Disable it only when an external repair loop owns
-	// convergence.
-	DisableAutoRepair bool
 	// Metrics is the registry behind the front door's GET /metrics
 	// (metrics.go). nil gets the router a private registry; a
 	// single-process fleet passes one registry to the router and every
@@ -147,14 +138,15 @@ type Router struct {
 	hedgeDelay time.Duration
 	ejectFor   time.Duration
 	// writeMu serializes routed writes into one fleet-wide total order
-	// (see write.go). The repair hook and the dirty set below are
-	// guarded by it too: repair must not interleave with writes.
+	// (see write.go). Repair passes and the dirty set below are guarded
+	// by it too: repair must not interleave with writes.
 	writeMu sync.Mutex
-	// autoRepair enables the post-partial-write healing hook; dirty holds
-	// the flat node indexes whose last replication failed and that repair
-	// has not yet converged.
-	autoRepair bool
-	dirty      map[int]bool
+	// dirty holds the flat node indexes that missed a write and that
+	// repair has not yet converged; they receive no writes but their
+	// backfill (repair.go). volatile is set once a pass finds the fleet
+	// unjournaled, which keeps the dirty set empty.
+	dirty    map[int]bool
+	volatile bool
 	// memoMu guards the front door's predicate memo (cache.go): /interpret
 	// answers and shipped plan entries under one LRU; memoGen is the
 	// generation that retires write-sensitive entries and fences stale
@@ -207,7 +199,6 @@ func New(shards []Shard, opts Options) (*Router, error) {
 		hedge:      !opts.DisableHedging,
 		hedgeDelay: opts.HedgeDelay,
 		ejectFor:   ejectFor,
-		autoRepair: !opts.DisableAutoRepair,
 		dirty:      map[int]bool{},
 		memo:       lru.New[string, memoEntry](maxInterpretCacheEntries),
 		tracer:     opts.Trace,

@@ -20,6 +20,12 @@ package router
 // keeps the floating-point accumulations of the marker summaries — and
 // therefore the whole query fingerprint — byte-identical between a
 // monolith and any sharded deployment ingesting the same sequence.
+//
+// A node that missed a write is dirty (repair.go) and receives nothing
+// but its backfill: the owner hop and the fan-out skip it, and the repair
+// pass that follows streams it every write it missed, in fleet order. So
+// a node's journal is always a prefix of the fleet order; it never holds
+// a later write without an earlier one.
 
 import (
 	"context"
@@ -76,15 +82,14 @@ type ReviewResult struct {
 	// Replicated counts the other fleet nodes (every replica of every
 	// shard) that absorbed the write.
 	Replicated int `json:"replicated"`
-	// Partial is true when at least one node failed to absorb the
-	// write. ShardErrors names the failures by shard range (one combined
-	// message per range); FailedNodes attributes each failed leg to the
-	// exact replica. Unless auto-repair is disabled, the router
-	// immediately runs an anti-entropy pass against the failed nodes;
-	// Healed lists the flat node indexes that converged before this
-	// response was sent (the rest stay dirty and are retried on
-	// subsequent writes). With single-replica shards node indexes ARE
-	// shard indexes.
+	// Partial is true when at least one node did not absorb the write:
+	// it failed, or it was dirty and skipped. ShardErrors names them by
+	// shard range (one combined message per range); FailedNodes
+	// attributes each to the exact replica. The router immediately runs
+	// a repair pass against them; Healed lists the flat node indexes
+	// that converged before this response was sent (the rest stay dirty
+	// and are retried on subsequent writes). With single-replica shards
+	// node indexes ARE shard indexes.
 	Partial     bool           `json:"partial,omitempty"`
 	ShardErrors map[int]string `json:"shard_errors,omitempty"`
 	FailedNodes []NodeError    `json:"failed_nodes,omitempty"`
@@ -133,33 +138,33 @@ func (r *Router) AddReview(ctx context.Context, req server.ReviewRequest) (*Revi
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
 
-	// Heal-before-write: if earlier replications left shards dirty, run
-	// the repair pass BEFORE this write fans out, so a shard that just
-	// came back receives its missed suffix first and then this write —
-	// its journal keeps the fleet order and its state stays
-	// byte-identical (repair.go).
-	var healedBefore []int
-	if r.autoRepair && len(r.dirty) > 0 {
-		healedBefore = r.repairDirtyLocked(ctx)
-	}
+	// Heal-before-write: if earlier writes left nodes dirty, run the
+	// repair pass BEFORE this write fans out, so a node that just came
+	// back receives its missed suffix first and then this write.
+	healedBefore := r.healLocked(ctx)
 
-	// Owner hop with failover: replicas of the owning range are
+	// Owner hop with failover: clean replicas of the owning range are
 	// equivalent, so any of them can take the authoritative write. Try
 	// them in index order; the first that answers at all (any status) is
 	// authoritative — a deliberate rejection must abort, not hop to a
-	// peer that would accept. A replica skipped here still receives the
-	// replicate fan-out below (it answers 409 if the failed attempt
-	// actually landed server-side). The view is stable for the whole
-	// write: joins and retires serialize on writeMu, which we hold.
+	// peer that would accept. A replica whose attempt errored may have
+	// journaled the write anyway (a timeout after its commit), so it turns
+	// dirty: it is sent nothing more until a repair pass proves its
+	// journal a prefix of a clean node's. The view is stable for the
+	// whole write: joins and retires serialize on writeMu, which we hold.
 	v := r.view.Load()
-	ownerSet := v.reps[owner]
 	var ownerRep *replica
 	var status int
 	var respBody []byte
 	var firstErr error
 	ctx, ownerSpan := r.tracer.Start(ctx, "write.owner")
 	ownerSpan.SetAttr("shard", strconv.Itoa(owner))
-	for _, rep := range ownerSet {
+	clean := 0
+	for _, rep := range v.reps[owner] {
+		if len(r.dirty) > 0 && r.dirty[v.nodeIndex(rep)] {
+			continue
+		}
+		clean++
 		ownerCtx, cancel := context.WithTimeout(ctx, r.timeout)
 		st, b, err := rep.backend.Do(ownerCtx, "POST", "/reviews", body)
 		cancel()
@@ -170,6 +175,7 @@ func (r *Router) AddReview(ctx context.Context, req server.ReviewRequest) (*Revi
 			if ctx.Err() == nil {
 				rep.recordFailure(r.ejectFor)
 			}
+			r.markDirtyLocked(map[int]string{v.nodeIndex(rep): err.Error()})
 			continue
 		}
 		// Health accounting mirrors the read path (doReplica): a 5xx is
@@ -184,6 +190,16 @@ func (r *Router) AddReview(ctx context.Context, req server.ReviewRequest) (*Revi
 		}
 		ownerRep, status, respBody = rep, st, b
 		break
+	}
+	if clean == 0 {
+		// Every replica of the range is behind the fleet: none may take a
+		// write before its backfill, so nothing is journaled anywhere.
+		body, _ := json.Marshal(map[string]string{
+			"error": fmt.Sprintf("shard %d has no replica level with the fleet: every replica is awaiting repair; retry later", owner),
+		})
+		ownerSpan.SetError("owning range has no clean replica")
+		ownerSpan.End()
+		return nil, &StatusError{Status: http.StatusServiceUnavailable, Body: body, Shard: owner, Replica: -1}
 	}
 	if ownerRep == nil {
 		ownerSpan.SetError(firstErr.Error())
@@ -202,19 +218,12 @@ func (r *Router) AddReview(ctx context.Context, req server.ReviewRequest) (*Revi
 		// ones that missed it backfill now) and report the outcome with
 		// the duplicate so the client knows whether the fleet converged.
 		heal := &ReviewResult{OwnerShard: owner, OwnerReplica: ownerRep.idx}
-		failed := r.replicate(ctx, v, ownerNode, replicaBody, heal)
-		heal.Partial = len(failed) > 0
+		r.replicateAndHeal(ctx, v, ownerNode, replicaBody, heal, healedBefore)
 		if heal.fresh > 0 {
 			// Only a node that newly absorbed the write changes
 			// replicated state; an all-409 duplicate retry is a no-op and
 			// must not wipe the hot memo.
 			r.invalidateInterpret()
-		}
-		if heal.Partial && r.autoRepair {
-			r.markDirtyLocked(failed)
-			heal.Healed = mergeHealed(healedBefore, r.repairDirtyLocked(ctx))
-		} else {
-			heal.Healed = healedBefore
 		}
 		return nil, &StatusError{Status: status, Body: respBody, Shard: owner, Replica: ownerRep.idx, Heal: heal}
 	}
@@ -227,20 +236,25 @@ func (r *Router) AddReview(ctx context.Context, req server.ReviewRequest) (*Revi
 	}
 
 	res := &ReviewResult{ReviewResponse: ack, OwnerShard: owner, OwnerReplica: ownerRep.idx}
-	failed := r.replicate(ctx, v, ownerNode, replicaBody, res)
-	res.Partial = len(failed) > 0
+	r.replicateAndHeal(ctx, v, ownerNode, replicaBody, res, healedBefore)
 	// The fleet accepted new evidence; the front door's interpretation
 	// memo is stale.
 	r.invalidateInterpret()
-	res.Healed = healedBefore
-	if r.autoRepair && res.Partial {
-		// A node missed THIS write: one immediate repair attempt while
-		// the write mutex is still held — a transient fault heals before
-		// any later write can land, keeping the fleet order intact.
-		r.markDirtyLocked(failed)
-		res.Healed = mergeHealed(res.Healed, r.repairDirtyLocked(ctx))
-	}
 	return res, nil
+}
+
+// replicateAndHeal fans the write out and, when a node missed it, marks
+// the node dirty and runs one repair pass while the write mutex is still
+// held — a transient fault heals before any later write can land.
+// Caller holds writeMu.
+func (r *Router) replicateAndHeal(ctx context.Context, v *fleetView, ownerNode int, replicaBody []byte, res *ReviewResult, healedBefore []int) {
+	failed := r.replicate(ctx, v, ownerNode, replicaBody, res)
+	res.Partial = len(failed) > 0
+	res.Healed = healedBefore
+	if res.Partial {
+		r.markDirtyLocked(failed)
+		res.Healed = mergeHealed(healedBefore, r.healLocked(ctx))
+	}
 }
 
 // mergeHealed concatenates two healed-shard lists without duplicates (a
@@ -264,13 +278,14 @@ func mergeHealed(a, b []int) []int {
 	return out
 }
 
-// replicate fans the committed write out to every fleet node except the
-// one that took the authoritative copy — every replica of every shard,
-// so no node's journal misses a sequence. It accumulates the outcome
-// into res and returns the raw failures keyed by flat node index (the
-// key space the dirty set and repair use). The fan-out is concurrent —
-// nodes commute for a single review, and the write mutex already orders
-// distinct reviews.
+// replicate fans the committed write out to every clean fleet node
+// except the one that took the authoritative copy — every replica of
+// every shard. A dirty node is not sent the write: it is reported as a
+// failure and receives the write through repair, after the ones it
+// missed. It accumulates the outcome into res and returns the failures
+// keyed by flat node index (the key space the dirty set and repair use).
+// The fan-out is concurrent — nodes commute for a single review, and the
+// write mutex already orders distinct reviews.
 func (r *Router) replicate(ctx context.Context, v *fleetView, ownerNode int, replicaBody []byte, res *ReviewResult) map[int]string {
 	ctx, span := r.tracer.Start(ctx, "write.replicate")
 	defer func() {
@@ -283,6 +298,12 @@ func (r *Router) replicate(ctx context.Context, v *fleetView, ownerNode int, rep
 	failed := map[int]string{}
 	for i, n := range v.nodes {
 		if i == ownerNode {
+			continue
+		}
+		if r.dirty[i] {
+			mu.Lock()
+			failed[i] = behindFleet
+			mu.Unlock()
 			continue
 		}
 		wg.Add(1)
@@ -325,6 +346,9 @@ func (r *Router) replicate(ctx context.Context, v *fleetView, ownerNode int, rep
 	r.foldNodeFailures(v, failed, res)
 	return failed
 }
+
+// behindFleet is the replication failure reported for a dirty node.
+const behindFleet = "behind the fleet; receives this write through repair"
 
 // foldNodeFailures renders node-keyed replication failures into the
 // result's two error views: FailedNodes (exact per-replica attribution,

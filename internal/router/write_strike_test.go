@@ -19,14 +19,14 @@ import (
 )
 
 // writeFixture builds a single-shard two-replica router owning the
-// whole entity range, with auto-repair off so the write path is the
-// only health-accounting actor.
+// whole entity range. Repair passes reach the backends directly, so the
+// write path is the only health-accounting actor.
 func writeFixture(t *testing.T, primary, peer Backend) *Router {
 	t.Helper()
 	rt, err := New([]Shard{{
 		Backend: primary, Replicas: []Backend{peer},
 		FirstEntity: "h0000", LastEntity: "h9999",
-	}}, Options{PickSeed: 21, DisableAutoRepair: true})
+	}}, Options{PickSeed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestReplicateFanOutStrikeAccounting(t *testing.T) {
 	rt, err := New([]Shard{
 		{Backend: owner, Replicas: []Backend{dup}, FirstEntity: "h0000", LastEntity: "h4999"},
 		{Backend: down, Replicas: []Backend{broken}, FirstEntity: "h5000", LastEntity: "h9999"},
-	}, Options{PickSeed: 23, DisableAutoRepair: true})
+	}, Options{PickSeed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,5 +131,34 @@ func TestReplicateFanOutStrikeAccounting(t *testing.T) {
 	}
 	if got := v.reps[1][1].fails.Load(); got != 1 {
 		t.Fatalf("503 on fan-out recorded %d strikes, want 1", got)
+	}
+}
+
+// TestVolatileFleetKeepsNoDirtySet: an unjournaled fleet (every node
+// answers 404 for /journal/status) has nothing to backfill from, so a
+// node that missed a write must not be held out of later writes.
+func TestVolatileFleetKeepsNoDirtySet(t *testing.T) {
+	reply := map[string]fakeReply{"POST /reviews": {status: 200, body: server.ReviewResponse{}}}
+	owner := &fakeBackend{name: "s0", replies: reply}
+	flaky := &fakeBackend{name: "s1", replies: reply, err: fmt.Errorf("connection refused")}
+	rt, err := New([]Shard{
+		{Backend: owner, FirstEntity: "h0000", LastEntity: "h4999"},
+		{Backend: flaky, FirstEntity: "h5000", LastEntity: "h9999"},
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := postReview(rt); err != nil || !res.Partial {
+		t.Fatalf("write with a node down = %+v, %v; want partial", res, err)
+	}
+	flaky.err = nil
+	for i := 0; i < 2; i++ {
+		res, err := postReview(rt)
+		if err != nil || res.Partial || res.Replicated != 1 {
+			t.Fatalf("write %d after the node came back = %+v, %v; want it replicated to the node", i, res, err)
+		}
+	}
+	if got := rt.Metrics().Gauge(MetricRouterDirtyShards, "").Value(); got != 0 {
+		t.Fatalf("dirty nodes = %v in a volatile fleet, want 0", got)
 	}
 }

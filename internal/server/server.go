@@ -513,6 +513,24 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...interf
 	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// NewHTTPServer is an http.Server on addr with the connection limits of
+// every listener the commands open — a node's or router's serving port
+// and either command's debug surface — so a slow or silent client cannot
+// hold a connection open forever. A request's headers are a few hundred
+// bytes, so 10 s only ever cuts off a stalled sender. Idle keep-alive
+// connections outlive the router's 90 s IdleConnTimeout
+// (internal/router/backend.go): the router always drops a pooled
+// connection before the node does, so it never reuses one the node has
+// just closed.
+func NewHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+}
+
 // HealthResponse is the /healthz payload: liveness, database shape, and
 // provenance — whether the process built its database in memory or loaded
 // a snapshot artifact, and if so which one.

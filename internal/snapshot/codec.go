@@ -15,7 +15,9 @@ package snapshot
 // These codecs decode payloads that already passed the container CRC, so
 // a decode failure means a format bug or a version mismatch the header
 // check missed; they still fail with errors, never panics, via the
-// sticky-error reader.
+// sticky-error reader. They accept only the writer's canonical bytes: a
+// varint with a shorter encoding, or a map key that does not strictly
+// follow the one before it, is malformed.
 
 import (
 	"encoding/binary"
@@ -99,7 +101,7 @@ func (d *dec) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
+	if n <= 0 || overlong(d.b[d.off:], n) {
 		d.fail("uvarint")
 		return 0
 	}
@@ -111,13 +113,19 @@ func (d *dec) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
+	if n <= 0 || overlong(d.b[d.off:], n) {
 		d.fail("varint")
 		return 0
 	}
 	d.off += n
 	return v
 }
+
+// overlong reports whether the n-byte varint at the start of b has a
+// shorter encoding: a final zero group adds nothing to the value, and the
+// writer never emits one.
+func overlong(b []byte, n int) bool { return n > 1 && b[n-1] == 0 }
+
 func (d *dec) f64() float64 {
 	if d.err != nil || d.off+8 > len(d.b) {
 		d.fail("float64")
@@ -229,6 +237,17 @@ func (d *dec) finish() error {
 	return nil
 }
 
+// key reads the next key of a list the writer emits in sortedKeys order,
+// refusing one that does not strictly follow the key before it (a
+// repeated or out-of-order key); first marks the list's first key.
+func (d *dec) key(prev string, first bool) string {
+	k := d.str()
+	if !first && k <= prev {
+		d.fail("key order")
+	}
+	return k
+}
+
 // sortedKeys returns a map's keys in sorted order.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
@@ -249,8 +268,9 @@ func (e *enc) stringIntMap(m map[string]int) {
 func (d *dec) stringIntMap() map[string]int {
 	n := d.count("map")
 	m := make(map[string]int, n)
+	k := ""
 	for i := 0; i < n; i++ {
-		k := d.str()
+		k = d.key(k, i == 0)
 		m[k] = int(d.varint())
 	}
 	return m
@@ -266,8 +286,9 @@ func (e *enc) stringF64Map(m map[string]float64) {
 func (d *dec) stringF64Map() map[string]float64 {
 	n := d.count("map")
 	m := make(map[string]float64, n)
+	k := ""
 	for i := 0; i < n; i++ {
-		k := d.str()
+		k = d.key(k, i == 0)
 		m[k] = d.f64()
 	}
 	return m
@@ -389,8 +410,9 @@ func decodeEmbeddingState(payload []byte) (embedding.ModelState, error) {
 	st := embedding.ModelState{Dim: int(d.uvarint())}
 	nvecs := d.count("vector")
 	st.Vecs = make(map[string]embedding.Vector, nvecs)
+	w := ""
 	for i := 0; i < nvecs && d.err == nil; i++ {
-		w := d.str()
+		w = d.key(w, i == 0)
 		st.Vecs[w] = d.f64s()
 	}
 	st.Stats.DocCount = int(d.uvarint())
@@ -429,8 +451,9 @@ func decodeIndexState(payload []byte, section string) (ir.IndexState, error) {
 	}
 	nterms := d.count("term")
 	st.Postings = make(map[string][]ir.Posting, nterms)
+	term := ""
 	for i := 0; i < nterms && d.err == nil; i++ {
-		term := d.str()
+		term = d.key(term, i == 0)
 		nposts := d.count("posting")
 		plist := make([]ir.Posting, 0, nposts)
 		for p := 0; p < nposts && d.err == nil; p++ {
@@ -622,12 +645,14 @@ func decodeCoreState(payload []byte) (*core.DBState, error) {
 
 	nsum := d.count("summary attribute")
 	st.Summaries = make(map[string]map[string]*core.MarkerSummary, nsum)
+	attr := ""
 	for i := 0; i < nsum && d.err == nil; i++ {
-		attr := d.str()
+		attr = d.key(attr, i == 0)
 		nent := d.count("summary entity")
 		byEntity := make(map[string]*core.MarkerSummary, nent)
+		entity := ""
 		for j := 0; j < nent && d.err == nil; j++ {
-			entity := d.str()
+			entity = d.key(entity, j == 0)
 			byEntity[entity] = d.summary()
 		}
 		st.Summaries[attr] = byEntity
@@ -719,8 +744,9 @@ func decodeExtractorState(payload []byte) (extract.PerceptronState, error) {
 	}
 	nfeats := d.count("feature")
 	st.Weights = make(map[string][extract.NumTags]float64, nfeats)
+	feat := ""
 	for i := 0; i < nfeats && d.err == nil; i++ {
-		feat := d.str()
+		feat = d.key(feat, i == 0)
 		var w [extract.NumTags]float64
 		for t := 0; t < extract.NumTags; t++ {
 			w[t] = d.f64()

@@ -583,6 +583,56 @@ func TestRelSectionAcceptsOnlyWhatTheWriterProduces(t *testing.T) {
 	}
 }
 
+// nonCanonicalImages are seed-11 (a one-entity image the writer wrote)
+// with one section rewritten, behind a valid CRC, into bytes that decode
+// to the same values but that the writer never produces. Each is also
+// checked in as the FuzzSnapshotLoad seed named here.
+func nonCanonicalImages(t *testing.T) []struct {
+	seed, section string
+	image         []byte
+} {
+	t.Helper()
+	base := snapshot.ReadSeed(t, filepath.Join("testdata", "fuzz", "FuzzSnapshotLoad", "seed-11"))
+	layout := parseLayout(t, base)
+	rewrite := func(section, from, to string) []byte {
+		p := layout[section].payload
+		i := bytes.Index(p, []byte(from))
+		if i < 0 {
+			t.Fatalf("%s payload does not hold %q", section, from)
+		}
+		return withSection(base, section, append(append(append([]byte(nil), p[:i]...), to...), p[i+len(from):]...))
+	}
+	return []struct {
+		seed, section string
+		image         []byte
+	}{
+		// DocIDs [r1], DocLen [2], then TotalLen 2 (zigzag 0x04) written
+		// as the two-byte 0x84 0x00.
+		{"seed-12", snapshot.SectionReviewIndex, rewrite(snapshot.SectionReviewIndex, "\x01\x02r1\x01\x04\x04", "\x01\x02r1\x01\x04\x84\x00")},
+		// The one DomainPhrases entry, "room clean" → 1, written twice.
+		{"seed-13", snapshot.SectionCore, rewrite(snapshot.SectionCore, "\x01\x0aroom clean\x02", "\x02\x0aroom clean\x02\x0aroom clean\x02")},
+		// DF {clean: 1, room: 1} (the first such map; TermCount repeats it)
+		// with its two keys swapped.
+		{"seed-14", snapshot.SectionEmbedding, rewrite(snapshot.SectionEmbedding, "\x02\x05clean\x02\x04room\x02", "\x02\x04room\x02\x05clean\x02")},
+	}
+}
+
+// TestLoadRefusesNonCanonicalEncodings: an overlong varint, a repeated
+// map key and an unsorted map key each fail Load with the malformed-
+// payload error of their section, and the checked-in seed of the same
+// name holds exactly that image.
+func TestLoadRefusesNonCanonicalEncodings(t *testing.T) {
+	for _, c := range nonCanonicalImages(t) {
+		_, _, err := snapshot.Load(writeSnap(t, c.image))
+		if want := "snapshot: decode " + c.section + ": malformed"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want %q", c.seed, err, want)
+		}
+		if seed := snapshot.ReadSeed(t, filepath.Join("testdata", "fuzz", "FuzzSnapshotLoad", c.seed)); !bytes.Equal(seed, c.image) {
+			t.Errorf("checked-in %s is not the crafted image", c.seed)
+		}
+	}
+}
+
 // TestMissingFile: a nonexistent path surfaces fs.ErrNotExist, so a
 // refusal says the file is missing rather than corrupt.
 func TestMissingFile(t *testing.T) {
