@@ -22,12 +22,16 @@ cover:
 
 # Short coverage-guided fuzz smoke over each fuzz target (CI runs this;
 # longer local runs: go test -fuzz=FuzzParseQuery -fuzztime 5m ...).
+# Go minimizes each new interesting input for up to -fuzzminimizetime
+# (60s by default) and executes nothing new meanwhile, so without a bound
+# a target spends most of its FUZZTIME minimizing. 1s bounds that; not 0,
+# since a crasher is minimized with the same budget.
 FUZZTIME := 10s
 fuzz-smoke:
-	go test -run xxx -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/sqlparse
-	go test -run xxx -fuzz FuzzSnapshotLoad -fuzztime $(FUZZTIME) ./internal/snapshot
-	go test -run xxx -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal
-	go test -run xxx -fuzz FuzzFragmentScan -fuzztime $(FUZZTIME) ./internal/router
+	go test -run xxx -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sqlparse
+	go test -run xxx -fuzz FuzzSnapshotLoad -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/snapshot
+	go test -run xxx -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/journal
+	go test -run xxx -fuzz FuzzFragmentScan -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/router
 
 # gofmt cleanliness: fail listing any file that gofmt would rewrite.
 fmtcheck:

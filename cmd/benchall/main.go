@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -123,23 +122,6 @@ var experiments = []struct {
 	}},
 	{"appendixc", func(s *suite) {
 		fmt.Println(harness.FormatAppendixC(harness.RunAppendixC(s.seed + 500)))
-	}},
-	{"concurrency", func(s *suite) {
-		s.build()
-		fmt.Println("running concurrency (parallel serving + parallel build)...")
-		fmt.Println(harness.FormatConcurrency(harness.RunConcurrency(s.hotels, s.hotelDB, s.seed+600)))
-	}},
-	{"persistence", func(s *suite) {
-		fmt.Println("running persistence (snapshot cold start vs rebuild)...")
-		fmt.Println(harness.FormatPersistence(harness.RunPersistence(s.seed + 700)))
-	}},
-	{"sharding", func(s *suite) {
-		fmt.Println("running sharding (scatter-gather router vs monolith)...")
-		fmt.Println(harness.FormatSharding(harness.RunSharding(context.Background(), s.seed+800)))
-	}},
-	{"rebalance", func(s *suite) {
-		fmt.Println("running rebalance (online N→M re-partitioning vs full rebuild)...")
-		fmt.Println(harness.FormatRebalance(harness.RunRebalance(context.Background(), s.seed+900)))
 	}},
 }
 

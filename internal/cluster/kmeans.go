@@ -155,13 +155,3 @@ func sqDist(a, b embedding.Vector) float64 {
 	}
 	return s
 }
-
-// Inertia returns the total within-cluster sum of squared distances, the
-// quantity k-means locally minimizes; exposed for tests and diagnostics.
-func Inertia(points []embedding.Vector, r *Result) float64 {
-	var s float64
-	for i, p := range points {
-		s += sqDist(p, r.Centroids[r.Assign[i]])
-	}
-	return s
-}

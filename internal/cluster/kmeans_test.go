@@ -119,25 +119,10 @@ func TestKMeansAllIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Inertia(pts, res); got != 0 {
-		t.Errorf("inertia on identical points = %v, want 0", got)
-	}
-}
-
-func TestInertiaDecreasesWithK(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts, _ := threeBlobs(rng, 25)
-	r1, err := KMeans(pts, 1, 60, rand.New(rand.NewSource(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, err := KMeans(pts, 3, 60, rand.New(rand.NewSource(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Inertia(pts, r3) >= Inertia(pts, r1) {
-		t.Errorf("inertia(k=3)=%v should be < inertia(k=1)=%v",
-			Inertia(pts, r3), Inertia(pts, r1))
+	for i, p := range pts {
+		if c := res.Centroids[res.Assign[i]]; c[0] != p[0] || c[1] != p[1] {
+			t.Errorf("point %d assigned to centroid %v, want %v", i, c, p)
+		}
 	}
 }
 

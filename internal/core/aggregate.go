@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // WeightFn assigns an aggregation weight to one extraction. §4.2.2 leaves
 // the aggregation function open as a design dimension — "an application
@@ -15,31 +12,6 @@ type WeightFn func(*Extraction) float64
 // UniformWeight is the paper's current implementation: every extracted
 // phrase counts once.
 func UniformWeight(*Extraction) float64 { return 1 }
-
-// RecencyWeight builds a weighting that decays by review age:
-// weight = 1 / (1 + age/halfLifeDays), where age is measured backward
-// from the newest day seen. Suits fast-drifting attributes such as
-// friendlyStaff (§4.2.2).
-func RecencyWeight(newestDay int, halfLifeDays float64) WeightFn {
-	return func(e *Extraction) float64 {
-		age := float64(newestDay - e.Day)
-		if age < 0 {
-			age = 0
-		}
-		return 1 / (1 + age/halfLifeDays)
-	}
-}
-
-// ProlificReviewerWeight up-weights extractions from reviewers with many
-// reviews in the database (a proxy for "helpful" reviewers).
-func ProlificReviewerWeight(db *DB, minReviews int, boost float64) WeightFn {
-	return func(e *Extraction) float64 {
-		if db.ReviewerReviewCount(e.Reviewer) >= minReviews {
-			return boost
-		}
-		return 1
-	}
-}
 
 // RebuildSummaries recomputes the marker summary of every served entity
 // from its extraction rows under a new weighting and installs the result,
@@ -190,87 +162,4 @@ func (db *DB) addOwned(attr *SubjectiveAttribute, i int) {
 		s.refreshCentroid(ext.Marker)
 	}
 	db.indexExtraction(i)
-}
-
-// Surprise is an entity whose subjective evidence contradicts its
-// objective positioning — §7's future-work example: "if there are reviews
-// claiming that an expensive hotel has dirty rooms, that would be
-// important to point out to the user because it contradicts their
-// expectations".
-type Surprise struct {
-	EntityID string
-	// Attribute whose evidence is unexpectedly negative.
-	Attribute string
-	// ExpectedRank is the entity's percentile (0..1) on the objective
-	// column (1 = most expensive).
-	ExpectedRank float64
-	// NegativeMass is the fraction of the attribute's phrase mass at
-	// negative-sentiment markers.
-	NegativeMass float64
-}
-
-// Surprises scans for entities in the top objective percentile whose
-// marker summaries carry a large negative mass for an attribute —
-// expectation-contradicting evidence worth surfacing. objectiveCol must
-// be numeric; topPct selects the high end (e.g. 0.25 = top quartile).
-func (db *DB) Surprises(objectiveCol string, topPct, minNegativeMass float64) ([]Surprise, error) {
-	col, _, err := db.Rel.Column(objectiveCol)
-	if err != nil {
-		return nil, err
-	}
-	type ranked struct {
-		id  string
-		val float64
-	}
-	var all []ranked
-	for e, id := range db.entityIDs {
-		var f float64
-		switch x := db.Rel.Row(e)[col].(type) {
-		case float64:
-			f = x
-		case int64:
-			f = float64(x)
-		default:
-			return nil, fmt.Errorf("core: column %s is not numeric", objectiveCol)
-		}
-		all = append(all, ranked{id: id, val: f})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].val < all[j].val })
-	var out []Surprise
-	for pos, r := range all {
-		pct := float64(pos+1) / float64(len(all))
-		if pct < 1-topPct {
-			continue
-		}
-		for _, attr := range db.Attrs {
-			s := db.Summary(attr.Name, r.id)
-			if s == nil || s.Total == 0 {
-				continue
-			}
-			var neg float64
-			for i, m := range attr.Markers {
-				if m.Sentiment < -0.2 {
-					neg += s.Counts[i]
-				}
-			}
-			if mass := neg / s.Total; mass >= minNegativeMass {
-				out = append(out, Surprise{
-					EntityID:     r.id,
-					Attribute:    attr.Name,
-					ExpectedRank: pct,
-					NegativeMass: mass,
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].NegativeMass != out[j].NegativeMass {
-			return out[i].NegativeMass > out[j].NegativeMass
-		}
-		if out[i].EntityID != out[j].EntityID {
-			return out[i].EntityID < out[j].EntityID
-		}
-		return out[i].Attribute < out[j].Attribute
-	})
-	return out, nil
 }

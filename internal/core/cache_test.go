@@ -15,9 +15,9 @@ func TestDegreeListsInvalidatedOnRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Zero out almost everything via an aggressive recency weighting:
-	// only the newest reviews count.
-	prev := db.RebuildSummaries(core.RecencyWeight(3650, 1))
+	// Zero out almost everything via an aggressive recency weighting,
+	// 1 / (1 + age in days before day 3650): only the newest reviews count.
+	prev := db.RebuildSummaries(func(e *core.Extraction) float64 { return 1 / (1 + float64(3650-e.Day)) })
 	defer func() {
 		db.RestoreSummaries(prev)
 	}()

@@ -29,7 +29,8 @@ func TestRebuildSummariesRecency(t *testing.T) {
 	_, db := testDB(t)
 	entity := firstSummarizedEntity(t, db, "room_cleanliness")
 	before := db.Summary("room_cleanliness", entity).Total
-	prev := db.RebuildSummaries(core.RecencyWeight(3650, 365))
+	// Weight = 1 / (1 + age/365), age in days before day 3650.
+	prev := db.RebuildSummaries(func(e *core.Extraction) float64 { return 1 / (1 + float64(3650-e.Day)/365) })
 	defer db.RestoreSummaries(prev)
 	after := db.Summary("room_cleanliness", entity)
 	if after.Total >= before {
@@ -52,7 +53,7 @@ func TestRebuildRestore(t *testing.T) {
 	_, db := testDB(t)
 	entity := firstSummarizedEntity(t, db, "staff")
 	orig := db.Summary("staff", entity)
-	prev := db.RebuildSummaries(core.ProlificReviewerWeight(db, 3, 2.0))
+	prev := db.RebuildSummaries(func(*core.Extraction) float64 { return 2 })
 	if db.Summary("staff", entity) == orig {
 		t.Error("rebuild did not install new summaries")
 	}
@@ -63,18 +64,8 @@ func TestRebuildRestore(t *testing.T) {
 }
 
 func TestWeightFns(t *testing.T) {
-	e := &core.Extraction{Day: 1000, Reviewer: "rev0001"}
-	if core.UniformWeight(e) != 1 {
+	if core.UniformWeight(&core.Extraction{Day: 1000, Reviewer: "rev0001"}) != 1 {
 		t.Error("uniform weight != 1")
-	}
-	w := core.RecencyWeight(2000, 500)
-	if got := w(e); math.Abs(got-1.0/3.0) > 1e-9 {
-		t.Errorf("recency weight = %v, want 1/3", got)
-	}
-	// Future-dated extraction clamps to age 0.
-	future := &core.Extraction{Day: 3000}
-	if got := w(future); got != 1 {
-		t.Errorf("future extraction weight = %v, want 1", got)
 	}
 }
 
@@ -126,42 +117,6 @@ func TestAddReviewValidation(t *testing.T) {
 	}
 	if err := db.AddReview(rv); err == nil {
 		t.Error("duplicate review id should fail")
-	}
-}
-
-// --- Surprises (§7) -----------------------------------------------------
-
-func TestSurprises(t *testing.T) {
-	d, db := testDB(t)
-	surprises, err := db.Surprises("price_pn", 0.5, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Validate structure; existence depends on the corpus draw, but with
-	// independent price/quality latents, expensive-but-bad entities are
-	// near-certain at 85 entities with a 0.5 top fraction.
-	if len(surprises) == 0 {
-		t.Skip("no surprises at this corpus draw")
-	}
-	for _, s := range surprises {
-		if s.NegativeMass < 0.3 {
-			t.Errorf("surprise below threshold: %+v", s)
-		}
-		if s.ExpectedRank < 0.5 {
-			t.Errorf("surprise outside top fraction: %+v", s)
-		}
-		if d.EntityByID(s.EntityID) == nil {
-			t.Errorf("unknown entity %s", s.EntityID)
-		}
-	}
-	// Sorted by negative mass descending.
-	for i := 1; i < len(surprises); i++ {
-		if surprises[i].NegativeMass > surprises[i-1].NegativeMass {
-			t.Error("surprises not sorted")
-		}
-	}
-	if _, err := db.Surprises("name", 0.5, 0.3); err == nil {
-		t.Error("non-numeric column should fail")
 	}
 }
 
@@ -243,50 +198,6 @@ func TestTopKThresholdDefaults(t *testing.T) {
 	empty, _, err := db.TopKThreshold(nil, 5)
 	if err != nil || empty != nil {
 		t.Errorf("empty predicates = %v, %v", empty, err)
-	}
-}
-
-// --- Personalization ----------------------------------------------------
-
-func TestAttributeWeightsChangeRanking(t *testing.T) {
-	_, db := testDB(t)
-	preds := []string{"has really clean rooms", "has friendly staff"}
-	base, err := db.RankPredicates(preds, nil, core.DefaultQueryOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	weighted := core.DefaultQueryOptions()
-	weighted.AttributeWeights = map[string]float64{"room_cleanliness": 3.0}
-	personal, err := db.RankPredicates(preds, nil, weighted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Rows) == 0 || len(personal.Rows) == 0 {
-		t.Fatal("missing rows")
-	}
-	// Sharpening an attribute must not raise any entity's cleanliness
-	// contribution: scores weakly decrease.
-	baseScores := map[string]float64{}
-	for _, r := range base.Rows {
-		baseScores[r.EntityID] = r.Score
-	}
-	for _, r := range personal.Rows {
-		if b, ok := baseScores[r.EntityID]; ok && r.Score > b+1e-9 {
-			t.Errorf("entity %s score rose under sharpening: %v > %v", r.EntityID, r.Score, b)
-		}
-	}
-	// Weight 1 is a no-op.
-	noop := core.DefaultQueryOptions()
-	noop.AttributeWeights = map[string]float64{"room_cleanliness": 1.0}
-	same, err := db.RankPredicates(preds, nil, noop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range same.Rows {
-		if same.Rows[i].EntityID != base.Rows[i].EntityID ||
-			math.Abs(same.Rows[i].Score-base.Rows[i].Score) > 1e-12 {
-			t.Fatal("weight 1.0 changed the ranking")
-		}
 	}
 }
 

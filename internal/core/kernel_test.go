@@ -201,11 +201,6 @@ func TestExecuteEqualsOracle(t *testing.T) {
 		{"order by unknown column", `select * from Hotels where ` + clean + ` order by no_such_column`, core.DefaultQueryOptions(), nil},
 		{"topk 0", `select * from Hotels where ` + clean + ` and ` + fallback, everything(core.DefaultQueryOptions()), nil},
 		{"topk 1", `select * from Hotels where ` + clean, core.QueryOptions{TopK: 1, UseMarkers: true}, nil},
-		{"attribute weights", `select * from Hotels where ` + clean + ` and ` + staff,
-			core.QueryOptions{TopK: 10, UseMarkers: true, AttributeWeights: map[string]float64{
-				db.Interpret("has really clean rooms").Terms[0].Attr: 2.5,
-				db.Interpret("has friendly staff").Terms[0].Attr:     0.4,
-			}}, nil},
 		{"review filter", `select * from Hotels where ` + clean + ` or ` + fallback,
 			core.QueryOptions{TopK: 10, UseMarkers: true, ReviewFilter: manyReviews}, nil},
 		{"no markers", `select * from Hotels where ` + clean + ` and ` + staff, core.QueryOptions{TopK: 10}, nil},

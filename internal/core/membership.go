@@ -113,7 +113,6 @@ type markerTerm struct {
 	weights   []markerWeight            // per marker of the attribute
 	q         embedding.Vector          // query representation, may be nil
 	qNorm     float64                   // q.Norm(), taken once
-	pow       float64                   // AttributeWeights exponent; 0 = none
 }
 
 // markerWeight is what marker i contributes to a term targeting marker m.

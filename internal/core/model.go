@@ -7,7 +7,7 @@
 // Concurrency: a built DB is safe for unlimited concurrent readers with
 // no external locking — Query, QueryWithOptions, RankPredicates, Execute,
 // TopKThreshold, Interpret, InterpretW2VOnly, InterpretCooccurOnly,
-// Explain, ProvenanceOf and every other read-only accessor may be called
+// ProvenanceOf and every other read-only accessor may be called
 // from any number of goroutines simultaneously. Query processing memoizes
 // deterministic derived values (interpretations, prepare-path domain
 // matches, TA degree lists) in sharded RWMutex caches (cache.go), so a warm cache
@@ -31,7 +31,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/embedding"
 	"repro/internal/extract"
@@ -70,11 +69,6 @@ type SubjectiveAttribute struct {
 	// compiled linguistic domain (buildDerived).
 	ord    int
 	domain *domainTable
-	// markerIdx lazily indexes marker name → position for MarkerIndex;
-	// built once under markerIdxOnce so concurrent readers share it
-	// without locking. Markers are fixed after construction.
-	markerIdxOnce sync.Once
-	markerIdx     map[string]int
 }
 
 // MarkerOf returns the marker index a domain phrase maps to and whether
@@ -82,26 +76,6 @@ type SubjectiveAttribute struct {
 func (a *SubjectiveAttribute) MarkerOf(phrase string) (int, bool) {
 	m, ok := a.phraseMarker[phrase]
 	return m, ok
-}
-
-// MarkerIndex returns the index of the named marker, or -1. The lookup
-// map is built lazily on first call (marker sets are fixed after
-// construction); duplicate names resolve to the lowest index, matching
-// the linear scan this replaced.
-func (a *SubjectiveAttribute) MarkerIndex(name string) int {
-	a.markerIdxOnce.Do(func() {
-		idx := make(map[string]int, len(a.Markers))
-		for i := range a.Markers {
-			if _, dup := idx[a.Markers[i].Name]; !dup {
-				idx[a.Markers[i].Name] = i
-			}
-		}
-		a.markerIdx = idx
-	})
-	if i, ok := a.markerIdx[name]; ok {
-		return i
-	}
-	return -1
 }
 
 // MarkerSummary is the aggregate view of one (entity, attribute) pair
@@ -436,7 +410,7 @@ func (am AttrMarker) String() string {
 	return am.Attr + "." + fmt.Sprint(am.Marker)
 }
 
-// fuzzyVariantFor maps config to the fuzzy variant.
+// fuzzyVariant is the t-norm family the config selects.
 func (db *DB) fuzzyVariant() fuzzy.Variant { return db.cfg.FuzzyVariant }
 
 // Config returns a copy of the database's configuration.

@@ -258,9 +258,6 @@ func (db *DB) oracleDegreeOf(entityID string, in Interpretation, qRep embedding.
 		default:
 			d = db.Membership.DegreeScan(db, entityID, attr, qRep, nil)
 		}
-		if w, ok := opts.AttributeWeights[term.Attr]; ok && w > 0 {
-			d = math.Pow(d, w)
-		}
 		degrees = append(degrees, d)
 	}
 	if len(degrees) == 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -26,13 +25,6 @@ type QueryOptions struct {
 	// people who reviewed at least 10 hotels" feature. Implies the scan
 	// path for subjective predicates (summaries must be recomputed).
 	ReviewFilter func(reviewer string, day int) bool
-	// AttributeWeights personalizes ranking (§7's user-profile direction):
-	// an interpreted predicate over attribute A has its degree of truth
-	// raised to AttributeWeights[A]. Weights > 1 sharpen (the user cares a
-	// lot: mediocre evidence hurts more), weights in (0,1) soften, and the
-	// exponent form keeps the product t-norm's algebra intact
-	// (d^w ∈ [0,1], monotone, and w=1 is a no-op).
-	AttributeWeights map[string]float64
 }
 
 // DefaultQueryOptions returns the standard execution mode.
@@ -191,11 +183,7 @@ func (db *DB) execute(q *sqlparse.Query, opts QueryOptions, extraObjective func(
 			rep := p.repIn(db.Embed)
 			for _, term := range in.Terms {
 				if attr := db.Attr(term.Attr); attr != nil {
-					t := db.newMarkerTerm(attr, term.Marker, rep)
-					if w, ok := opts.AttributeWeights[term.Attr]; ok && w > 0 {
-						t.pow = w
-					}
-					pp.terms = append(pp.terms, t)
+					pp.terms = append(pp.terms, db.newMarkerTerm(attr, term.Marker, rep))
 				}
 			}
 			degreesPerEntity += len(pp.terms)
@@ -302,9 +290,6 @@ func (p *queryPlan) degree(pp *predicatePlan, e int, id string) float64 {
 			d = db.Membership.degree(t, id)
 		default:
 			d = db.Membership.DegreeScan(db, id, t.attr, t.q, nil)
-		}
-		if t.pow > 0 {
-			d = math.Pow(d, t.pow)
 		}
 		switch {
 		case ti == 0:

@@ -15,8 +15,8 @@ package core
 // state: the Entities relation and, through it, entityIDs, the marker
 // summaries, and the extraction relation's full rows (provenance, the
 // scan path and RebuildSummaries read only a served entity's rows) — so a
-// shard only scores, ranks, explains and caches degree lists for its own
-// entity range. Extraction ids stay global: a shard's rows are a sparse,
+// shard only scores, ranks, serves evidence for and caches degree lists
+// for its own entity range. Extraction ids stay global: a shard's rows are a sparse,
 // ascending subset of the monolith's, and the replicated table assigns
 // the next id on every node alike. Per-entity scores never change; only
 // which entities a process answers for does.
@@ -53,7 +53,7 @@ func (db *DB) PartitionEntities(n int) ([][]string, error) {
 
 // Shards partitions the database into n shard databases over contiguous
 // entity ranges — PartitionEntities + ShardDB in one step, so every
-// caller (builder, in-process router, experiments) derives fleets the
+// caller (builder, fleet writer, rebalancer, benchmark) derives fleets the
 // same way. It returns the shard databases and the entity-id ranges they
 // own, both ordered by shard index.
 func (db *DB) Shards(n int) ([]*DB, [][]string, error) {

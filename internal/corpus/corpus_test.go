@@ -111,7 +111,7 @@ func TestLatentQualityDrivesSentiment(t *testing.T) {
 		if theta < 0.35 && theta > 0.75 {
 			continue
 		}
-		for _, r := range d.ReviewsOf(e.ID) {
+		for _, r := range reviewsOf(d, e.ID) {
 			s := sentiment.Score(r.Text)
 			if theta >= 0.75 {
 				hiSum += s
@@ -169,7 +169,7 @@ func TestCompositeSignalInReviews(t *testing.T) {
 	for _, e := range d.Entities {
 		qualifies := e.Latent["service"] >= 0.75 && e.LatentCat["style"] == "luxurious"
 		mentions := 0
-		for _, r := range d.ReviewsOf(e.ID) {
+		for _, r := range reviewsOf(d, e.ID) {
 			if strings.Contains(r.Text, "romantic") {
 				mentions++
 			}
@@ -196,7 +196,7 @@ func TestFlagSignalInReviews(t *testing.T) {
 			continue
 		}
 		flagged++
-		for _, r := range d.ReviewsOf(e.ID) {
+		for _, r := range reviewsOf(d, e.ID) {
 			if strings.Contains(r.Text, "motorcycle") || strings.Contains(r.Text, "bikers") {
 				mentioned++
 				break
@@ -370,9 +370,17 @@ func TestDatasetAccessors(t *testing.T) {
 	if d.Aspect("nope") != nil {
 		t.Error("unknown aspect should return nil")
 	}
-	if len(d.ReviewsOf(e.ID)) == 0 {
-		t.Error("ReviewsOf returned nothing")
+}
+
+// reviewsOf returns all reviews of the entity, in generation order.
+func reviewsOf(d *Dataset, entityID string) []*Review {
+	var out []*Review
+	for _, r := range d.Reviews {
+		if r.EntityID == entityID {
+			out = append(out, r)
+		}
 	}
+	return out
 }
 
 func TestReviewerZipf(t *testing.T) {

@@ -184,17 +184,6 @@ func (d *Dataset) Aspect(name string) *AspectSpec {
 	return nil
 }
 
-// ReviewsOf returns all reviews of the entity, in generation order.
-func (d *Dataset) ReviewsOf(entityID string) []*Review {
-	var out []*Review
-	for _, r := range d.Reviews {
-		if r.EntityID == entityID {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // PredicateKind classifies query predicates by which interpreter stage
 // should resolve them.
 type PredicateKind int

@@ -53,29 +53,6 @@ func SatMax(numPredicates int, candidates []string, k int, satFn func(pred int, 
 	return total
 }
 
-// Quality computes the workload quality of §5.2.3: the mean of
-// sat(Q_i, E_i)/sat-max(Q_i) over queries. Queries with sat-max 0 (no
-// entity satisfies anything) are skipped, as they carry no signal.
-func Quality(sats, satMaxes []float64) float64 {
-	var sum float64
-	var n int
-	for i := range sats {
-		if satMaxes[i] <= 0 {
-			continue
-		}
-		r := sats[i] / satMaxes[i]
-		if r > 1 {
-			r = 1 // guard against float slop
-		}
-		sum += r
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // MeanCI returns the mean of xs and the half-width of its 95% confidence
 // interval (normal approximation, as the paper's ± figures use).
 func MeanCI(xs []float64) (mean, ci float64) {

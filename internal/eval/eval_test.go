@@ -68,21 +68,6 @@ func TestSatBoundedBySatMax(t *testing.T) {
 	}
 }
 
-func TestQuality(t *testing.T) {
-	got := Quality([]float64{1, 2, 3}, []float64{2, 2, 0})
-	// Third query skipped (satmax 0): (0.5 + 1.0)/2
-	if math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("Quality = %v, want 0.75", got)
-	}
-	if Quality(nil, nil) != 0 {
-		t.Error("empty quality should be 0")
-	}
-	// Clamp at 1 on float slop.
-	if got := Quality([]float64{2.0000001}, []float64{2}); got > 1 {
-		t.Errorf("Quality exceeded 1: %v", got)
-	}
-}
-
 func TestMeanCI(t *testing.T) {
 	mean, ci := MeanCI([]float64{1, 2, 3, 4, 5})
 	if mean != 3 {

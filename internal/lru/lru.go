@@ -71,14 +71,6 @@ func (c *Cache[K, V]) Put(key K, val V) (evictedKey K, evicted bool) {
 	return k, true
 }
 
-// Delete removes key if present.
-func (c *Cache[K, V]) Delete(key K) {
-	if el, ok := c.index[key]; ok {
-		c.ll.Remove(el)
-		delete(c.index, key)
-	}
-}
-
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int { return c.ll.Len() }
 

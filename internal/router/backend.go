@@ -89,8 +89,8 @@ func (b *HTTPBackend) Do(ctx context.Context, method, target string, body []byte
 
 // LocalBackend serves one in-process shard database through the exact
 // same HTTP handler a remote replica runs, so local and remote fleets are
-// behaviorally indistinguishable (single-binary sharded serving, tests,
-// and the benchall sharding experiment all use it).
+// behaviorally indistinguishable (single-binary sharded serving, the
+// load fleet, the smokes and tests all use it).
 type LocalBackend struct {
 	name    string
 	handler http.Handler

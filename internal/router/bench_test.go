@@ -3,8 +3,9 @@ package router
 // Router micro-benchmarks: scatter + fragment walk + bounded-heap merge
 // over synthetic shard backends (no engine work, isolating the router's own
 // overhead), and the heap merge alone. The end-to-end router-vs-monolith
-// overhead on a real corpus is measured by the benchall "sharding"
-// experiment (harness.RunSharding).
+// overhead on a real corpus is the repository benchmark's read_hot
+// ladder (bench/), which prices the same request at core and through the
+// router.
 
 import (
 	"bytes"

@@ -65,17 +65,13 @@ func (e *Engine) RankPredicates(predicates []string, objective func(entityID str
 	// The wire protocol carries only SQL + k; every other option would be
 	// silently dropped, so divergence from DefaultQueryOptions is an
 	// explicit error rather than quietly different scores. (ReviewFilter
-	// is a func and unroutable like objective; UseMarkers=false and
-	// AttributeWeights are ablation/personalization knobs the shard API
-	// does not expose yet.)
+	// is a func and unroutable like objective; UseMarkers=false is the
+	// Table 7 ablation, which the shard API does not expose.)
 	if opts.ReviewFilter != nil {
 		return nil, fmt.Errorf("router: ReviewFilter callbacks cannot be routed")
 	}
 	if !opts.UseMarkers {
 		return nil, fmt.Errorf("router: the no-marker scan path is not exposed by the shard API")
-	}
-	if len(opts.AttributeWeights) > 0 {
-		return nil, fmt.Errorf("router: AttributeWeights are not exposed by the shard API")
 	}
 	sql, err := predicatesSQL(predicates)
 	if err != nil {

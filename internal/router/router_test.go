@@ -210,7 +210,6 @@ func TestRankPredicatesRejectsUnroutableOptions(t *testing.T) {
 	cases := map[string]func(*core.QueryOptions){
 		"scan path": func(o *core.QueryOptions) { o.UseMarkers = false },
 		"filter":    func(o *core.QueryOptions) { o.ReviewFilter = func(string, int) bool { return true } },
-		"weights":   func(o *core.QueryOptions) { o.AttributeWeights = map[string]float64{"service": 2} },
 	}
 	for name, mutate := range cases {
 		opts := core.DefaultQueryOptions()

@@ -186,30 +186,6 @@ func ScorePhraseTokens(toks []string) float64 {
 	return 0
 }
 
-// Polarity buckets a score into -1 (negative), 0 (neutral) or +1 (positive)
-// using the symmetric dead zone (-threshold, +threshold).
-func Polarity(score, threshold float64) int {
-	switch {
-	case score >= threshold:
-		return 1
-	case score <= -threshold:
-		return -1
-	default:
-		return 0
-	}
-}
-
-// HasOpinionWord reports whether any token of the phrase is in the valence
-// lexicon; used by the extraction rule baseline.
-func HasOpinionWord(tokens []string) bool {
-	for _, t := range tokens {
-		if _, ok := valence[t]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // Valence returns the lexicon score of a single token and whether the token
 // is a known opinion word.
 func Valence(tok string) (float64, bool) {

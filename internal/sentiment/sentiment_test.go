@@ -126,27 +126,6 @@ func TestScorePhraseHyphenFallback(t *testing.T) {
 	}
 }
 
-func TestPolarity(t *testing.T) {
-	if Polarity(0.5, 0.1) != 1 {
-		t.Error("0.5 should be positive")
-	}
-	if Polarity(-0.5, 0.1) != -1 {
-		t.Error("-0.5 should be negative")
-	}
-	if Polarity(0.05, 0.1) != 0 {
-		t.Error("0.05 should be neutral")
-	}
-}
-
-func TestHasOpinionWord(t *testing.T) {
-	if !HasOpinionWord([]string{"the", "clean", "room"}) {
-		t.Error("should find 'clean'")
-	}
-	if HasOpinionWord([]string{"the", "room", "near", "station"}) {
-		t.Error("no opinion words present")
-	}
-}
-
 func TestValenceLookup(t *testing.T) {
 	if v, ok := Valence("spotless"); !ok || v <= 0.9 {
 		t.Errorf("Valence(spotless) = %v, %v", v, ok)

@@ -9,7 +9,8 @@ import (
 
 // readSnapshotFile maps the file read-only when the platform allows it,
 // avoiding a full read-syscall copy of the artifact on the serving cold
-// path; gob decoding copies everything it keeps, so the mapping is
+// path; the section decoders (gob for meta and shard, the hand-rolled
+// codecs for the rest) copy everything they keep, so the mapping is
 // released as soon as loading finishes. Falls back to a plain read when
 // mmap fails (e.g. special filesystems).
 func readSnapshotFile(path string) (data []byte, cleanup func(), err error) {

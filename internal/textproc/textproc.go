@@ -97,31 +97,6 @@ var stopwords = map[string]bool{
 // IsStopword reports whether tok is in the stopword list.
 func IsStopword(tok string) bool { return stopwords[tok] }
 
-// RemoveStopwords returns tokens with stopwords filtered out, preserving
-// order. The input slice is not modified.
-func RemoveStopwords(tokens []string) []string {
-	out := make([]string, 0, len(tokens))
-	for _, t := range tokens {
-		if !stopwords[t] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// NGrams returns all contiguous n-grams of tokens joined by a space.
-// It returns nil when n is larger than len(tokens) or n < 1.
-func NGrams(tokens []string, n int) []string {
-	if n < 1 || len(tokens) < n {
-		return nil
-	}
-	out := make([]string, 0, len(tokens)-n+1)
-	for i := 0; i+n <= len(tokens); i++ {
-		out = append(out, strings.Join(tokens[i:i+n], " "))
-	}
-	return out
-}
-
 // CorpusStats accumulates document frequency statistics over a corpus and
 // answers IDF queries. A "document" is whatever unit the caller passes to
 // AddDocument (reviews in OpineDB).
@@ -159,10 +134,6 @@ func (c *CorpusStats) DF(term string) int { return c.df[term] }
 
 // TermCount returns the total number of occurrences of term.
 func (c *CorpusStats) TermCount(term string) int { return c.termCnt[term] }
-
-// TotalTokens returns the total number of token occurrences across all
-// documents.
-func (c *CorpusStats) TotalTokens() int64 { return c.total }
 
 // IDF returns the smoothed inverse document frequency
 // log((N+1)/(df+1)) + 1, which is strictly positive and defined for

@@ -95,48 +95,6 @@ func TestStopwords(t *testing.T) {
 	if IsStopword("clean") {
 		t.Error("'clean' should not be a stopword")
 	}
-	got := RemoveStopwords([]string{"the", "room", "was", "not", "clean"})
-	want := []string{"room", "not", "clean"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RemoveStopwords = %v, want %v", got, want)
-	}
-}
-
-func TestNGrams(t *testing.T) {
-	toks := []string{"very", "clean", "room"}
-	if got := NGrams(toks, 1); !reflect.DeepEqual(got, []string{"very", "clean", "room"}) {
-		t.Errorf("1-grams = %v", got)
-	}
-	if got := NGrams(toks, 2); !reflect.DeepEqual(got, []string{"very clean", "clean room"}) {
-		t.Errorf("2-grams = %v", got)
-	}
-	if got := NGrams(toks, 3); !reflect.DeepEqual(got, []string{"very clean room"}) {
-		t.Errorf("3-grams = %v", got)
-	}
-	if got := NGrams(toks, 4); got != nil {
-		t.Errorf("4-grams on 3 tokens = %v, want nil", got)
-	}
-	if got := NGrams(toks, 0); got != nil {
-		t.Errorf("0-grams = %v, want nil", got)
-	}
-}
-
-func TestNGramCount(t *testing.T) {
-	f := func(raw []string, n uint8) bool {
-		k := int(n%5) + 1
-		toks := make([]string, 0, len(raw))
-		for _, r := range raw {
-			toks = append(toks, Tokenize(r)...)
-		}
-		grams := NGrams(toks, k)
-		if len(toks) < k {
-			return grams == nil
-		}
-		return len(grams) == len(toks)-k+1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestCorpusStats(t *testing.T) {
@@ -155,8 +113,8 @@ func TestCorpusStats(t *testing.T) {
 	if cs.TermCount("clean") != 2 {
 		t.Errorf("TermCount(clean) = %d, want 2", cs.TermCount("clean"))
 	}
-	if cs.TotalTokens() != 5 {
-		t.Errorf("TotalTokens = %d, want 5", cs.TotalTokens())
+	if total := cs.State().Total; total != 5 {
+		t.Errorf("State().Total = %d, want 5", total)
 	}
 }
 
